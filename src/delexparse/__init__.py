@@ -5,11 +5,10 @@ treebank and applies it zero-shot to a related low-resource language via
 POS tagging and tag-set mapping, with bracket-scoring evaluation.
 """
 
-from .chart import Chart, cky_decode, decode_tree, loss_augmented_decode
+from .chart import Chart, cky_decode
 from .evalb import EvalConfig, EvalResult, LabeledSpan, extract_eval_spans, score_corpus
-from .model import (ModelConfig, ModelParams, embed_sequence, encode,
-                    init_params, load_checkpoint, loss_and_gradients,
-                    save_checkpoint, span_scores)
+from .model import (ModelConfig, ModelParams, init_params, load_checkpoint,
+                    loss_and_gradients, save_checkpoint)
 from .tagger import TaggerModel, load_tagger, save_tagger, tag_sentence, tagger_accuracy, train_tagger
 from .tagmap import default_table, map_extended_tag, map_sentence
 from .trainer import TrainConfig, parse_corpus, train
@@ -27,13 +26,12 @@ __all__ = [
     "ModelConfig", "ModelParams", "TagMapTable", "TaggedSentence",
     "TaggerModel", "TrainConfig", "TransformConfig", "Tree",
     "TreebankFormatError", "binarize", "cky_decode", "debinarize",
-    "decode_tree", "default_table", "delexicalize_sentence",
-    "delexicalize_tree", "embed_sequence", "encode", "extract_eval_spans",
-    "filter_target_treebank", "init_params", "load_checkpoint",
-    "load_tagger", "loss_and_gradients", "loss_augmented_decode",
+    "default_table", "delexicalize_sentence", "delexicalize_tree",
+    "extract_eval_spans", "filter_target_treebank", "init_params",
+    "load_checkpoint", "load_tagger", "loss_and_gradients",
     "map_extended_tag", "map_sentence", "parse_bracketed", "parse_corpus",
     "read_tag_map", "read_tagged_corpus", "relexicalize_tree",
     "save_checkpoint", "save_tagger", "score_corpus", "serialize_tree",
-    "span_scores", "split_treebank", "strip_annotations", "tag_sentence",
+    "split_treebank", "strip_annotations", "tag_sentence",
     "tagger_accuracy", "train", "train_tagger",
 ]

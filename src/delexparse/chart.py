@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import EMPTY_LABEL, debinarize
+from .transform import EMPTY_LABEL
 from .treebank import ExtendedTag, Tree
 
 
@@ -57,23 +57,18 @@ def build_chart(scores: np.ndarray) -> Chart:
     return Chart(best_score=best, best_label=labels, best_split=split)
 
 
-def _root_choice(scores: np.ndarray, chart: Chart) -> tuple[int, float]:
-    """Best non-empty root label and the resulting total tree score."""
-    n = scores.shape[0]
-    root_label = 1 + int(scores[0, n, 1:].argmax())
-    split_part = chart.best_score[0, n] - scores[0, n].max()
-    return root_label, float(scores[0, n, root_label] + split_part)
-
-
 def decode_spans(scores: np.ndarray) -> tuple[float, list[tuple[int, int, int]]]:
     """Best tree as (total score, all bracketing spans with label indices).
 
-    The span list covers every span of the decoded binary bracketing,
-    including those assigned the empty label.
+    The span list covers every span of the decoded binary bracketing in
+    preorder, including those assigned the empty label.  The root takes
+    the best non-empty label, whatever the empty label scores there.
     """
     n = _check_scores(scores)
     chart = build_chart(scores)
-    root_label, total = _root_choice(scores, chart)
+    root_label = 1 + int(scores[0, n, 1:].argmax())
+    total = float(scores[0, n, root_label]
+                  + (chart.best_score[0, n] - scores[0, n].max()))
     spans: list[tuple[int, int, int]] = []
     stack: list[tuple[int, int, int]] = [(0, n, root_label)]
     while stack:
@@ -88,17 +83,14 @@ def decode_spans(scores: np.ndarray) -> tuple[float, list[tuple[int, int, int]]]
     return total, spans
 
 
-def _preterminal(tag: ExtendedTag, morph_separator: str) -> Tree:
-    return Tree.node(tag.pos, [Tree.leaf(tag.serialized(morph_separator))])
-
-
 def cky_decode(scores: np.ndarray, label_inventory: list[str],
-               tags: list[ExtendedTag], morph_separator: str = ".") -> Tree:
+               tags: list[ExtendedTag]) -> Tree:
     """Return the highest-scoring binarized tree for the given tags.
 
     Preterminals are attached from the tags: the POS part labels the
-    preterminal and the serialized tag becomes the leaf token.  The root
-    span always takes a non-empty label.
+    preterminal and the serialized tag becomes the leaf token.  The tree
+    is assembled from the :func:`decode_spans` preorder list, walked in
+    reverse so both subtrees of a span are finished before the span.
     """
     n = _check_scores(scores)
     if len(tags) != n:
@@ -107,25 +99,18 @@ def cky_decode(scores: np.ndarray, label_inventory: list[str],
         raise ValueError("label inventory does not match score tensor")
     if label_inventory[0] != EMPTY_LABEL:
         raise ValueError("label inventory must reserve index 0 for the empty label")
-    chart = build_chart(scores)
-    root_label, _ = _root_choice(scores, chart)
-
-    def build(i: int, j: int, label: int) -> Tree:
+    _, spans = decode_spans(scores)
+    done: list[Tree] = []
+    for i, j, label in reversed(spans):
         if j - i == 1:
-            node = _preterminal(tags[i], morph_separator)
-        else:
-            k = int(chart.best_split[i, j])
-            left = build(i, k, int(chart.best_label[i, k]))
-            right = build(k, j, int(chart.best_label[k, j]))
-            node = Tree.node(EMPTY_LABEL, [left, right])
-        if label != 0:
-            if j - i == 1:
+            node = Tree.node(tags[i].pos, [Tree.leaf(tags[i].serialized())])
+            if label != 0:
                 node = Tree.node(label_inventory[label], [node])
-            else:
-                node = Tree.node(label_inventory[label], node.children)
-        return node
-
-    return build(0, n, root_label)
+        else:
+            left = done.pop()
+            node = Tree.node(label_inventory[label], [left, done.pop()])
+        done.append(node)
+    return done[0]
 
 
 def tree_spans(tree: Tree) -> tuple[list[tuple[int, int, str]], int]:
@@ -176,22 +161,3 @@ def spans_to_indices(spans: list[tuple[int, int, str]],
             raise ValueError(f"label {label!r} not in inventory")
         out.append((i, j, index[label]))
     return out
-
-
-def loss_augmented_decode(scores: np.ndarray, gold: Tree,
-                          label_inventory: list[str],
-                          tags: list[ExtendedTag]) -> Tree:
-    """Decode under scores plus the Hamming cost against the gold tree."""
-    n = _check_scores(scores)
-    gold_spans, leaves = tree_spans(gold)
-    if leaves != n:
-        raise ValueError(f"gold tree covers {leaves} leaves, scores cover {n}")
-    augment = hamming_augment(n, len(label_inventory),
-                              spans_to_indices(gold_spans, label_inventory))
-    return cky_decode(scores + augment, label_inventory, tags)
-
-
-def decode_tree(scores: np.ndarray, label_inventory: list[str],
-                tags: list[ExtendedTag], morph_separator: str = ".") -> Tree:
-    """Decode and debinarize in one step (the surfaced pipeline form)."""
-    return debinarize(cky_decode(scores, label_inventory, tags, morph_separator))

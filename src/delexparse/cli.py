@@ -78,7 +78,7 @@ def _load_trees(cfg: PipelineConfig, key: str):
 
 def _prepare_trees(trees, cfg: PipelineConfig, stage: str = "transform"):
     """Strip, optionally delexicalize, and binarize a treebank for training."""
-    tcfg = cfg.transform_config()
+    tcfg = cfg.transform
     prepared = []
     for index, tree in enumerate(trees):
         try:
@@ -109,7 +109,8 @@ def cmd_train(cfg: PipelineConfig) -> int:
     try:
         params = trainer.train(train_trees, dev_trees, cfg.model, cfg.train,
                                log_path=log_path, checkpoint_dir=checkpoint_dir,
-                               atomic_tags=(cfg.mode == "lexicalized"))
+                               atomic_tags=(cfg.mode == "lexicalized"),
+                               morph_separator=cfg.transform.morph_separator)
     except ValueError as exc:
         raise CliError("train", str(exc)) from exc
     model.save_checkpoint(params, checkpoint)
@@ -125,7 +126,7 @@ def _gather_sentences(cfg: PipelineConfig, inputs: dict[str, Path],
     With ``need_tags`` false (lexicalized mode), a raw tokens file needs no
     tagger and yields ``tags=None``.
     """
-    tcfg = cfg.transform_config()
+    tcfg = cfg.transform
     sentences: list[tuple[list[str], list[ExtendedTag] | None]] = []
     if cfg.use_gold_tags:
         path = _input_path(cfg, "gold_treebank")
@@ -185,7 +186,7 @@ def cmd_parse(cfg: PipelineConfig) -> int:
             if cfg.paths.get("tag_map"):
                 table_path = _input_path(cfg, "tag_map")
                 inputs["tag_map"] = table_path
-                table = read_tag_map_file(table_path)
+                table = read_tag_map_file(table_path, cfg.transform.morph_separator)
             else:
                 table = tagmap.default_table()
             sentences = [
@@ -193,7 +194,7 @@ def cmd_parse(cfg: PipelineConfig) -> int:
                  [tagmap.map_extended_tag(t, table, cfg.composite_separator)
                   for t in tags])
                 for tokens, tags in sentences]
-        if cfg.keep_morphology:
+        if cfg.transform.keep_morphology:
             tag_lists = [tags for _, tags in sentences]
         else:
             tag_lists = [[ExtendedTag(t.pos) for t in tags]
@@ -248,7 +249,7 @@ def cmd_tag(cfg: PipelineConfig) -> int:
     if cfg.paths.get("train_corpus"):
         corpus_path = _input_path(cfg, "train_corpus")
         inputs["train_corpus"] = corpus_path
-        corpus = read_tagged_corpus_file(corpus_path)
+        corpus = read_tagged_corpus_file(corpus_path, cfg.transform.morph_separator)
         try:
             tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed)
         except ValueError as exc:
@@ -271,7 +272,7 @@ def cmd_tag(cfg: PipelineConfig) -> int:
             if tokens:
                 tagged.append(tagger.tag_sentence(tag_model, tokens))
         output = _output_path(cfg, "tagged_output")
-        write_tagged_corpus(tagged, output)
+        write_tagged_corpus(tagged, output, cfg.transform.morph_separator)
         outputs.append(output)
         anchor = output
         print(f"tagged {len(tagged)} sentences -> {output}")
@@ -282,26 +283,27 @@ def cmd_tag(cfg: PipelineConfig) -> int:
 
 
 def cmd_map_tags(cfg: PipelineConfig) -> int:
+    sep = cfg.transform.morph_separator
     corpus_path = _input_path(cfg, "tagged_corpus")
     inputs = {"tagged_corpus": corpus_path}
     if cfg.paths.get("tag_map"):
         table_path = _input_path(cfg, "tag_map")
         inputs["tag_map"] = table_path
-        table = read_tag_map_file(table_path)
+        table = read_tag_map_file(table_path, sep)
     else:
         table = tagmap.default_table()
-    sentences = read_tagged_corpus_file(corpus_path)
+    sentences = read_tagged_corpus_file(corpus_path, sep)
     mapped = [tagmap.map_sentence(s, table, cfg.composite_separator)
               for s in sentences]
     output = _output_path(cfg, "tagged_output")
-    write_tagged_corpus(mapped, output)
+    write_tagged_corpus(mapped, output, sep)
     _write_manifest("map-tags", cfg, inputs, [output], output)
     print(f"mapped {len(mapped)} sentences -> {output}")
     return 0
 
 
 def cmd_delex(cfg: PipelineConfig) -> int:
-    tcfg = cfg.transform_config()
+    tcfg = cfg.transform
     output = _output_path(cfg, "delex_output")
     if cfg.paths.get("treebank"):
         path = _input_path(cfg, "treebank")

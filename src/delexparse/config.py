@@ -29,6 +29,10 @@ PATH_KEYS = (
 )
 
 _MODES = ("delexicalized", "lexicalized")
+_MODE_KEYS = ("mode", "preset", "use_gold_tags", "apply_mapping",
+              "keep_morphology", "composite_separator")
+_EVAL_KEYS = ("punctuation_tags", "ignore_labels", "label_equivalences",
+              "include_root")
 _PRESETS = ("desk", "paper")
 
 
@@ -38,7 +42,6 @@ class PipelineConfig:
     mode: str = "delexicalized"
     use_gold_tags: bool = False
     apply_mapping: bool = True
-    keep_morphology: bool = True
     preset: str = "desk"
     composite_separator: str = "|"
     strip_only: bool = False
@@ -48,9 +51,6 @@ class PipelineConfig:
     train: TrainConfig = DESK_TRAIN
     transform: TransformConfig = TransformConfig()
     eval: EvalConfig = EvalConfig()
-
-    def transform_config(self) -> TransformConfig:
-        return replace(self.transform, keep_morphology=self.keep_morphology)
 
 
 def _parse_bool(text: str) -> bool:
@@ -62,8 +62,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _section(parser: configparser.ConfigParser, name: str) -> dict[str, str]:
-    return dict(parser[name]) if parser.has_section(name) else {}
+def _section(parser: configparser.ConfigParser, name: str,
+             keys: tuple[str, ...] | None = None) -> dict[str, str]:
+    section = dict(parser[name]) if parser.has_section(name) else {}
+    if keys is not None:
+        for key in section:
+            if key not in keys:
+                raise ValueError(f"unknown [{name}] key {key!r}")
+    return section
 
 
 def _typed(cls, section: dict[str, str], base) -> Any:
@@ -86,6 +92,13 @@ def _typed(cls, section: dict[str, str], base) -> Any:
     return replace(base, **kwargs)
 
 
+def _label_pair(item: str) -> tuple[str, str]:
+    src, eq, tgt = item.partition("=")
+    if not (src and eq and tgt):
+        raise ValueError(f"label_equivalences item {item!r} is not SOURCE=TARGET")
+    return src, tgt
+
+
 def _eval_config(section: dict[str, str]) -> EvalConfig:
     kwargs: dict[str, Any] = {}
     if "punctuation_tags" in section:
@@ -93,8 +106,8 @@ def _eval_config(section: dict[str, str]) -> EvalConfig:
     if "ignore_labels" in section:
         kwargs["ignore_labels"] = frozenset(section["ignore_labels"].split())
     if "label_equivalences" in section:
-        pairs = (item.split("=", 1) for item in section["label_equivalences"].split())
-        kwargs["label_equivalences"] = {src: tgt for src, tgt in pairs}
+        kwargs["label_equivalences"] = dict(
+            _label_pair(item) for item in section["label_equivalences"].split())
     if "include_root" in section:
         kwargs["include_root"] = _parse_bool(section["include_root"])
     return EvalConfig(**kwargs)
@@ -108,7 +121,8 @@ def load_pipeline_config(config_path: str | None = None,
 
     Precedence, lowest to highest: preset defaults, config file sections,
     then command-line overrides.  ``overrides['seed']`` sets the model,
-    training, and tagger seeds at once.
+    training, and tagger seeds at once.  ``keep_morphology`` lives on
+    ``cfg.transform``; ``[mode]`` beats ``[transform]`` for it.
     """
     overrides = dict(overrides or {})
     parser = configparser.ConfigParser()
@@ -118,7 +132,7 @@ def load_pipeline_config(config_path: str | None = None,
         if not read:
             raise FileNotFoundError(f"config file {config_path!r} not found")
 
-    mode_section = _section(parser, "mode")
+    mode_section = _section(parser, "mode", _MODE_KEYS)
     preset = overrides.get("preset") or mode_section.get("preset", "desk")
     if preset not in _PRESETS:
         raise ValueError(f"unknown preset {preset!r}")
@@ -130,7 +144,7 @@ def load_pipeline_config(config_path: str | None = None,
     cfg.train = _typed(TrainConfig, _section(parser, "train"), train_base)
     cfg.transform = _typed(TransformConfig, _section(parser, "transform"),
                            TransformConfig())
-    cfg.eval = _eval_config(_section(parser, "eval"))
+    cfg.eval = _eval_config(_section(parser, "eval", _EVAL_KEYS))
 
     for key, value in _section(parser, "paths").items():
         if key not in PATH_KEYS:
@@ -142,22 +156,27 @@ def load_pipeline_config(config_path: str | None = None,
 
     if "mode" in mode_section:
         cfg.mode = mode_section["mode"]
-    for flag in ("use_gold_tags", "apply_mapping", "keep_morphology"):
+    for flag in ("use_gold_tags", "apply_mapping"):
         if flag in mode_section:
             setattr(cfg, flag, _parse_bool(mode_section[flag]))
     if "composite_separator" in mode_section:
         cfg.composite_separator = mode_section["composite_separator"]
+    if "keep_morphology" in mode_section:
+        cfg.transform = replace(cfg.transform, keep_morphology=_parse_bool(
+            mode_section["keep_morphology"]))
 
-    tagger_section = _section(parser, "tagger")
+    tagger_section = _section(parser, "tagger", ("epochs", "seed"))
     if "epochs" in tagger_section:
         cfg.tagger_epochs = int(tagger_section["epochs"])
     if "seed" in tagger_section:
         cfg.tagger_seed = int(tagger_section["seed"])
 
-    for flag in ("mode", "use_gold_tags", "apply_mapping", "keep_morphology",
-                 "strip_only"):
+    for flag in ("mode", "use_gold_tags", "apply_mapping", "strip_only"):
         if overrides.get(flag) is not None:
             setattr(cfg, flag, overrides[flag])
+    if overrides.get("keep_morphology") is not None:
+        cfg.transform = replace(cfg.transform,
+                                keep_morphology=overrides["keep_morphology"])
     if overrides.get("seed") is not None:
         seed = int(overrides["seed"])
         cfg.model = replace(cfg.model, seed=seed)
@@ -168,7 +187,6 @@ def load_pipeline_config(config_path: str | None = None,
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if cfg.use_gold_tags and not cfg.paths.get("gold_treebank"):
         raise ValueError("use_gold_tags requires a gold_treebank path")
-    cfg.transform = replace(cfg.transform, keep_morphology=cfg.keep_morphology)
     return cfg
 
 
@@ -184,7 +202,6 @@ def config_snapshot(cfg: PipelineConfig) -> dict[str, Any]:
         "mode": cfg.mode,
         "use_gold_tags": cfg.use_gold_tags,
         "apply_mapping": cfg.apply_mapping,
-        "keep_morphology": cfg.keep_morphology,
         "preset": cfg.preset,
         "composite_separator": cfg.composite_separator,
         "tagger_epochs": cfg.tagger_epochs,

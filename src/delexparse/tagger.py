@@ -1,8 +1,10 @@
 """A baseline POS tagger: averaged perceptron with greedy decoding.
 
 Predicts the full serialized extended tag (POS and morphology jointly).
-Externally tagged corpora remain the alternative input path; this tagger
-only has to produce :class:`TaggedSentence` values for the pipeline.
+Tags are held in ``treebank.TAG_SEPARATOR`` notation whatever separator
+the tag files use; their readers and writers convert.  Externally tagged
+corpora remain the alternative input path; this tagger only has to
+produce :class:`TaggedSentence` values for the pipeline.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class TaggerModel:
     feature_weights: dict[str, dict[str, float]]
     tag_inventory: tuple[str, ...]
     version: int = FORMAT_VERSION
-    tag_separator: str = "."
 
     def score(self, features: list[str]) -> dict[str, float]:
         scores: dict[str, float] = {}
@@ -130,7 +131,7 @@ def tag_sentence(model: TaggerModel, tokens: list[str]) -> TaggedSentence:
     tags: list[ExtendedTag] = []
     for i in range(len(tokens)):
         predicted = model.predict(token_features(tokens, i, prev_tag))
-        tags.append(ExtendedTag.parse(predicted, model.tag_separator))
+        tags.append(ExtendedTag.parse(predicted))
         prev_tag = predicted
     return TaggedSentence(tuple(tokens), tuple(tags))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chart, evalb, model
 from .transform import debinarize, relabel_preterminals
-from .treebank import ExtendedTag, Tree
+from .treebank import TAG_SEPARATOR, ExtendedTag, Tree
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ class _Optimizer:
             tensor -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + cfg.eps)
 
 
-def tree_tag_sequence(tree: Tree, morph_separator: str = ".",
+def tree_tag_sequence(tree: Tree, morph_separator: str = TAG_SEPARATOR,
                       atomic: bool = False) -> list[ExtendedTag]:
     """Recover the tag sequence from a delexicalized tree's leaf tokens.
 
@@ -93,17 +93,19 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
           mconfig: model.ModelConfig, tconfig: TrainConfig,
           log_path: str | Path | None = None,
           checkpoint_dir: str | Path | None = None,
-          atomic_tags: bool = False) -> model.ModelParams:
+          atomic_tags: bool = False,
+          morph_separator: str = TAG_SEPARATOR) -> model.ModelParams:
     """Train on binarized delexicalized trees; return the dev-best params.
 
+    Leaf tokens are the trees' tags, split on ``morph_separator``.
     Vocabularies and the label inventory come from the training trees only.
     The training log gets one ``epoch<TAB>train_loss<TAB>dev_F1`` line per
     epoch.  Dev labels unseen in training simply can never be predicted.
     """
     if not train_trees:
         raise ValueError("empty training set")
-    train_tags = [tree_tag_sequence(t, atomic=atomic_tags) for t in train_trees]
-    dev_tags = [tree_tag_sequence(t, atomic=atomic_tags) for t in dev_trees]
+    train_tags = [tree_tag_sequence(t, morph_separator, atomic_tags) for t in train_trees]
+    dev_tags = [tree_tag_sequence(t, morph_separator, atomic_tags) for t in dev_trees]
     longest = max(len(tags) for tags in train_tags)
     if longest > mconfig.max_len:
         raise ValueError(

@@ -95,6 +95,30 @@ def test_decoded_tree_well_formed():
         debinarize(tree)  # must not raise
 
 
+def single_path_cases():
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n = int(rng.integers(1, 41))
+        scores = random_scores(rng, n, 4)  # the model's empty column is zero
+        if trial % 3 == 1:
+            scores = np.round(scores)  # many ties
+        elif trial % 10 == 0:
+            scores = np.zeros_like(scores)
+        yield n, scores
+
+
+def test_cky_tree_is_the_decode_spans_bracketing():
+    for n, scores in single_path_cases():
+        total, spans = chart.decode_spans(scores)
+        tree = chart.cky_decode(scores, LABELS, tags(n))
+        tree_idx = chart.spans_to_indices(chart.tree_spans(tree)[0], LABELS)
+        # preterminals stand for the width-1 spans that took the empty label
+        expected = [(i, j, l) for i, j, l in spans if j - i > 1 or l != 0]
+        assert sorted(tree_idx) == sorted(expected)
+        tree_score = sum(scores[i, j, l] for i, j, l in tree_idx if l != 0)
+        assert abs(tree_score - total) <= 1e-12
+
+
 def test_tie_breaking_lowest_label_then_smallest_split():
     scores = np.zeros((4, 5, 4))
     tree = chart.cky_decode(scores, LABELS, tags(4))
@@ -145,12 +169,11 @@ def test_hamming_augment_layout():
 
 def test_loss_augmented_decode_prefers_distant_trees_on_zero_scores():
     gold = binarize(parse_bracketed("(S (NP (ART a) (NN b)) (VVFIN c))")[0])
+    gold_idx = chart.spans_to_indices(chart.tree_spans(gold)[0], LABELS)
     scores = np.zeros((3, 4, 4))
-    decoded = chart.loss_augmented_decode(scores, gold, LABELS, tags(3))
-    decoded_spans = {(i, j, l) for i, j, l in chart.tree_spans(decoded)[0]}
-    gold_spans = {(i, j, l) for i, j, l in chart.tree_spans(gold)[0]}
+    _, decoded = chart.decode_spans(scores + chart.hamming_augment(3, 4, gold_idx))
     # the augmentation pushes the decode away from every gold decision
-    assert not decoded_spans & gold_spans
+    assert not set(decoded) & set(gold_idx)
 
 
 def test_augmented_score_at_least_plain_gold_score():

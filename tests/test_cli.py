@@ -1,6 +1,6 @@
 import json
 
-from delexparse import cli, data
+from delexparse import cli, data, trainer
 from delexparse.treebank import (ExtendedTag, parse_bracketed,
                                  read_tagged_corpus_file, read_treebank,
                                  write_treebank)
@@ -246,3 +246,49 @@ def test_use_gold_tags_requires_gold_treebank(tmp_path, capsys):
                      "--parse-output", f"{tmp_path}/out.brackets"])
     assert code == 2
     assert "stage=load" in capsys.readouterr().err
+
+
+HASH_TREES = ("(S (NP (ART#Nom der) (NN#Nom Mann)) (VVFIN#Sg lacht))\n"
+              "(S (NP (ART#Akk die) (NN#Akk Frau)) (VVFIN#Pl lachen))\n")
+HASH_TAGS = ("der\tART#Nom\nMann\tNN#Nom\nlacht\tVVFIN#Sg\n\n"
+             "die\tART#Akk\nFrau\tNN#Akk\nlachen\tVVFIN#Pl\n\n")
+
+
+def test_morph_separator_reaches_training_tagging_and_parsing(tmp_path, monkeypatch):
+    (tmp_path / "train.brackets").write_text(HASH_TREES, encoding="utf-8")
+    (tmp_path / "train.tags").write_text(HASH_TAGS, encoding="utf-8")
+    (tmp_path / "raw.txt").write_text("der Mann lacht\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[paths]\n"
+        f"train_treebank = {tmp_path}/train.brackets\n"
+        f"checkpoint = {tmp_path}/parser.ckpt\n"
+        f"train_corpus = {tmp_path}/train.tags\n"
+        f"tagger_model = {tmp_path}/tagger.txt\n"
+        f"tokens = {tmp_path}/raw.txt\n"
+        f"tagged_output = {tmp_path}/out.tags\n"
+        f"parse_output = {tmp_path}/pred.brackets\n"
+        "[transform]\nmorph_separator = #\n" + FAST_TRAIN + TINY_MODEL)
+    assert cli.main(["train", "--config", str(config)]) == 0
+    raw = (tmp_path / "parser.ckpt").read_bytes()
+    header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+    assert header["pos_vocab"] == ["<UNK>", "ART", "NN", "VVFIN"]
+    assert header["feature_vocab"] == ["<UNK>", "Akk", "Nom", "Pl", "Sg"]
+
+    assert cli.main(["tag", "--config", str(config)]) == 0
+    assert (tmp_path / "out.tags").read_text(encoding="utf-8") == \
+        "der\tART#Nom\nMann\tNN#Nom\nlacht\tVVFIN#Sg\n\n"
+
+    seen = []
+    parse_corpus = trainer.parse_corpus
+
+    def spy(params, sentences):
+        seen.extend(sentences)
+        return parse_corpus(params, sentences)
+
+    monkeypatch.setattr(trainer, "parse_corpus", spy)
+    assert cli.main(["parse", "--config", str(config), "--no-mapping"]) == 0
+    assert seen == [[ExtendedTag("ART", ("Nom",)), ExtendedTag("NN", ("Nom",)),
+                     ExtendedTag("VVFIN", ("Sg",))]]
+    pred = read_treebank(tmp_path / "pred.brackets")[0]
+    assert [p.label for p in pred.preterminals()] == ["ART", "NN", "VVFIN"]

@@ -1,6 +1,7 @@
 import pytest
 
-from delexparse.config import load_pipeline_config, write_example_config
+from delexparse import cli
+from delexparse.config import config_snapshot, load_pipeline_config, write_example_config
 
 
 def test_defaults_are_desk_preset():
@@ -9,7 +10,7 @@ def test_defaults_are_desk_preset():
     assert cfg.model.model_dim == 128
     assert cfg.train.epochs == 200
     assert cfg.mode == "delexicalized"
-    assert cfg.apply_mapping and cfg.keep_morphology and not cfg.use_gold_tags
+    assert cfg.apply_mapping and cfg.transform.keep_morphology and not cfg.use_gold_tags
 
 
 def test_paper_preset_dimensions():
@@ -42,8 +43,21 @@ def test_flag_overrides_beat_file(tmp_path):
                                overrides={"mode": "delexicalized",
                                           "keep_morphology": False})
     assert cfg.mode == "delexicalized"
-    assert not cfg.keep_morphology
     assert not cfg.transform.keep_morphology
+
+
+def test_keep_morphology_has_one_home(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[transform]\nkeep_morphology = false\n", encoding="utf-8")
+    cfg = load_pipeline_config(str(config))
+    assert cfg.transform.keep_morphology is False
+    assert "keep_morphology" not in config_snapshot(cfg)
+    # precedence: [transform] < [mode] < command-line flag
+    config.write_text("[transform]\nkeep_morphology = false\n"
+                      "[mode]\nkeep_morphology = true\n", encoding="utf-8")
+    assert load_pipeline_config(str(config)).transform.keep_morphology is True
+    cfg = load_pipeline_config(str(config), overrides={"keep_morphology": False})
+    assert cfg.transform.keep_morphology is False
 
 
 def test_seed_override_reaches_all_components(tmp_path):
@@ -61,6 +75,21 @@ def test_unknown_keys_rejected(tmp_path):
     config.write_text("[paths]\nbogus = x\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown path key"):
         load_pipeline_config(str(config))
+
+
+@pytest.mark.parametrize("section, needle", [
+    ("[eval]\nfoo = 1\n", "'foo'"),
+    ("[mode]\nkeep_morphlogy = false\n", "'keep_morphlogy'"),
+    ("[tagger]\nepoch = 3\n", "'epoch'"),
+    ("[eval]\nlabel_equivalences = SBAR=S PP\n", "'PP'"),
+], ids=["eval-key", "mode-key", "tagger-key", "label-equivalence"])
+def test_bad_section_keys_exit_2_at_load(tmp_path, capsys, section, needle):
+    config = tmp_path / "run.ini"
+    config.write_text(section, encoding="utf-8")
+    code = cli.main(["eval", "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=load" in err and needle in err
 
 
 def test_unknown_mode_and_preset_rejected():
