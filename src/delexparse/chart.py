@@ -36,24 +36,34 @@ def _check_scores(scores: np.ndarray) -> int:
 
 
 def build_chart(scores: np.ndarray) -> Chart:
-    """Fill the chart bottom-up; label and split choices are independent."""
+    """Fill the chart bottom-up; label and split choices are independent.
+
+    The best scores are also held by (width, start) and by (width, end),
+    so all spans of one width are split in one array operation: row
+    ``s - 1`` of ``totals`` sums each span's left part of width ``s`` and
+    right part of width ``width - s``, and ``argmax`` keeps the first,
+    that is the smallest, best split.
+    """
     n = _check_scores(scores)
     label_best = scores.max(axis=2)
-    label_arg = scores.argmax(axis=2)
     best = np.zeros((n + 1, n + 1))
     split = np.full((n + 1, n + 1), -1, dtype=np.int64)
     labels = np.zeros((n + 1, n + 1), dtype=np.int64)
-    labels[:n, :] = label_arg
-    for i in range(n):
-        best[i, i + 1] = label_best[i, i + 1]
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            inner = np.arange(i + 1, j)
-            totals = best[i, inner] + best[inner, j]
-            k = int(totals.argmax())
-            best[i, j] = label_best[i, j] + totals[k]
-            split[i, j] = i + 1 + k
+    labels[:n, :] = scores.argmax(axis=2)
+    by_start = np.zeros((n + 1, n + 1))  # [w, i] = best[i, i + w]
+    by_end = np.zeros((n + 1, n + 1))    # [w, j] = best[j - w, j]
+    for width in range(1, n + 1):
+        count = n - width + 1
+        i = np.arange(count)
+        value = label_best[i, i + width]
+        if width >= 2:
+            totals = by_start[1:width, :count] + by_end[width - 1:0:-1, width:]
+            k = totals.argmax(axis=0)
+            value += totals[k, i]
+            split[i, i + width] = i + 1 + k
+        best[i, i + width] = value
+        by_start[width, :count] = value
+        by_end[width, width:] = value
     return Chart(best_score=best, best_label=labels, best_split=split)
 
 

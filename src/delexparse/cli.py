@@ -149,7 +149,7 @@ def _gather_sentences(cfg: PipelineConfig, inputs: dict[str, Path],
         if need_tags:
             tagger_path = _input_path(cfg, "tagger_model")
             inputs["tagger_model"] = tagger_path
-            tag_model = tagger.load_tagger(tagger_path)
+            tag_model = tagger.load_tagger(tagger_path, tcfg.morph_separator)
         for line in path.read_text(encoding="utf-8").splitlines():
             tokens = line.split()
             if not tokens:
@@ -251,7 +251,8 @@ def cmd_tag(cfg: PipelineConfig) -> int:
         inputs["train_corpus"] = corpus_path
         corpus = read_tagged_corpus_file(corpus_path, cfg.transform.morph_separator)
         try:
-            tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed)
+            tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed,
+                                            cfg.transform.morph_separator)
         except ValueError as exc:
             raise CliError("train", str(exc)) from exc
         model_out = _output_path(cfg, "tagger_model")
@@ -263,7 +264,7 @@ def cmd_tag(cfg: PipelineConfig) -> int:
         if tag_model is None:
             model_path = _input_path(cfg, "tagger_model")
             inputs["tagger_model"] = model_path
-            tag_model = tagger.load_tagger(model_path)
+            tag_model = tagger.load_tagger(model_path, cfg.transform.morph_separator)
         tokens_path = _input_path(cfg, "tokens")
         inputs["tokens"] = tokens_path
         tagged = []

@@ -34,6 +34,7 @@ _MODE_KEYS = ("mode", "preset", "use_gold_tags", "apply_mapping",
 _EVAL_KEYS = ("punctuation_tags", "ignore_labels", "label_equivalences",
               "include_root")
 _PRESETS = ("desk", "paper")
+_SECTIONS = ("paths", "mode", "model", "train", "transform", "eval", "tagger")
 
 
 @dataclass
@@ -125,12 +126,19 @@ def load_pipeline_config(config_path: str | None = None,
     ``cfg.transform``; ``[mode]`` beats ``[transform]`` for it.
     """
     overrides = dict(overrides or {})
-    parser = configparser.ConfigParser()
+    # values are literal, and no name makes an implicit [DEFAULT] section
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
     if config_path is not None:
-        read = parser.read(config_path, encoding="utf-8")
+        try:
+            read = parser.read(config_path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise ValueError(f"malformed config file: {exc}") from exc
         if not read:
             raise FileNotFoundError(f"config file {config_path!r} not found")
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown config section [{name}]")
 
     mode_section = _section(parser, "mode", _MODE_KEYS)
     preset = overrides.get("preset") or mode_section.get("preset", "desk")

@@ -298,43 +298,76 @@ def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return fenceposts
 
 
-def _span_indices(n: int):
-    return np.triu_indices(n + 1, k=1)
+def _start_blocks(n: int):
+    """Spans in triu order: for each start i, the rows of (i, i+1..n)."""
+    offset = 0
+    for i in range(n):
+        yield i, slice(offset, offset + n - i)
+        offset += n - i
 
 
 def _scores_forward(params: ModelParams, fenceposts: np.ndarray):
+    """Label MLP over every span, with ``label_w1`` factored through the
+    fenceposts: ``(f_j - f_i) @ W1 = P[j] - P[i]`` for ``P = F @ W1``.
+
+    The hidden layer is built in one array that the layer norm turns into
+    ``xhat`` in place; the cache keeps ``xhat``, its row scales ``inv`` and
+    the ReLU output ``r``.
+    """
     t = params.tensors
     n = fenceposts.shape[0] - 1
-    num_labels = len(params.labels)
-    starts, ends = _span_indices(n)
-    v = fenceposts[ends] - fenceposts[starts]
-    z1 = v @ t["label_w1"] + t["label_b1"]
-    hidden, lnc = _ln_forward(z1, t["label_ln_gain"], t["label_ln_bias"])
-    r = np.maximum(hidden, 0.0)
-    out = r @ t["label_w2"] + t["label_b2"]
-    scores = np.zeros((n, n + 1, num_labels))
-    scores[starts, ends, 1:] = out
-    return scores, (starts, ends, v, hidden, lnc, r, n)
+    proj = fenceposts @ t["label_w1"]
+    shifted = proj + t["label_b1"]
+    hidden_dim = proj.shape[1]
+    xhat = np.empty((n * (n + 1) // 2, hidden_dim))
+    for i, rows in _start_blocks(n):
+        np.subtract(shifted[i + 1:], proj[i], out=xhat[rows])
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    var = np.einsum("ij,ij->i", xhat, xhat)[:, None] / hidden_dim
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat *= inv
+    r = xhat * t["label_ln_gain"]
+    r += t["label_ln_bias"]
+    np.maximum(r, 0.0, out=r)
+    out = r @ t["label_w2"]
+    out += t["label_b2"]
+    scores = np.zeros((n, n + 1, len(params.labels)))
+    for i, rows in _start_blocks(n):
+        scores[i, i + 1:, 1:] = out[rows]
+    return scores, (fenceposts, xhat, inv, r, n)
 
 
 def _scores_backward(params, grads, cache, dscores):
+    """Backward of :func:`_scores_forward`.  The span gradient is summed
+    onto the n+1 fencepost projections before it meets ``label_w1``."""
     t = params.tensors
-    starts, ends, v, hidden, lnc, r, n = cache
-    dout = dscores[starts, ends, 1:]
-    dr = dout @ t["label_w2"].T
+    fenceposts, xhat, inv, r, n = cache
+    dout = np.empty((len(r), dscores.shape[2] - 1))
+    for i, rows in _start_blocks(n):
+        dout[rows] = dscores[i, i + 1:, 1:]
     grads["label_w2"] += r.T @ dout
     grads["label_b2"] += dout.sum(axis=0)
-    dhidden = dr * (hidden > 0.0)
-    dz1, dgain, dbias = _ln_backward(dhidden, lnc, t["label_ln_gain"])
-    grads["label_ln_gain"] += dgain
-    grads["label_ln_bias"] += dbias
-    dv = dz1 @ t["label_w1"].T
-    grads["label_w1"] += v.T @ dz1
-    grads["label_b1"] += dz1.sum(axis=0)
-    dfence = np.zeros((n + 1, v.shape[1]))
-    np.add.at(dfence, ends, dv)
-    np.add.at(dfence, starts, -dv)
-    return dfence
+    dz = dout @ t["label_w2"].T
+    dz *= r > 0.0
+    # label layer norm backward, in place
+    grads["label_ln_gain"] += np.einsum("ij,ij->j", dz, xhat)
+    grads["label_ln_bias"] += dz.sum(axis=0)
+    dz *= t["label_ln_gain"]
+    mean_dot = np.einsum("ij,ij->i", dz, xhat)[:, None] / dz.shape[1]
+    dz -= dz.mean(axis=-1, keepdims=True)
+    # z1[i, j] = P[j] - P[i] + b1 sends its dz to P[j] and b1, -dz to P[i]
+    dproj = np.zeros((n + 1, dz.shape[1]))
+    dstart = np.empty((n, dz.shape[1]))
+    for i, rows in _start_blocks(n):
+        block = dz[rows]
+        block -= xhat[rows] * mean_dot[rows]
+        block *= inv[rows]
+        dstart[i] = block.sum(axis=0)
+        dproj[i + 1:] += block
+    dproj[:n] -= dstart
+    grads["label_b1"] += dstart.sum(axis=0)
+    grads["label_w1"] += fenceposts.T @ dproj
+    return dproj @ t["label_w1"].T
 
 
 def span_scores(params: ModelParams, fenceposts: np.ndarray) -> np.ndarray:
@@ -374,6 +407,9 @@ def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag],
     loss-augmented best decode, where the augmentation adds 1 for every
     span labeling disagreeing with gold.  A tree's score is the sum of its
     non-empty span scores, so shared spans cancel in the subgradient.
+    Where the subgradient is zero, the returned dict is empty: at zero
+    loss, and where the decode has gold's labeled spans and the loss is
+    only the rounding residue of summing them in another order.
     """
     gold_spans, leaves = _chart.tree_spans(gold)
     if leaves != len(tags):
@@ -386,7 +422,7 @@ def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag],
     gold_total = sum(scores[i, j, l] for i, j, l in gold_idx if l != 0)
     loss = augmented_total - gold_total
     if loss <= 0.0:
-        return 0.0, params.zero_grads()
+        return 0.0, {}
     dscores = np.zeros_like(scores)
     for i, j, label in pred_spans:
         if label != 0:
@@ -394,6 +430,8 @@ def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag],
     for i, j, label in gold_idx:
         if label != 0:
             dscores[i, j, label] -= 1.0
+    if not dscores.any():
+        return float(loss), {}
     return float(loss), backward_scores(params, caches, dscores)
 
 

@@ -1,8 +1,9 @@
 """A baseline POS tagger: averaged perceptron with greedy decoding.
 
 Predicts the full serialized extended tag (POS and morphology jointly).
-Tags are held in ``treebank.TAG_SEPARATOR`` notation whatever separator
-the tag files use; their readers and writers convert.  Externally tagged
+Tags are held, and checkpointed, in the notation of the model's
+``separator``, the one the tag files use, so a tag read with it comes back
+unchanged whatever its parts contain.  Externally tagged
 corpora remain the alternative input path; this tagger only has to
 produce :class:`TaggedSentence` values for the pipeline.
 """
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .treebank import ExtendedTag, TaggedSentence, TreebankFormatError
+from .treebank import TAG_SEPARATOR, ExtendedTag, TaggedSentence, TreebankFormatError
 
 FORMAT_NAME = "delexparse-tagger"
 FORMAT_VERSION = 1
@@ -24,11 +25,13 @@ _END = "</s>"
 
 @dataclass
 class TaggerModel:
-    """Averaged feature weights plus the closed tag inventory."""
+    """Averaged feature weights plus the closed tag inventory, whose tags
+    are serialized with ``separator``."""
 
     feature_weights: dict[str, dict[str, float]]
     tag_inventory: tuple[str, ...]
     version: int = FORMAT_VERSION
+    separator: str = TAG_SEPARATOR
 
     def score(self, features: list[str]) -> dict[str, float]:
         scores: dict[str, float] = {}
@@ -67,15 +70,18 @@ def token_features(tokens: list[str], i: int, prev_tag: str) -> list[str]:
 
 
 def train_tagger(corpus: list[TaggedSentence], epochs: int = 5,
-                 seed: int = 10) -> TaggerModel:
-    """Train an averaged perceptron; deterministic given the seed."""
+                 seed: int = 10, sep: str = TAG_SEPARATOR) -> TaggerModel:
+    """Train an averaged perceptron; deterministic given the seed.
+
+    ``sep`` is the morphology separator the corpus was read with.
+    """
     if not corpus:
         raise ValueError("empty training corpus")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
 
-    inventory = tuple(sorted({tag.serialized() for s in corpus for tag in s.tags}))
-    model = TaggerModel(feature_weights={}, tag_inventory=inventory)
+    inventory = tuple(sorted({tag.serialized(sep) for s in corpus for tag in s.tags}))
+    model = TaggerModel(feature_weights={}, tag_inventory=inventory, separator=sep)
     weights = model.feature_weights
     totals: dict[str, dict[str, float]] = {}
     stamps: dict[str, dict[str, int]] = {}
@@ -102,7 +108,7 @@ def train_tagger(corpus: list[TaggedSentence], epochs: int = 5,
                 step += 1
                 feats = token_features(tokens, i, prev_tag)
                 guess = model.predict(feats)
-                truth = gold.serialized()
+                truth = gold.serialized(sep)
                 if guess != truth:
                     for feat in feats:
                         bump(feat, truth, 1.0)
@@ -131,7 +137,7 @@ def tag_sentence(model: TaggerModel, tokens: list[str]) -> TaggedSentence:
     tags: list[ExtendedTag] = []
     for i in range(len(tokens)):
         predicted = model.predict(token_features(tokens, i, prev_tag))
-        tags.append(ExtendedTag.parse(predicted))
+        tags.append(ExtendedTag.parse(predicted, model.separator))
         prev_tag = predicted
     return TaggedSentence(tuple(tokens), tuple(tags))
 
@@ -162,7 +168,8 @@ def save_tagger(model: TaggerModel, path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def load_tagger(path: str | Path) -> TaggerModel:
+def load_tagger(path: str | Path, sep: str = TAG_SEPARATOR) -> TaggerModel:
+    """Read a checkpoint whose tags are serialized with ``sep``."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise TreebankFormatError("empty tagger checkpoint", line=1)
@@ -183,4 +190,5 @@ def load_tagger(path: str | Path) -> TaggerModel:
             raise TreebankFormatError(f"malformed line {line!r}", line=lineno)
     if not inventory:
         raise TreebankFormatError("checkpoint has no tag inventory", line=1)
-    return TaggerModel(feature_weights=weights, tag_inventory=tuple(inventory))
+    return TaggerModel(feature_weights=weights, tag_inventory=tuple(inventory),
+                       separator=sep)

@@ -135,8 +135,8 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
                 loss, g = model.loss_and_gradients(
                     params, train_tags[index], train_trees[index])
                 losses.append(loss)
-                for name in grads:
-                    grads[name] += g[name]
+                for name, value in g.items():
+                    grads[name] += value
             scale = 1.0 / len(batch)
             for name in grads:
                 grads[name] *= scale

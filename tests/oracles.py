@@ -1,8 +1,10 @@
 """Independent reference implementations used to verify the library.
 
 Everything here is deliberately naive: enumeration instead of dynamic
-programming, a direct span walk instead of the scorer's rebuild pass, and
-a ground-truth HMM with Viterbi decoding for the tagger.  None of it
+programming, a direct span walk instead of the scorer's rebuild pass, a
+span-by-span label MLP and a span-by-span CKY loop for the vectorized
+scorer and chart, and a ground-truth HMM with Viterbi decoding for the
+tagger.  None of it
 shares code paths with the implementations under test.
 """
 
@@ -62,6 +64,46 @@ def best_tree_score_full_enumeration(scores: np.ndarray) -> float:
             total = sum(scores[i, j, l] for (i, j), l in zip(spans, labeling))
             best = max(best, total)
     return best
+
+
+def per_span_chart(scores: np.ndarray):
+    """CKY filled one span at a time, each span's splits scanned left to
+    right; returns (best_score, best_split, best_label) as the chart does."""
+    n = scores.shape[0]
+    best = np.zeros((n + 1, n + 1))
+    split = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    labels = np.zeros((n + 1, n + 1), dtype=np.int64)
+    labels[:n] = scores.argmax(axis=2)
+    for i in range(n):
+        best[i, i + 1] = scores[i, i + 1].max()
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            inner = np.arange(i + 1, j)
+            totals = best[i, inner] + best[inner, j]
+            k = int(totals.argmax())
+            best[i, j] = scores[i, j].max() + totals[k]
+            split[i, j] = i + 1 + k
+    return best, split, labels
+
+
+# ------------------------------------------------------- span scorer oracle
+
+def unfactored_span_scores(tensors: dict[str, np.ndarray],
+                           fenceposts: np.ndarray, num_labels: int) -> np.ndarray:
+    """Label scores span by span: (F[j] - F[i]) @ W1 + b1, layer norm, ReLU,
+    W2 + b2; the empty-label column stays zero."""
+    n = fenceposts.shape[0] - 1
+    scores = np.zeros((n, n + 1, num_labels))
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            z = (fenceposts[j] - fenceposts[i]) @ tensors["label_w1"] + tensors["label_b1"]
+            centered = z - z.mean()
+            xhat = centered / np.sqrt((centered * centered).mean() + 1e-5)
+            hidden = tensors["label_ln_gain"] * xhat + tensors["label_ln_bias"]
+            scores[i, j, 1:] = np.maximum(hidden, 0.0) @ tensors["label_w2"] \
+                + tensors["label_b2"]
+    return scores
 
 
 # -------------------------------------------------------------- evalb oracle

@@ -119,6 +119,22 @@ def test_cky_tree_is_the_decode_spans_bracketing():
         assert abs(tree_score - total) <= 1e-12
 
 
+def test_build_chart_is_the_per_span_loop_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for trial in range(320):
+        n = int(rng.integers(1, 61))
+        scores = random_scores(rng, n, int(rng.integers(2, 6)), zero_empty=trial % 2 == 0)
+        if trial % 3 == 1:
+            scores = np.round(scores)  # many ties
+        elif trial % 10 == 0:
+            scores = np.zeros_like(scores)
+        got = chart.build_chart(scores)
+        best, split, labels = oracles.per_span_chart(scores)
+        np.testing.assert_array_equal(got.best_score, best)
+        np.testing.assert_array_equal(got.best_split, split)
+        np.testing.assert_array_equal(got.best_label, labels)
+
+
 def test_tie_breaking_lowest_label_then_smallest_split():
     scores = np.zeros((4, 5, 4))
     tree = chart.cky_decode(scores, LABELS, tags(4))

@@ -250,7 +250,7 @@ def test_use_gold_tags_requires_gold_treebank(tmp_path, capsys):
 
 HASH_TREES = ("(S (NP (ART#Nom der) (NN#Nom Mann)) (VVFIN#Sg lacht))\n"
               "(S (NP (ART#Akk die) (NN#Akk Frau)) (VVFIN#Pl lachen))\n")
-HASH_TAGS = ("der\tART#Nom\nMann\tNN#Nom\nlacht\tVVFIN#Sg\n\n"
+HASH_TAGS = ("der\tART#Nom\nMann\tNN#Nom\nlacht\tVVFIN#3.Sg\n\n"
              "die\tART#Akk\nFrau\tNN#Akk\nlachen\tVVFIN#Pl\n\n")
 
 
@@ -277,7 +277,7 @@ def test_morph_separator_reaches_training_tagging_and_parsing(tmp_path, monkeypa
 
     assert cli.main(["tag", "--config", str(config)]) == 0
     assert (tmp_path / "out.tags").read_text(encoding="utf-8") == \
-        "der\tART#Nom\nMann\tNN#Nom\nlacht\tVVFIN#Sg\n\n"
+        "der\tART#Nom\nMann\tNN#Nom\nlacht\tVVFIN#3.Sg\n\n"
 
     seen = []
     parse_corpus = trainer.parse_corpus
@@ -289,6 +289,6 @@ def test_morph_separator_reaches_training_tagging_and_parsing(tmp_path, monkeypa
     monkeypatch.setattr(trainer, "parse_corpus", spy)
     assert cli.main(["parse", "--config", str(config), "--no-mapping"]) == 0
     assert seen == [[ExtendedTag("ART", ("Nom",)), ExtendedTag("NN", ("Nom",)),
-                     ExtendedTag("VVFIN", ("Sg",))]]
+                     ExtendedTag("VVFIN", ("3.Sg",))]]
     pred = read_treebank(tmp_path / "pred.brackets")[0]
     assert [p.label for p in pred.preterminals()] == ["ART", "NN", "VVFIN"]

@@ -82,7 +82,12 @@ def test_unknown_keys_rejected(tmp_path):
     ("[mode]\nkeep_morphlogy = false\n", "'keep_morphlogy'"),
     ("[tagger]\nepoch = 3\n", "'epoch'"),
     ("[eval]\nlabel_equivalences = SBAR=S PP\n", "'PP'"),
-], ids=["eval-key", "mode-key", "tagger-key", "label-equivalence"])
+    ("[trian]\nepochs = 1\n", "[trian]"),
+    ("[DEFAULT]\nepochs = 1\n", "[DEFAULT]"),
+    ("[train]\nepochs = 1\n[train]\nepochs = 2\n", "already exists"),
+    ("epochs = 1\n", "no section headers"),
+], ids=["eval-key", "mode-key", "tagger-key", "label-equivalence", "section",
+        "default-section", "duplicate-section", "no-section"])
 def test_bad_section_keys_exit_2_at_load(tmp_path, capsys, section, needle):
     config = tmp_path / "run.ini"
     config.write_text(section, encoding="utf-8")
@@ -111,11 +116,11 @@ def test_missing_config_file():
 
 def test_eval_section_parsing(tmp_path):
     config = tmp_path / "run.ini"
-    config.write_text("[eval]\npunctuation_tags = $. PUNCT\n"
+    config.write_text("[eval]\npunctuation_tags = $. PUNCT $%\n"
                       "ignore_labels = TOP\nlabel_equivalences = SBAR=S\n"
                       "include_root = false\n", encoding="utf-8")
     cfg = load_pipeline_config(str(config))
-    assert cfg.eval.punctuation_tags == frozenset({"$.", "PUNCT"})
+    assert cfg.eval.punctuation_tags == frozenset({"$.", "PUNCT", "$%"})
     assert cfg.eval.ignore_labels == frozenset({"TOP"})
     assert cfg.eval.label_equivalences == {"SBAR": "S"}
     assert not cfg.eval.include_root

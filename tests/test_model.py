@@ -91,6 +91,20 @@ def test_span_scores_shape_and_empty_column():
     np.testing.assert_array_equal(scores[starts, ends, 0], 0.0)
 
 
+def test_span_scores_match_unfactored_reference():
+    cfg = model.ModelConfig(model_dim=12, num_layers=0, num_heads=1, head_dim=4,
+                            ff_dim=8, label_hidden_dim=10, max_len=64, seed=7)
+    params = model.init_params(cfg, POS, FEATS, LABELS)
+    rng = np.random.default_rng(17)
+    for name in ("label_b1", "label_ln_gain", "label_ln_bias", "label_b2"):
+        params.tensors[name] += rng.standard_normal(params.tensors[name].shape)
+    for n in range(1, 65):
+        fenceposts = rng.standard_normal((n + 1, cfg.model_dim))
+        expected = oracles.unfactored_span_scores(params.tensors, fenceposts, len(LABELS))
+        np.testing.assert_allclose(model.span_scores(params, fenceposts), expected,
+                                   rtol=0.0, atol=1e-12)
+
+
 def test_init_determinism():
     a = tiny_params(seed=5)
     b = tiny_params(seed=5)
@@ -105,19 +119,24 @@ def gold_tree():
         "(S (NP (ART ART.Nom) (NN NN.Nom.Sg)) (VVFIN VVFIN))")[0])
 
 
-def test_augmented_decode_returns_dominant_gold():
-    # gold spans scored 10 above every alternative labeling: the
-    # augmentation (at most +1 per span) cannot flip any decision, so the
-    # loss-augmented decode returns gold and the hinge sits at zero
-    gold = gold_tree()
-    gold_spans, _ = chart.tree_spans(gold)
+def dominant_gold_scores():
+    """Gold spans scored 10 above every alternative labeling: the
+    augmentation (at most +1 per span) cannot flip any decision."""
     idx = {label: i for i, label in enumerate(LABELS)}
-    test_scores = np.full((3, 4, len(LABELS)), -10.0)
+    scores = np.full((3, 4, len(LABELS)), -10.0)
     starts, ends = np.triu_indices(4, k=1)
-    test_scores[starts, ends, 0] = 0.0
-    for i, j, label in gold_spans:
+    scores[starts, ends, 0] = 0.0
+    for i, j, label in chart.tree_spans(gold_tree())[0]:
         if label != EMPTY_LABEL:
-            test_scores[i, j, idx[label]] = 10.0
+            scores[i, j, idx[label]] = 10.0
+    return scores
+
+
+def test_augmented_decode_returns_dominant_gold():
+    # the loss-augmented decode returns gold and the hinge sits at zero
+    gold_spans, _ = chart.tree_spans(gold_tree())
+    idx = {label: i for i, label in enumerate(LABELS)}
+    test_scores = dominant_gold_scores()
     augment = chart.hamming_augment(
         3, len(LABELS), chart.spans_to_indices(gold_spans, LABELS))
     aug_total, spans = chart.decode_spans(test_scores + augment)
@@ -139,6 +158,39 @@ def test_loss_nonnegative_and_zero_grads_at_zero_loss():
         assert loss >= 0.0
         if loss == 0.0:
             assert all(not g.any() for g in grads.values())
+
+
+def rounding_residue_case():
+    """Gold is decoded, but the chart adds its four span scores in another
+    order than the gold sum, which leaves a loss of about 7e-15."""
+    gold = binarize(parse_bracketed(
+        "(S (NP (ART a) (NN b)) (VP (VVFIN c) (NP (NN d))))")[0])
+    scores = np.full((4, 5, len(LABELS)), -10.0)
+    scores[:, :, 0] = 0.0
+    for (i, j, label), value in zip([(0, 2, 1), (3, 4, 1), (2, 4, 3), (0, 4, 2)],
+                                    [10.1, 10.8, 10.8, 10.2]):
+        scores[i, j, label] = value
+    return scores, gold
+
+
+@pytest.mark.parametrize("case", ["zero-loss", "rounding-residue"])
+def test_zero_subgradient_sentence_allocates_and_adds_no_gradients(monkeypatch, case):
+    params = tiny_params()
+    if case == "zero-loss":
+        scores, gold = dominant_gold_scores(), gold_tree()
+    else:
+        scores, gold = rounding_residue_case()
+    monkeypatch.setattr(model, "forward_scores", lambda p, sentence: (scores, None))
+
+    def forbidden(*args):
+        raise AssertionError("gradient work on a zero-subgradient sentence")
+
+    monkeypatch.setattr(model, "backward_scores", forbidden)
+    monkeypatch.setattr(model.ModelParams, "zero_grads", forbidden)
+    sentence = [ExtendedTag("NN")] * len(gold.leaf_tokens())
+    loss, grads = model.loss_and_gradients(params, sentence, gold)
+    assert grads == {}
+    assert loss == 0.0 if case == "zero-loss" else 0.0 < loss < 1e-12
 
 
 def test_loss_leaf_count_mismatch():

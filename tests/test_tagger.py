@@ -4,7 +4,7 @@ import pytest
 import oracles
 from delexparse.tagger import (load_tagger, save_tagger, tag_sentence,
                                tagger_accuracy, train_tagger)
-from delexparse.treebank import ExtendedTag, TaggedSentence
+from delexparse.treebank import ExtendedTag, TaggedSentence, read_tagged_corpus
 
 
 def bijective_corpus():
@@ -117,3 +117,15 @@ def test_hmm_heldout_accuracy_and_viterbi_gap():
                for s in heldout]
     viterbi_accuracy = tagger_accuracy(heldout, viterbi)
     assert accuracy >= viterbi_accuracy - 0.05
+
+
+def test_features_containing_dots_survive_another_separator(tmp_path):
+    corpus = read_tagged_corpus("a\tVVFIN#3.Sg\nb\tNN#Nom\n\n", "#")
+    assert corpus[0].tags[0] == ExtendedTag("VVFIN", ("3.Sg",))
+    model = train_tagger(corpus, epochs=2, seed=1, sep="#")
+    assert tag_sentence(model, ["a", "b"]).tags == corpus[0].tags
+    path = tmp_path / "tagger.txt"
+    save_tagger(model, path)
+    assert "tag\tVVFIN#3.Sg\n" in path.read_text(encoding="utf-8")
+    loaded = load_tagger(path, "#")
+    assert tag_sentence(loaded, ["a", "b"]).tags == corpus[0].tags

@@ -114,3 +114,32 @@ def test_checkpoint_every_writes_intermediates(tmp_path):
     trainer.train(trees, trees, SMALL, tcfg, checkpoint_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.glob("*.ckpt"))
     assert names == ["epoch_0002.ckpt", "epoch_0004.ckpt"]
+
+
+def test_skipping_zero_loss_sentences_keeps_batch_gradients_bit_identical(monkeypatch):
+    # a zero-loss sentence used to add a full dict of +0.0 gradients; the
+    # accumulator starts at +0.0, so leaving them out changes no bit
+    trees = prepared_toy(6)
+    tcfg = trainer.TrainConfig(epochs=2, batch_size=3)
+    real_loss = model.loss_and_gradients
+    real_step = trainer._Optimizer.step
+
+    def run(zero_dict):
+        calls, steps = [], []
+
+        def loss_and_gradients(params, tags, gold):
+            calls.append(None)
+            if len(calls) % 2:
+                return 0.0, params.zero_grads() if zero_dict else {}
+            return real_loss(params, tags, gold)
+
+        def step(self, params, grads):
+            steps.append({name: g.tobytes() for name, g in grads.items()})
+            real_step(self, params, grads)
+
+        monkeypatch.setattr(model, "loss_and_gradients", loss_and_gradients)
+        monkeypatch.setattr(trainer._Optimizer, "step", step)
+        trainer.train(trees, trees, SMALL, tcfg)
+        return steps
+
+    assert run(zero_dict=True) == run(zero_dict=False)
