@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -98,16 +99,28 @@ class ModelParams:
         return {name: value.copy() for name, value in self.tensors.items()}
 
 
-def tensor_names(config: ModelConfig) -> list[str]:
-    names = ["pos_embedding", "feature_embedding", "position_encoding", "boundary"]
+def _tensor_shapes(config: ModelConfig, num_pos: int, num_features: int,
+                   num_labels: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, in checkpoint order, for the given vocabulary
+    and label inventory sizes."""
+    d, ff, hidden = config.model_dim, config.ff_dim, config.label_hidden_dim
+    att = config.num_heads * config.head_dim
+    shapes = {"pos_embedding": (num_pos, d), "feature_embedding": (num_features, d),
+              "position_encoding": (config.max_len, d), "boundary": (2, d)}
     for i in range(config.num_layers):
         prefix = f"layer_{i}/"
-        names += [prefix + n for n in (
-            "ln1_gain", "ln1_bias", "wq", "wk", "wv", "wo",
-            "ln2_gain", "ln2_bias", "ff_w1", "ff_b1", "ff_w2", "ff_b2")]
-    names += ["label_w1", "label_b1", "label_ln_gain", "label_ln_bias",
-              "label_w2", "label_b2"]
-    return names
+        shapes.update({prefix + name: shape for name, shape in (
+            ("ln1_gain", (d,)), ("ln1_bias", (d,)), ("wq", (d, att)), ("wk", (d, att)),
+            ("wv", (d, att)), ("wo", (att, d)), ("ln2_gain", (d,)), ("ln2_bias", (d,)),
+            ("ff_w1", (d, ff)), ("ff_b1", (ff,)), ("ff_w2", (ff, d)), ("ff_b2", (d,)))})
+    shapes.update(label_w1=(d, hidden), label_b1=(hidden,), label_ln_gain=(hidden,),
+                  label_ln_bias=(hidden,), label_w2=(hidden, num_labels - 1),
+                  label_b2=(num_labels - 1,))
+    return shapes
+
+
+def tensor_names(config: ModelConfig) -> list[str]:
+    return list(_tensor_shapes(config, 0, 0, 1))
 
 
 def init_params(config: ModelConfig, pos_names: list[str],
@@ -306,45 +319,58 @@ def _start_blocks(n: int):
         offset += n - i
 
 
+def _normalize_rows(z: np.ndarray) -> np.ndarray:
+    """Label layer norm without gain and bias, in place; returns the row
+    scales ``inv``."""
+    z -= z.mean(axis=-1, keepdims=True)
+    var = np.einsum("ij,ij->i", z, z)[:, None] / z.shape[1]
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    z *= inv
+    return inv
+
+
 def _scores_forward(params: ModelParams, fenceposts: np.ndarray):
     """Label MLP over every span, with ``label_w1`` factored through the
     fenceposts: ``(f_j - f_i) @ W1 = P[j] - P[i]`` for ``P = F @ W1``.
 
-    The hidden layer is built in one array that the layer norm turns into
-    ``xhat`` in place; the cache keeps ``xhat``, its row scales ``inv`` and
-    the ReLU output ``r``.
+    The hidden layer is built, normalized and rectified in one array, in
+    place.  The cache keeps only n+1-row arrays: ``F``, ``P`` and
+    ``P + b1``; the backward pass recomputes the hidden rows it needs.
     """
     t = params.tensors
     n = fenceposts.shape[0] - 1
     proj = fenceposts @ t["label_w1"]
     shifted = proj + t["label_b1"]
-    hidden_dim = proj.shape[1]
-    xhat = np.empty((n * (n + 1) // 2, hidden_dim))
+    hidden = np.empty((n * (n + 1) // 2, proj.shape[1]))
     for i, rows in _start_blocks(n):
-        np.subtract(shifted[i + 1:], proj[i], out=xhat[rows])
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    var = np.einsum("ij,ij->i", xhat, xhat)[:, None] / hidden_dim
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat *= inv
-    r = xhat * t["label_ln_gain"]
-    r += t["label_ln_bias"]
-    np.maximum(r, 0.0, out=r)
-    out = r @ t["label_w2"]
+        np.subtract(shifted[i + 1:], proj[i], out=hidden[rows])
+    _normalize_rows(hidden)
+    hidden *= t["label_ln_gain"]
+    hidden += t["label_ln_bias"]
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ t["label_w2"]
+    del hidden  # freed before the score tensor is allocated
     out += t["label_b2"]
     scores = np.zeros((n, n + 1, len(params.labels)))
     for i, rows in _start_blocks(n):
         scores[i, i + 1:, 1:] = out[rows]
-    return scores, (fenceposts, xhat, inv, r, n)
+    return scores, (fenceposts, proj, shifted)
 
 
-def _scores_backward(params, grads, cache, dscores):
-    """Backward of :func:`_scores_forward`.  The span gradient is summed
-    onto the n+1 fencepost projections before it meets ``label_w1``."""
+def _scores_backward(params, grads, cache, starts, ends, dout):
+    """Backward of :func:`_scores_forward` for the spans
+    ``(starts[k], ends[k])`` with non-empty-label gradient rows ``dout[k]``.
+
+    Only those rows' hidden layers are recomputed, and their gradient is
+    scattered onto the n+1 rows of ``P`` before it meets ``label_w1``.
+    """
     t = params.tensors
-    fenceposts, xhat, inv, r, n = cache
-    dout = np.empty((len(r), dscores.shape[2] - 1))
-    for i, rows in _start_blocks(n):
-        dout[rows] = dscores[i, i + 1:, 1:]
+    fenceposts, proj, shifted = cache
+    xhat = shifted[ends] - proj[starts]
+    inv = _normalize_rows(xhat)
+    r = xhat * t["label_ln_gain"]
+    r += t["label_ln_bias"]
+    np.maximum(r, 0.0, out=r)
     grads["label_w2"] += r.T @ dout
     grads["label_b2"] += dout.sum(axis=0)
     dz = dout @ t["label_w2"].T
@@ -355,17 +381,13 @@ def _scores_backward(params, grads, cache, dscores):
     dz *= t["label_ln_gain"]
     mean_dot = np.einsum("ij,ij->i", dz, xhat)[:, None] / dz.shape[1]
     dz -= dz.mean(axis=-1, keepdims=True)
+    dz -= xhat * mean_dot
+    dz *= inv
     # z1[i, j] = P[j] - P[i] + b1 sends its dz to P[j] and b1, -dz to P[i]
-    dproj = np.zeros((n + 1, dz.shape[1]))
-    dstart = np.empty((n, dz.shape[1]))
-    for i, rows in _start_blocks(n):
-        block = dz[rows]
-        block -= xhat[rows] * mean_dot[rows]
-        block *= inv[rows]
-        dstart[i] = block.sum(axis=0)
-        dproj[i + 1:] += block
-    dproj[:n] -= dstart
-    grads["label_b1"] += dstart.sum(axis=0)
+    dproj = np.zeros_like(proj)
+    np.add.at(dproj, ends, dz)
+    np.subtract.at(dproj, starts, dz)
+    grads["label_b1"] += dz.sum(axis=0)
     grads["label_w1"] += fenceposts.T @ dproj
     return dproj @ t["label_w1"].T
 
@@ -385,10 +407,21 @@ def forward_scores(params: ModelParams, tags: list[ExtendedTag]):
 
 
 def backward_scores(params: ModelParams, caches, dscores) -> dict[str, np.ndarray]:
-    """Backpropagate a gradient on the score tensor to all parameters."""
+    """Backpropagate a dense gradient on the score tensor to all parameters;
+    only its nonzero rows of spans i < j reach :func:`backward_span_rows`."""
+    starts, ends = np.triu_indices(dscores.shape[0] + 1, k=1)
+    dout = dscores[starts, ends, 1:]
+    keep = dout.any(axis=1)
+    return backward_span_rows(params, caches, starts[keep], ends[keep], dout[keep])
+
+
+def backward_span_rows(params: ModelParams, caches, starts, ends,
+                       dout) -> dict[str, np.ndarray]:
+    """Backpropagate label gradient rows to all parameters: ``dout[k]``
+    holds the non-empty labels' gradient of span ``(starts[k], ends[k])``."""
     embed_cache, encode_cache, scores_cache = caches
     grads = params.zero_grads()
-    dfence = _scores_backward(params, grads, scores_cache, dscores)
+    dfence = _scores_backward(params, grads, scores_cache, starts, ends, dout)
     dx = _encode_backward(params, grads, encode_cache, dfence)
     _embed_backward(params, grads, embed_cache, dx)
     return grads
@@ -416,23 +449,38 @@ def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag],
         raise ModelError(f"gold tree covers {leaves} leaves, got {len(tags)} tags")
     gold_idx = _chart.spans_to_indices(gold_spans, params.labels)
     scores, caches = forward_scores(params, tags)
-    n, num_labels = len(tags), len(params.labels)
-    augment = _chart.hamming_augment(n, num_labels, gold_idx)
-    augmented_total, pred_spans = _chart.decode_spans(scores + augment)
     gold_total = sum(scores[i, j, l] for i, j, l in gold_idx if l != 0)
+    augmented_total, pred_spans = _chart.decode_spans(
+        _chart.hamming_augment(scores, gold_idx))
     loss = augmented_total - gold_total
     if loss <= 0.0:
         return 0.0, {}
-    dscores = np.zeros_like(scores)
+    starts, ends, dout = _subgradient_rows(pred_spans, gold_idx, len(params.labels))
+    if not len(dout):
+        return float(loss), {}
+    return float(loss), backward_span_rows(params, caches, starts, ends, dout)
+
+
+def _subgradient_rows(pred_spans, gold_spans, num_labels):
+    """The hinge subgradient on the scores as rows: +1 for each predicted
+    and -1 for each gold non-empty labeled span, one row per span (i, j),
+    with rows that cancel to zero dropped.  Returns ``(starts, ends, dout)``
+    in (i, j) order; ``dout`` has no empty-label column."""
+    delta: Counter = Counter()
     for i, j, label in pred_spans:
         if label != 0:
-            dscores[i, j, label] += 1.0
-    for i, j, label in gold_idx:
+            delta[i, j, label] += 1
+    for i, j, label in gold_spans:
         if label != 0:
-            dscores[i, j, label] -= 1.0
-    if not dscores.any():
-        return float(loss), {}
-    return float(loss), backward_scores(params, caches, dscores)
+            delta[i, j, label] -= 1
+    spans = sorted({(i, j) for (i, j, _), value in delta.items() if value})
+    row = {span: k for k, span in enumerate(spans)}
+    dout = np.zeros((len(spans), num_labels - 1))
+    for (i, j, label), value in delta.items():
+        if value:
+            dout[row[i, j], label - 1] = value
+    index = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    return index[:, 0], index[:, 1], dout
 
 
 def build_label_inventory(trees: list[Tree]) -> list[str]:
@@ -503,25 +551,68 @@ def save_checkpoint(params: ModelParams, path) -> None:
             fh.write(blob)
 
 
+_HEADER_KEYS = ("format_version", "config", "labels", "pos_vocab", "feature_vocab",
+                "tensors")
+_ENTRY_KEYS = ("name", "shape", "offset", "nbytes", "crc32")
+
+
 def load_checkpoint(path) -> ModelParams:
+    """Read a :func:`save_checkpoint` file; a malformed or truncated one
+    raises :class:`ModelError`."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ModelError(f"not a model checkpoint: bad magic {magic!r}")
-        version = int.from_bytes(fh.read(4), "little")
-        if version != CHECKPOINT_VERSION:
-            raise ModelError(f"unsupported checkpoint version {version}")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("ascii"))
-        blob = fh.read()
-    config = ModelConfig(**header["config"])
+        data = fh.read()
+    magic = data[:4]
+    if magic != CHECKPOINT_MAGIC:
+        raise ModelError(f"not a model checkpoint: bad magic {magic!r}")
+    version = int.from_bytes(data[4:8], "little")
+    if version != CHECKPOINT_VERSION:
+        raise ModelError(f"unsupported checkpoint version {version}")
+    header_len = int.from_bytes(data[8:16], "little")
+    try:
+        header = json.loads(data[16:16 + header_len].decode("ascii"))
+    except ValueError as exc:
+        raise ModelError(f"checkpoint header is not ASCII JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ModelError("checkpoint header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ModelError(f"checkpoint header lacks {', '.join(missing)}")
+    for key in ("labels", "pos_vocab", "feature_vocab"):
+        if not (isinstance(header[key], list) and header[key]
+                and all(isinstance(item, str) for item in header[key])):
+            raise ModelError(f"checkpoint header {key} is not a list of strings")
+    fields = header["config"]
+    if not (isinstance(fields, dict) and all(type(v) is int for v in fields.values())):
+        raise ModelError("checkpoint config is not a map of integers")
+    try:
+        config = ModelConfig(**fields)
+    except TypeError as exc:
+        raise ModelError(f"bad checkpoint config: {exc}") from None
+    expected = _tensor_shapes(config, len(header["pos_vocab"]),
+                              len(header["feature_vocab"]), len(header["labels"]))
+    entries = header["tensors"]
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) and all(k in e for k in _ENTRY_KEYS)
+                    for e in entries)):
+        raise ModelError("checkpoint tensor entries need " + ", ".join(_ENTRY_KEYS))
+    if [entry["name"] for entry in entries] != list(expected):
+        raise ModelError("checkpoint tensor names do not match its config")
+    blob = memoryview(data)[16 + header_len:]
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        start = entry["offset"]
-        data = blob[start:start + entry["nbytes"]]
-        if zlib.crc32(data) != entry["crc32"]:
-            raise ModelError(f"checksum mismatch for tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(data, dtype="<f8").reshape(
-            entry["shape"]).copy()
+    for entry in entries:
+        name, shape = entry["name"], expected[entry["name"]]
+        if entry["shape"] != list(shape):
+            raise ModelError(f"tensor {name!r} has shape {entry['shape']}, "
+                             f"expected {list(shape)} from the config and vocabularies")
+        start, nbytes = entry["offset"], 8 * int(np.prod(shape))
+        if entry["nbytes"] != nbytes or not isinstance(start, int) or start < 0:
+            raise ModelError(f"bad offset or size for tensor {name!r}")
+        if start + nbytes > len(blob):
+            raise ModelError(f"checkpoint truncated: tensor {name!r} needs bytes "
+                             f"{start}..{start + nbytes} of a {len(blob)}-byte blob")
+        chunk = blob[start:start + nbytes]
+        if zlib.crc32(chunk) != entry["crc32"]:
+            raise ModelError(f"checksum mismatch for tensor {name!r}")
+        tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
     return ModelParams(config, header["pos_vocab"], header["feature_vocab"],
                        header["labels"], tensors)

@@ -234,8 +234,21 @@ def _checked_atom(text: str | None, kind: str) -> str:
     return text
 
 
+def _read_utf8(path: str | Path) -> str:
+    """A text file's content with universal newlines, as ``read_text``
+    gives it; bytes that are not UTF-8 raise :class:`TreebankFormatError`
+    naming the path and the byte offset."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TreebankFormatError(
+            f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_treebank(path: str | Path) -> list[Tree]:
-    return parse_bracketed(Path(path).read_text(encoding="utf-8"))
+    return parse_bracketed(_read_utf8(path))
 
 
 def write_treebank(trees: Iterable[Tree], path: str | Path) -> None:
@@ -350,7 +363,7 @@ def write_tagged_corpus(sentences: Iterable[TaggedSentence], path: str | Path,
 
 
 def read_tagged_corpus_file(path: str | Path, sep: str = TAG_SEPARATOR) -> list[TaggedSentence]:
-    return read_tagged_corpus(Path(path).read_text(encoding="utf-8"), sep)
+    return read_tagged_corpus(_read_utf8(path), sep)
 
 
 _SECTIONS = ("pos", "features")
@@ -402,4 +415,4 @@ def read_tag_map(text: str, sep: str = TAG_SEPARATOR) -> TagMapTable:
 
 
 def read_tag_map_file(path: str | Path, sep: str = TAG_SEPARATOR) -> TagMapTable:
-    return read_tag_map(Path(path).read_text(encoding="utf-8"), sep)
+    return read_tag_map(_read_utf8(path), sep)

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: enumeration instead of dynamic
 programming, a direct span walk instead of the scorer's rebuild pass, a
 span-by-span label MLP and a span-by-span CKY loop for the vectorized
-scorer and chart, and a ground-truth HMM with Viterbi decoding for the
-tagger.  None of it
+scorer and chart, a scorer backward over every span for the row-only
+one, a dense cost tensor for the in-place loss augmentation, and a
+ground-truth HMM with Viterbi decoding for the tagger.  None of it
 shares code paths with the implementations under test.
 """
 
@@ -104,6 +105,87 @@ def unfactored_span_scores(tensors: dict[str, np.ndarray],
             scores[i, j, 1:] = np.maximum(hidden, 0.0) @ tensors["label_w2"] \
                 + tensors["label_b2"]
     return scores
+
+
+def _start_blocks(n: int):
+    offset = 0
+    for i in range(n):
+        yield i, slice(offset, offset + n - i)
+        offset += n - i
+
+
+def dense_scores_forward(tensors: dict[str, np.ndarray], fenceposts: np.ndarray,
+                         num_labels: int):
+    """The factored scorer that caches the n(n+1)/2-row ``xhat``, ``inv``
+    and ``r``, as the dense backward below needs them."""
+    n = fenceposts.shape[0] - 1
+    proj = fenceposts @ tensors["label_w1"]
+    shifted = proj + tensors["label_b1"]
+    hidden_dim = proj.shape[1]
+    xhat = np.empty((n * (n + 1) // 2, hidden_dim))
+    for i, rows in _start_blocks(n):
+        np.subtract(shifted[i + 1:], proj[i], out=xhat[rows])
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    var = np.einsum("ij,ij->i", xhat, xhat)[:, None] / hidden_dim
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat *= inv
+    r = xhat * tensors["label_ln_gain"]
+    r += tensors["label_ln_bias"]
+    np.maximum(r, 0.0, out=r)
+    out = r @ tensors["label_w2"]
+    out += tensors["label_b2"]
+    scores = np.zeros((n, n + 1, num_labels))
+    for i, rows in _start_blocks(n):
+        scores[i, i + 1:, 1:] = out[rows]
+    return scores, (fenceposts, xhat, inv, r, n)
+
+
+def dense_scores_backward(tensors: dict[str, np.ndarray], cache, dscores):
+    """Backward of :func:`dense_scores_forward` over every span of a dense
+    score gradient; returns the six ``label_*`` gradients and ``dfence``."""
+    fenceposts, xhat, inv, r, n = cache
+    grads = {name: np.zeros_like(tensors[name]) for name in (
+        "label_w1", "label_b1", "label_ln_gain", "label_ln_bias",
+        "label_w2", "label_b2")}
+    dout = np.empty((len(r), dscores.shape[2] - 1))
+    for i, rows in _start_blocks(n):
+        dout[rows] = dscores[i, i + 1:, 1:]
+    grads["label_w2"] += r.T @ dout
+    grads["label_b2"] += dout.sum(axis=0)
+    dz = dout @ tensors["label_w2"].T
+    dz *= r > 0.0
+    grads["label_ln_gain"] += np.einsum("ij,ij->j", dz, xhat)
+    grads["label_ln_bias"] += dz.sum(axis=0)
+    dz *= tensors["label_ln_gain"]
+    mean_dot = np.einsum("ij,ij->i", dz, xhat)[:, None] / dz.shape[1]
+    dz -= dz.mean(axis=-1, keepdims=True)
+    dproj = np.zeros((n + 1, dz.shape[1]))
+    dstart = np.empty((n, dz.shape[1]))
+    for i, rows in _start_blocks(n):
+        block = dz[rows]
+        block -= xhat[rows] * mean_dot[rows]
+        block *= inv[rows]
+        dstart[i] = block.sum(axis=0)
+        dproj[i + 1:] += block
+    dproj[:n] -= dstart
+    grads["label_b1"] += dstart.sum(axis=0)
+    grads["label_w1"] += fenceposts.T @ dproj
+    return grads, dproj @ tensors["label_w1"].T
+
+
+# ------------------------------------------------------ loss augmentation oracle
+
+def dense_hamming_augment(n: int, num_labels: int,
+                          gold_spans: list[tuple[int, int, int]]) -> np.ndarray:
+    """Cost tensor adding 1 to every span labeling that disagrees with gold;
+    the empty label costs nothing off the gold bracketing."""
+    augment = np.ones((n, n + 1, num_labels))
+    augment[:, :, 0] = 0.0
+    for i, j, label in gold_spans:
+        if label != 0:
+            augment[i, j, 0] = 1.0
+        augment[i, j, label] = 0.0
+    return augment
 
 
 # -------------------------------------------------------------- evalb oracle

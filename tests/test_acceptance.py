@@ -138,7 +138,7 @@ def test_02_gradient_correctness():
         # step (at a decode flip the two-sided difference straddles a kink)
         gold_spans, _ = chart.tree_spans(gold)
         gold_idx = chart.spans_to_indices(gold_spans, params.labels)
-        augment = chart.hamming_augment(len(tags), len(params.labels), gold_idx)
+        augment = oracles.dense_hamming_augment(len(tags), len(params.labels), gold_idx)
         base_loss, base_spans = _hinge_loss_value(params, tags, gold_idx, augment)
         loss, loss_grads = model.loss_and_gradients(params, tags, gold)
         assert loss == pytest.approx(base_loss, abs=1e-12)

@@ -176,18 +176,51 @@ def test_tree_spans_read_off():
 
 def test_hamming_augment_layout():
     gold = [(0, 2, 2), (0, 3, 1)]
-    augment = chart.hamming_augment(3, 4, gold)
+    augment = chart.hamming_augment(np.zeros((3, 4, 4)), gold)
     assert augment[0, 2, 2] == 0.0 and augment[0, 2, 0] == 1.0
     assert augment[0, 3, 1] == 0.0 and augment[0, 3, 3] == 1.0
     # off-gold spans: empty label costs nothing, real labels cost one
     assert augment[1, 2, 0] == 0.0 and augment[1, 2, 1] == 1.0
 
 
+def random_bracketing(rng, n):
+    """Spans of a random full binary bracketing of (0, n), preorder."""
+    spans, stack = [], [(0, n)]
+    while stack:
+        i, j = stack.pop()
+        spans.append((i, j))
+        if j - i >= 2:
+            k = int(rng.integers(i + 1, j))
+            stack += [(k, j), (i, k)]
+    return spans
+
+
+def test_in_place_augment_is_the_dense_cost_tensor_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for case in range(240):
+        n = 1 + case % 40
+        num_labels = int(rng.integers(2, 7))
+        scores = random_scores(rng, n, num_labels, zero_empty=case % 3 != 0)
+        if case % 2:
+            scores = np.round(scores, 1)
+        gold = [(i, j, int(rng.integers(num_labels))) for i, j in random_bracketing(rng, n)]
+        if case % 4 == 1:
+            # a repeated (i, j): empty then non-empty label, or the reverse
+            i, j, _ = gold[int(rng.integers(len(gold)))]
+            labels = [0, int(rng.integers(1, num_labels))]
+            if rng.random() < 0.5:
+                labels.reverse()
+            gold += [(i, j, label) for label in labels]
+        expected = scores + oracles.dense_hamming_augment(n, num_labels, gold)
+        result = chart.hamming_augment(scores.copy(), gold)
+        np.testing.assert_array_equal(result, expected)
+
+
 def test_loss_augmented_decode_prefers_distant_trees_on_zero_scores():
     gold = binarize(parse_bracketed("(S (NP (ART a) (NN b)) (VVFIN c))")[0])
     gold_idx = chart.spans_to_indices(chart.tree_spans(gold)[0], LABELS)
     scores = np.zeros((3, 4, 4))
-    _, decoded = chart.decode_spans(scores + chart.hamming_augment(3, 4, gold_idx))
+    _, decoded = chart.decode_spans(scores + oracles.dense_hamming_augment(3, 4, gold_idx))
     # the augmentation pushes the decode away from every gold decision
     assert not set(decoded) & set(gold_idx)
 
@@ -199,7 +232,7 @@ def test_augmented_score_at_least_plain_gold_score():
     gold_idx = chart.spans_to_indices(gold_spans, LABELS)
     for _ in range(50):
         scores = random_scores(rng, 3, 4)
-        augment = chart.hamming_augment(3, 4, gold_idx)
+        augment = oracles.dense_hamming_augment(3, 4, gold_idx)
         aug_total, _ = chart.decode_spans(scores + augment)
         gold_score = sum(scores[i, j, l] for i, j, l in gold_idx if l)
         assert aug_total >= gold_score - 1e-9

@@ -1,6 +1,7 @@
 import json
 
-from delexparse import cli, data, trainer
+from delexparse import cli, data, model, trainer
+from delexparse.transform import EMPTY_LABEL
 from delexparse.treebank import (ExtendedTag, parse_bracketed,
                                  read_tagged_corpus_file, read_treebank,
                                  write_treebank)
@@ -292,3 +293,58 @@ def test_morph_separator_reaches_training_tagging_and_parsing(tmp_path, monkeypa
                      ExtendedTag("VVFIN", ("3.Sg",))]]
     pred = read_treebank(tmp_path / "pred.brackets")[0]
     assert [p.label for p in pred.preterminals()] == ["ART", "NN", "VVFIN"]
+
+
+def test_truncated_checkpoint_exits_2_at_load(tmp_path, capsys):
+    cfg = model.ModelConfig(model_dim=8, num_layers=1, num_heads=2, head_dim=3,
+                            ff_dim=8, label_hidden_dim=6, max_len=32, seed=1)
+    params = model.init_params(cfg, [model.UNK, "NN"], [model.UNK], [EMPTY_LABEL, "S"])
+    full = tmp_path / "full.ckpt"
+    model.save_checkpoint(params, full)
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for offset in (10, 40, len(blob) // 2, len(blob) - 1):
+        cut.write_bytes(blob[:offset])
+        code = cli.main(["parse", "--use-gold-tags", "--checkpoint", str(cut),
+                         "--gold-treebank", str(data.toy_treebank_path()),
+                         "--parse-output", f"{tmp_path}/pred.brackets"])
+        assert code == 2, offset
+        assert "error: stage=load" in capsys.readouterr().err
+
+
+def non_utf8_copy(tmp_path, text, name):
+    """``text`` as UTF-8 with one 0xff byte inserted at byte offset 5."""
+    raw = text.encode("utf-8")
+    path = tmp_path / name
+    path.write_bytes(raw[:5] + b"\xff" + raw[5:])
+    return path
+
+
+def test_non_utf8_treebank_exits_2(tmp_path, capsys):
+    toy = data.toy_treebank_path()
+    gold = non_utf8_copy(tmp_path, toy.read_text(encoding="utf-8"), "gold.brackets")
+    code = cli.main(["eval", "--gold-treebank", str(gold), "--pred-treebank", str(toy),
+                     "--report", f"{tmp_path}/x.report"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and str(gold) in err and "byte offset 5" in err
+
+
+def test_non_utf8_tagged_corpus_exits_2(tmp_path, capsys):
+    corpus = non_utf8_copy(tmp_path, "diu\tDDART.Nom\nfrouwe\tNA.Nom\n\n", "hist.tags")
+    code = cli.main(["map-tags", "--tagged-corpus", str(corpus),
+                     "--tagged-output", f"{tmp_path}/mapped.tags"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and str(corpus) in err and "byte offset 5" in err
+
+
+def test_non_utf8_tag_map_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "hist.tags"
+    corpus.write_text("diu\tDDART.Nom\n\n", encoding="utf-8")
+    table = non_utf8_copy(tmp_path, "[pos]\nDDART\tART\n", "hist.tagmap")
+    code = cli.main(["map-tags", "--tagged-corpus", str(corpus), "--tag-map", str(table),
+                     "--tagged-output", f"{tmp_path}/mapped.tags"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and str(table) in err and "byte offset 5" in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,95 @@ def test_span_scores_match_unfactored_reference():
                                    rtol=0.0, atol=1e-12)
 
 
+SCORER = model.ModelConfig(model_dim=12, num_layers=0, num_heads=1, head_dim=4,
+                           ff_dim=8, label_hidden_dim=10, max_len=64, seed=7)
+SCORER_LABELS = [EMPTY_LABEL, "A", "B", "C", "D", "E"]
+
+
+def scorer_params(rng):
+    """Scorer weights with every label tensor moved off its initial value."""
+    params = model.init_params(SCORER, POS, FEATS, SCORER_LABELS)
+    for name in ("label_b1", "label_ln_gain", "label_ln_bias", "label_b2"):
+        params.tensors[name] += rng.standard_normal(params.tensors[name].shape)
+    return params
+
+
+def random_labeled_tree(rng, n, num_labels):
+    """Preorder spans of a random binary bracketing with random labels;
+    the root's is non-empty."""
+    spans, stack = [], [(0, n)]
+    while stack:
+        i, j = stack.pop()
+        low = 1 if not spans else 0
+        spans.append((i, j, int(rng.integers(low, num_labels))))
+        if j - i >= 2:
+            k = int(rng.integers(i + 1, j))
+            stack += [(k, j), (i, k)]
+    return spans
+
+
+def test_sparse_scorer_backward_matches_dense_oracle():
+    rng = np.random.default_rng(23)
+    num_labels = len(SCORER_LABELS)
+    kinds = ("independent trees", "shared bracketing", "dense upstream", "gold decoded")
+    for case in range(240):
+        n = 1 + case % 40
+        kind = kinds[(case // 40) % len(kinds)]
+        params = scorer_params(rng)
+        fenceposts = rng.standard_normal((n + 1, SCORER.model_dim))
+        _, cache = model._scores_forward(params, fenceposts)
+        oracle_scores, oracle_cache = oracles.dense_scores_forward(
+            params.tensors, fenceposts, num_labels)
+        if kind == "dense upstream":
+            dscores = rng.standard_normal(oracle_scores.shape)
+            starts, ends = np.triu_indices(n + 1, k=1)
+            dout = dscores[starts, ends, 1:]
+        else:
+            gold = random_labeled_tree(rng, n, num_labels)
+            if kind == "independent trees":
+                pred = random_labeled_tree(rng, n, num_labels)
+            elif kind == "shared bracketing":
+                # same spans, each relabeled with probability 1/2: predicted
+                # labels cancel gold ones, or a span's row holds two labels
+                pred = [(i, j, int(rng.integers(1 if not k else 0, num_labels))
+                         if rng.random() < 0.5 else label)
+                        for k, (i, j, label) in enumerate(gold)]
+            else:
+                pred = list(gold)
+            dscores = np.zeros(oracle_scores.shape)
+            for i, j, label in pred:
+                if label != 0:
+                    dscores[i, j, label] += 1.0
+            for i, j, label in gold:
+                if label != 0:
+                    dscores[i, j, label] -= 1.0
+            starts, ends, dout = model._subgradient_rows(pred, gold, num_labels)
+            rebuilt = np.zeros_like(dscores)
+            rebuilt[starts, ends, 1:] = dout
+            np.testing.assert_array_equal(rebuilt, dscores)
+            assert len(set(zip(starts.tolist(), ends.tolist()))) == len(dout)
+            assert dout.any(axis=1).all() and len(dout) <= 2 * (2 * n - 1)
+        grads = params.zero_grads()
+        dfence = model._scores_backward(params, grads, cache, starts, ends, dout)
+        expected, expected_dfence = oracles.dense_scores_backward(
+            params.tensors, oracle_cache, dscores)
+        for name, value in expected.items():
+            np.testing.assert_allclose(grads[name], value, rtol=0.0, atol=1e-12,
+                                       err_msg=f"{kind} n={n} {name}")
+        np.testing.assert_allclose(dfence, expected_dfence, rtol=0.0, atol=1e-12,
+                                   err_msg=f"{kind} n={n} dfence")
+
+
+def test_scores_cache_holds_no_span_sized_array():
+    params = scorer_params(np.random.default_rng(5))
+    for n in (1, 2, 7, 30):
+        fenceposts = np.random.default_rng(n).standard_normal((n + 1, SCORER.model_dim))
+        _, cache = model._scores_forward(params, fenceposts)
+        arrays = [item for item in cache if isinstance(item, np.ndarray)]
+        assert arrays and all(a.shape[0] <= n + 1 for a in arrays), \
+            [a.shape for a in arrays]
+
+
 def test_init_determinism():
     a = tiny_params(seed=5)
     b = tiny_params(seed=5)
@@ -137,7 +228,7 @@ def test_augmented_decode_returns_dominant_gold():
     gold_spans, _ = chart.tree_spans(gold_tree())
     idx = {label: i for i, label in enumerate(LABELS)}
     test_scores = dominant_gold_scores()
-    augment = chart.hamming_augment(
+    augment = oracles.dense_hamming_augment(
         3, len(LABELS), chart.spans_to_indices(gold_spans, LABELS))
     aug_total, spans = chart.decode_spans(test_scores + augment)
     decoded = {(i, j, l) for i, j, l in spans if l != 0}
@@ -186,6 +277,8 @@ def test_zero_subgradient_sentence_allocates_and_adds_no_gradients(monkeypatch, 
         raise AssertionError("gradient work on a zero-subgradient sentence")
 
     monkeypatch.setattr(model, "backward_scores", forbidden)
+    monkeypatch.setattr(model, "backward_span_rows", forbidden)
+    monkeypatch.setattr(model, "_scores_backward", forbidden)
     monkeypatch.setattr(model.ModelParams, "zero_grads", forbidden)
     sentence = [ExtendedTag("NN")] * len(gold.leaf_tokens())
     loss, grads = model.loss_and_gradients(params, sentence, gold)
@@ -271,8 +364,9 @@ def test_total_loss_gradient_finite_differences():
 def _augmented_spans(params, sentence, gold):
     scores = model.sentence_scores(params, sentence)
     gold_spans, _ = chart.tree_spans(gold)
-    augment = chart.hamming_augment(len(sentence), len(params.labels),
-                                    chart.spans_to_indices(gold_spans, params.labels))
+    augment = oracles.dense_hamming_augment(
+        len(sentence), len(params.labels),
+        chart.spans_to_indices(gold_spans, params.labels))
     _, spans = chart.decode_spans(scores + augment)
     return spans
 
@@ -308,3 +402,48 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad2.write_bytes(b"nope" + bytes(blob[4:]))
     with pytest.raises(model.ModelError, match="magic"):
         model.load_checkpoint(bad2)
+
+
+def rewrite_header(path, edit):
+    """Rewrite a checkpoint with ``edit`` applied to its JSON header."""
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + length])
+    edit(header)
+    text = json.dumps(header).encode("ascii")
+    path.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text
+                     + blob[16 + length:])
+
+
+def test_checkpoint_truncated_anywhere_raises_model_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(tiny_params(), path)
+    blob = path.read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    offsets = [0, 3, 10, 16, 40, header_end - 1, header_end, header_end + 8,
+               (header_end + len(blob)) // 2, len(blob) - 1]
+    for offset in offsets:
+        cut = tmp_path / f"cut{offset}.ckpt"
+        cut.write_bytes(blob[:offset])
+        with pytest.raises(model.ModelError):
+            model.load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("labels"), "lacks labels"),
+    (lambda h: h["tensors"][0].update(name="pos_embedding_x"), "names"),
+    (lambda h: h["labels"].append("XP"), "shape"),
+    (lambda h: h["pos_vocab"].pop(), "shape"),
+    (lambda h: h["config"].update(num_layers="1"), "integers"),
+    (lambda h: h["config"].update(depth=1), "config"),
+], ids=["missing-key", "renamed-tensor", "extra-label", "short-pos-vocab",
+        "string-config", "unknown-config-key"])
+def test_checkpoint_header_disagreements_raise_model_error(tmp_path, edit, message):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(tiny_params(), path)
+    rewrite_header(path, edit)
+    with pytest.raises(model.ModelError, match=message):
+        model.load_checkpoint(path)
+    path.write_bytes(path.read_bytes()[:20] + b"\xff" + path.read_bytes()[21:])
+    with pytest.raises(model.ModelError, match="ASCII JSON"):
+        model.load_checkpoint(path)
