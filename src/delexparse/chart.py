@@ -38,18 +38,20 @@ def _check_scores(scores: np.ndarray) -> int:
 def build_chart(scores: np.ndarray) -> Chart:
     """Fill the chart bottom-up; label and split choices are independent.
 
-    The best scores are also held by (width, start) and by (width, end),
-    so all spans of one width are split in one array operation: row
+    One ``argmax`` pass picks each span's label, and its score is gathered
+    from there rather than found by a second ``max`` pass.  The best scores
+    are also held by (width, start) and by (width, end), so all spans of
+    one width are split in one array operation: row
     ``s - 1`` of ``totals`` sums each span's left part of width ``s`` and
     right part of width ``width - s``, and ``argmax`` keeps the first,
     that is the smallest, best split.
     """
     n = _check_scores(scores)
-    label_best = scores.max(axis=2)
-    best = np.zeros((n + 1, n + 1))
-    split = np.full((n + 1, n + 1), -1, dtype=np.int64)
     labels = np.zeros((n + 1, n + 1), dtype=np.int64)
     labels[:n, :] = scores.argmax(axis=2)
+    label_best = np.take_along_axis(scores, labels[:n, :, None], axis=2)[..., 0]
+    best = np.zeros((n + 1, n + 1))
+    split = np.full((n + 1, n + 1), -1, dtype=np.int64)
     by_start = np.zeros((n + 1, n + 1))  # [w, i] = best[i, i + w]
     by_end = np.zeros((n + 1, n + 1))    # [w, j] = best[j - w, j]
     for width in range(1, n + 1):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import evalb, model, tagger, tagmap, trainer, transform
 from .config import PipelineConfig, config_snapshot, load_pipeline_config
-from .treebank import (ExtendedTag, TreebankFormatError, read_tag_map_file,
+from .treebank import (ExtendedTag, TreebankFormatError, _read_utf8, read_tag_map_file,
                        read_tagged_corpus_file, read_treebank, serialize_tree,
                        write_tagged_corpus, write_treebank)
 
@@ -150,7 +150,7 @@ def _gather_sentences(cfg: PipelineConfig, inputs: dict[str, Path],
             tagger_path = _input_path(cfg, "tagger_model")
             inputs["tagger_model"] = tagger_path
             tag_model = tagger.load_tagger(tagger_path, tcfg.morph_separator)
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line in _read_utf8(path).splitlines():
             tokens = line.split()
             if not tokens:
                 continue
@@ -268,7 +268,7 @@ def cmd_tag(cfg: PipelineConfig) -> int:
         tokens_path = _input_path(cfg, "tokens")
         inputs["tokens"] = tokens_path
         tagged = []
-        for line in tokens_path.read_text(encoding="utf-8").splitlines():
+        for line in _read_utf8(tokens_path).splitlines():
             tokens = line.split()
             if tokens:
                 tagged.append(tagger.tag_sentence(tag_model, tokens))
@@ -340,8 +340,8 @@ def cmd_filter(cfg: PipelineConfig) -> int:
     if cfg.paths.get("latin_lexicon"):
         lex_path = _input_path(cfg, "latin_lexicon")
         inputs["latin_lexicon"] = lex_path
-        lexicon = {line.strip() for line in
-                   lex_path.read_text(encoding="utf-8").splitlines() if line.strip()}
+        lexicon = {line.strip() for line in _read_utf8(lex_path).splitlines()
+                   if line.strip()}
     trees = read_treebank(path)
     kept, report = transform.filter_target_treebank(trees, lexicon)
     output = _output_path(cfg, "filtered_treebank")

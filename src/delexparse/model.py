@@ -311,12 +311,23 @@ def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return fenceposts
 
 
-def _start_blocks(n: int):
-    """Spans in triu order: for each start i, the rows of (i, i+1..n)."""
-    offset = 0
-    for i in range(n):
-        yield i, slice(offset, offset + n - i)
-        offset += n - i
+# Span rows per block of the scorer's hidden layer: about 1 MB at h = 250,
+# so a block stays in L2 cache through its elementwise passes.
+_CHUNK_ROWS = 512
+
+
+def _start_chunks(n: int):
+    """Runs ``(lo, hi, rows)`` of consecutive start points ``lo..hi-1``
+    whose spans, in triu order, number ``rows <= _CHUNK_ROWS``; a run holds
+    at least one start point, so one with more spans than that is alone."""
+    lo = 0
+    while lo < n:
+        hi, rows = lo + 1, n - lo
+        while hi < n and rows + n - hi <= _CHUNK_ROWS:
+            rows += n - hi
+            hi += 1
+        yield lo, hi, rows
+        lo = hi
 
 
 def _normalize_rows(z: np.ndarray) -> np.ndarray:
@@ -333,27 +344,35 @@ def _scores_forward(params: ModelParams, fenceposts: np.ndarray):
     """Label MLP over every span, with ``label_w1`` factored through the
     fenceposts: ``(f_j - f_i) @ W1 = P[j] - P[i]`` for ``P = F @ W1``.
 
-    The hidden layer is built, normalized and rectified in one array, in
-    place.  The cache keeps only n+1-row arrays: ``F``, ``P`` and
-    ``P + b1``; the backward pass recomputes the hidden rows it needs.
+    The hidden layer is built, normalized, rectified and projected one
+    :func:`_start_chunks` run of start points at a time, in one reused
+    buffer of at most ``_CHUNK_ROWS`` rows (more only for a single start
+    point with more spans), so no array has a row per span.  The cache
+    keeps only n+1-row arrays: ``F``, ``P`` and ``P + b1``; the backward
+    pass recomputes the hidden rows it needs.
     """
     t = params.tensors
     n = fenceposts.shape[0] - 1
     proj = fenceposts @ t["label_w1"]
     shifted = proj + t["label_b1"]
-    hidden = np.empty((n * (n + 1) // 2, proj.shape[1]))
-    for i, rows in _start_blocks(n):
-        np.subtract(shifted[i + 1:], proj[i], out=hidden[rows])
-    _normalize_rows(hidden)
-    hidden *= t["label_ln_gain"]
-    hidden += t["label_ln_bias"]
-    np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ t["label_w2"]
-    del hidden  # freed before the score tensor is allocated
-    out += t["label_b2"]
     scores = np.zeros((n, n + 1, len(params.labels)))
-    for i, rows in _start_blocks(n):
-        scores[i, i + 1:, 1:] = out[rows]
+    buffer = np.empty((min(max(_CHUNK_ROWS, n), n * (n + 1) // 2), proj.shape[1]))
+    for lo, hi, rows in _start_chunks(n):
+        hidden = buffer[:rows]
+        blocks, offset = [], 0
+        for i in range(lo, hi):
+            blocks.append((i, slice(offset, offset + n - i)))
+            offset += n - i
+        for i, block in blocks:
+            np.subtract(shifted[i + 1:], proj[i], out=hidden[block])
+        _normalize_rows(hidden)
+        hidden *= t["label_ln_gain"]
+        hidden += t["label_ln_bias"]
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ t["label_w2"]
+        out += t["label_b2"]
+        for i, block in blocks:
+            scores[i, i + 1:, 1:] = out[block]
     return scores, (fenceposts, proj, shifted)
 
 

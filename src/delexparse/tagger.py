@@ -10,11 +10,13 @@ produce :class:`TaggedSentence` values for the pipeline.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .treebank import TAG_SEPARATOR, ExtendedTag, TaggedSentence, TreebankFormatError
+from .treebank import (TAG_SEPARATOR, ExtendedTag, TaggedSentence, TreebankFormatError,
+                       _read_utf8)
 
 FORMAT_NAME = "delexparse-tagger"
 FORMAT_VERSION = 1
@@ -169,15 +171,16 @@ def save_tagger(model: TaggerModel, path: str | Path) -> None:
 
 
 def load_tagger(path: str | Path, sep: str = TAG_SEPARATOR) -> TaggerModel:
-    """Read a checkpoint whose tags are serialized with ``sep``."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a checkpoint whose tags are serialized with ``sep``; a malformed
+    one raises :class:`TreebankFormatError` with the line number."""
+    lines = _read_utf8(path).splitlines()
     if not lines:
         raise TreebankFormatError("empty tagger checkpoint", line=1)
     header = lines[0].split("\t")
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise TreebankFormatError("not a tagger checkpoint", line=1)
-    if int(header[1]) != FORMAT_VERSION:
-        raise TreebankFormatError(f"unsupported version {header[1]}", line=1)
+    if header[1] != str(FORMAT_VERSION):
+        raise TreebankFormatError(f"unsupported version {header[1]!r}", line=1)
     inventory: list[str] = []
     weights: dict[str, dict[str, float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -185,7 +188,14 @@ def load_tagger(path: str | Path, sep: str = TAG_SEPARATOR) -> TaggerModel:
         if len(parts) == 2 and parts[0] == "tag":
             inventory.append(parts[1])
         elif len(parts) == 3:
-            weights.setdefault(parts[0], {})[parts[1]] = float(parts[2])
+            try:
+                weight = float(parts[2])
+            except ValueError:
+                raise TreebankFormatError(f"weight {parts[2]!r} is not a number",
+                                          line=lineno) from None
+            if not math.isfinite(weight):
+                raise TreebankFormatError(f"weight {parts[2]!r} is not finite", line=lineno)
+            weights.setdefault(parts[0], {})[parts[1]] = weight
         else:
             raise TreebankFormatError(f"malformed line {line!r}", line=lineno)
     if not inventory:

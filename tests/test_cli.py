@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from delexparse import cli, data, model, trainer
 from delexparse.transform import EMPTY_LABEL
 from delexparse.treebank import (ExtendedTag, parse_bracketed,
@@ -348,3 +350,79 @@ def test_non_utf8_tag_map_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: stage=" in err and str(table) in err and "byte offset 5" in err
+
+
+def trained_tagger(tmp_path):
+    corpus = tmp_path / "train.tags"
+    corpus.write_text("der\tART.Nom\nMann\tNN.Nom\nlacht\tVVFIN\n\n", encoding="utf-8")
+    model_path = tmp_path / "tagger.txt"
+    assert cli.main(["tag", "--train-corpus", str(corpus),
+                     "--tagger-model", str(model_path)]) == 0
+    return model_path
+
+
+def test_non_utf8_tokens_exit_2_in_tag_and_parse(tmp_path, capsys):
+    tagger_model = trained_tagger(tmp_path)
+    tokens = non_utf8_copy(tmp_path, "der Mann lacht\n", "raw.txt")
+    code = cli.main(["tag", "--tagger-model", str(tagger_model), "--tokens", str(tokens),
+                     "--tagged-output", f"{tmp_path}/out.tags"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and str(tokens) in err and "byte offset 5" in err
+    cfg = model.ModelConfig(model_dim=8, num_layers=1, num_heads=2, head_dim=3,
+                            ff_dim=8, label_hidden_dim=6, max_len=32, seed=1)
+    checkpoint = tmp_path / "parser.ckpt"
+    model.save_checkpoint(model.init_params(cfg, [model.UNK, "NN"], [model.UNK],
+                                            [EMPTY_LABEL, "S"]), checkpoint)
+    code = cli.main(["parse", "--checkpoint", str(checkpoint), "--tokens", str(tokens),
+                     "--tagger-model", str(tagger_model),
+                     "--parse-output", f"{tmp_path}/pred.brackets"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and str(tokens) in err and "byte offset 5" in err
+
+
+def test_non_utf8_latin_lexicon_exits_2(tmp_path, capsys):
+    source = tmp_path / "raw.brackets"
+    write_treebank([parse_bracketed("(S (NN Tag) (NN Nacht))")[0]], source)
+    lexicon = non_utf8_copy(tmp_path, "laudamus\nte\n", "latin.txt")
+    code = cli.main(["filter", "--treebank", str(source), "--latin-lexicon", str(lexicon),
+                     "--filtered-treebank", f"{tmp_path}/kept.brackets"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and str(lexicon) in err and "byte offset 5" in err
+
+
+def test_non_utf8_tagger_checkpoint_exits_2(tmp_path, capsys):
+    saved = trained_tagger(tmp_path).read_text(encoding="utf-8")
+    tagger_model = non_utf8_copy(tmp_path, saved, "bad_tagger.txt")
+    tokens = tmp_path / "ok.txt"
+    tokens.write_text("der Mann\n", encoding="utf-8")
+    code = cli.main(["tag", "--tagger-model", str(tagger_model), "--tokens", str(tokens),
+                     "--tagged-output", f"{tmp_path}/out.tags"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and str(tagger_model) in err and "byte offset 5" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("version", "one"), ("weight", "notanumber"), ("weight", "nan"), ("weight", "-inf"),
+    ("weight", "1e999")])
+def test_bad_tagger_checkpoint_value_exits_2_with_line(tmp_path, capsys, field, value):
+    lines = trained_tagger(tmp_path).read_text(encoding="utf-8").splitlines()
+    if field == "version":
+        line = 1
+        lines[0] = lines[0].split("\t")[0] + "\t" + value
+    else:
+        line = next(k for k, text in enumerate(lines, start=1) if text.count("\t") == 2)
+        feature, tag, _ = lines[line - 1].split("\t")
+        lines[line - 1] = f"{feature}\t{tag}\t{value}"
+    bad = tmp_path / "bad_tagger.txt"
+    bad.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    tokens = tmp_path / "ok.txt"
+    tokens.write_text("der Mann\n", encoding="utf-8")
+    code = cli.main(["tag", "--tagger-model", str(bad), "--tokens", str(tokens),
+                     "--tagged-output", f"{tmp_path}/out.tags"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: stage=" in err and repr(value) in err and f"(line {line})" in err

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,60 @@ def test_scores_cache_holds_no_span_sized_array():
         arrays = [item for item in cache if isinstance(item, np.ndarray)]
         assert arrays and all(a.shape[0] <= n + 1 for a in arrays), \
             [a.shape for a in arrays]
+
+
+def desk_scorer_params(num_labels, rng):
+    """Desk-preset scorer weights for ``num_labels`` labels, every label
+    tensor moved off its initial value."""
+    labels = [EMPTY_LABEL] + [f"L{k}" for k in range(1, num_labels)]
+    params = model.init_params(model.DESK_MODEL, POS, FEATS, labels)
+    for name in ("label_b1", "label_ln_gain", "label_ln_bias", "label_b2"):
+        params.tensors[name] += rng.standard_normal(params.tensors[name].shape)
+    return params
+
+
+# n = 31, 32, 33 straddle the shortest sentence that needs two runs; with
+# 20-row chunks, start points with more than 20 spans run alone, over budget
+@pytest.mark.parametrize("chunk_rows", [model._CHUNK_ROWS, 20], ids=["default", "20-rows"])
+def test_blocked_scores_forward_matches_dense_oracle(monkeypatch, chunk_rows):
+    monkeypatch.setattr(model, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(41)
+    lengths = [1, 2, 31, 32, 33, 45, 46, 100, 128, 257, 300]
+    lengths += rng.integers(3, 200, size=4).tolist()
+    for num_labels in (2, 30):
+        params = desk_scorer_params(num_labels, rng)
+        for n in lengths:
+            fenceposts = rng.standard_normal((n + 1, model.DESK_MODEL.model_dim))
+            scores = model.span_scores(params, fenceposts)
+            expected, _ = oracles.dense_scores_forward(params.tensors, fenceposts,
+                                                       num_labels)
+            np.testing.assert_allclose(scores, expected, rtol=0.0, atol=1e-12,
+                                       err_msg=f"n={n} labels={num_labels}")
+            not_spans = np.tril(np.ones(scores.shape[:2], dtype=bool))  # j <= i
+            assert not scores[not_spans].any() and not scores[..., 0].any()
+
+
+def test_scores_forward_peak_memory_is_one_score_tensor():
+    params = desk_scorer_params(30, np.random.default_rng(2))
+    fenceposts = np.random.default_rng(3).standard_normal((201, model.DESK_MODEL.model_dim))
+    tracemalloc.start()
+    try:
+        scores = model.span_scores(params, fenceposts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * scores.nbytes, peak / scores.nbytes
+
+
+def test_start_chunks_cover_every_start_once_within_the_row_budget():
+    for n in range(1, 601):
+        covered = []
+        for lo, hi, rows in model._start_chunks(n):
+            assert lo < hi
+            assert rows == sum(n - i for i in range(lo, hi))
+            assert rows <= model._CHUNK_ROWS or hi - lo == 1, (n, lo, hi, rows)
+            covered.extend(range(lo, hi))
+        assert covered == list(range(n))
 
 
 def test_init_determinism():
