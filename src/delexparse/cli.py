@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import evalb, model, tagger, tagmap, trainer, transform
-from .config import PipelineConfig, config_snapshot, load_pipeline_config
+from .config import COMMAND_PATHS, PipelineConfig, config_snapshot, load_pipeline_config
 from .treebank import (ExtendedTag, TreebankFormatError, _read_utf8, read_tag_map_file,
                        read_tagged_corpus_file, read_treebank, serialize_tree,
                        write_tagged_corpus, write_treebank)
@@ -68,39 +68,61 @@ def _write_manifest(command: str, cfg: PipelineConfig, inputs: dict[str, Path],
                         encoding="utf-8")
 
 
-def _load_trees(cfg: PipelineConfig, key: str):
+def _read(cfg: PipelineConfig, inputs: dict[str, Path], key: str, reader, *args):
+    """``reader(path, *args)`` on input ``key``, recorded in ``inputs``; a
+    malformed file fails at stage ``load`` with its path named once."""
     path = _input_path(cfg, key)
+    inputs[key] = path
     try:
-        return read_treebank(path), path
-    except TreebankFormatError as exc:
+        return reader(path, *args)
+    except (TreebankFormatError, model.ModelError) as exc:
         raise CliError("load", f"{path}: {exc}") from exc
 
 
-def _prepare_trees(trees, cfg: PipelineConfig, stage: str = "transform"):
-    """Strip, optionally delexicalize, and binarize a treebank for training."""
-    tcfg = cfg.transform
-    prepared = []
+def _token_lines(path: Path) -> list[list[str]]:
+    """The whitespace-split tokens of each non-blank line of a text file."""
+    return [tokens for tokens in map(str.split, _read_utf8(path).splitlines()) if tokens]
+
+
+def _tag_map(cfg: PipelineConfig, inputs: dict[str, Path]):
+    """The configured tag map table, or the bundled default."""
+    if cfg.paths.get("tag_map"):
+        return _read(cfg, inputs, "tag_map", read_tag_map_file,
+                     cfg.transform.morph_separator)
+    return tagmap.default_table()
+
+
+def _each_tree(trees, step) -> list:
+    """``step`` applied to every tree; a tree it rejects with ``ValueError``
+    fails at stage ``transform``, named by its index."""
+    done = []
     for index, tree in enumerate(trees):
         try:
-            tree = transform.strip_annotations(tree, tcfg)
-            if cfg.mode == "delexicalized":
-                tree = transform.delexicalize_tree(tree, tcfg)
-            prepared.append(transform.binarize(tree))
+            done.append(step(tree))
         except ValueError as exc:
-            raise CliError(stage, f"tree {index}: {exc}") from exc
-    return prepared
+            raise CliError("transform", f"tree {index}: {exc}") from exc
+    return done
+
+
+def _prepare_trees(trees, cfg: PipelineConfig):
+    """Strip, optionally delexicalize, and binarize a treebank for training."""
+    tcfg = cfg.transform
+
+    def prepare(tree):
+        tree = transform.strip_annotations(tree, tcfg)
+        if cfg.mode == "delexicalized":
+            tree = transform.delexicalize_tree(tree, tcfg)
+        return transform.binarize(tree)
+
+    return _each_tree(trees, prepare)
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    trees, train_path = _load_trees(cfg, "train_treebank")
-    inputs = {"train_treebank": train_path}
-    train_trees = _prepare_trees(trees, cfg)
+    inputs: dict[str, Path] = {}
+    train_trees = dev_trees = _prepare_trees(
+        _read(cfg, inputs, "train_treebank", read_treebank), cfg)
     if cfg.paths.get("dev_treebank"):
-        dev_raw, dev_path = _load_trees(cfg, "dev_treebank")
-        dev_trees = _prepare_trees(dev_raw, cfg)
-        inputs["dev_treebank"] = dev_path
-    else:
-        dev_trees = train_trees
+        dev_trees = _prepare_trees(_read(cfg, inputs, "dev_treebank", read_treebank), cfg)
     checkpoint = _output_path(cfg, "checkpoint")
     log_path = _output_path(cfg, "train_log", default=str(checkpoint) + ".log")
     checkpoint_dir = cfg.paths.get("checkpoint_dir")
@@ -127,68 +149,42 @@ def _gather_sentences(cfg: PipelineConfig, inputs: dict[str, Path],
     tagger and yields ``tags=None``.
     """
     tcfg = cfg.transform
-    sentences: list[tuple[list[str], list[ExtendedTag] | None]] = []
     if cfg.use_gold_tags:
-        path = _input_path(cfg, "gold_treebank")
-        inputs["gold_treebank"] = path
-        for tree in read_treebank(path):
+        def gold_pair(tree):
             stripped = transform.strip_annotations(tree, tcfg)
-            tokens = stripped.leaf_tokens()
-            tags = [ExtendedTag.parse(p.label, tcfg.morph_separator)
-                    for p in stripped.preterminals()]
-            sentences.append((tokens, tags))
-    elif cfg.paths.get("tagged_corpus"):
-        path = _input_path(cfg, "tagged_corpus")
-        inputs["tagged_corpus"] = path
-        for sentence in read_tagged_corpus_file(path, tcfg.morph_separator):
-            sentences.append((list(sentence.tokens), list(sentence.tags)))
-    elif cfg.paths.get("tokens"):
-        path = _input_path(cfg, "tokens")
-        inputs["tokens"] = path
-        tag_model = None
-        if need_tags:
-            tagger_path = _input_path(cfg, "tagger_model")
-            inputs["tagger_model"] = tagger_path
-            tag_model = tagger.load_tagger(tagger_path, tcfg.morph_separator)
-        for line in _read_utf8(path).splitlines():
-            tokens = line.split()
-            if not tokens:
-                continue
-            if tag_model is None:
-                sentences.append((tokens, None))
-            else:
-                tagged = tagger.tag_sentence(tag_model, tokens)
-                sentences.append((tokens, list(tagged.tags)))
-    else:
-        raise CliError("load", "no input: set gold_treebank with use_gold_tags, "
-                               "tagged_corpus, or tokens plus tagger_model")
-    return sentences
+            return (stripped.leaf_tokens(),
+                    [ExtendedTag.parse(p.label, tcfg.morph_separator)
+                     for p in stripped.preterminals()])
+
+        return _each_tree(_read(cfg, inputs, "gold_treebank", read_treebank), gold_pair)
+    if cfg.paths.get("tagged_corpus"):
+        corpus = _read(cfg, inputs, "tagged_corpus", read_tagged_corpus_file,
+                       tcfg.morph_separator)
+        return [(list(sentence.tokens), list(sentence.tags)) for sentence in corpus]
+    if cfg.paths.get("tokens"):
+        lines = _read(cfg, inputs, "tokens", _token_lines)
+        if not need_tags:
+            return [(tokens, None) for tokens in lines]
+        tag_model = _read(cfg, inputs, "tagger_model", tagger.load_tagger,
+                          tcfg.morph_separator)
+        return [(tokens, list(tagger.tag_sentence(tag_model, tokens).tags))
+                for tokens in lines]
+    raise CliError("load", "no input: set gold_treebank with use_gold_tags, "
+                           "tagged_corpus, or tokens plus tagger_model")
 
 
 def cmd_parse(cfg: PipelineConfig) -> int:
-    checkpoint = _input_path(cfg, "checkpoint")
-    inputs = {"checkpoint": checkpoint}
-    try:
-        params = model.load_checkpoint(checkpoint)
-    except model.ModelError as exc:
-        raise CliError("load", f"{checkpoint}: {exc}") from exc
+    inputs: dict[str, Path] = {}
+    params = _read(cfg, inputs, "checkpoint", model.load_checkpoint)
     lexicalized = cfg.mode == "lexicalized"
-    try:
-        sentences = _gather_sentences(cfg, inputs, need_tags=not lexicalized)
-    except (TreebankFormatError, ValueError) as exc:
-        raise CliError("input", str(exc)) from exc
+    sentences = _gather_sentences(cfg, inputs, need_tags=not lexicalized)
 
     if lexicalized:
         tag_lists = [[ExtendedTag(tok) for tok in tokens]
                      for tokens, _ in sentences]
     else:
         if cfg.apply_mapping:
-            if cfg.paths.get("tag_map"):
-                table_path = _input_path(cfg, "tag_map")
-                inputs["tag_map"] = table_path
-                table = read_tag_map_file(table_path, cfg.transform.morph_separator)
-            else:
-                table = tagmap.default_table()
+            table = _tag_map(cfg, inputs)
             sentences = [
                 (tokens,
                  [tagmap.map_extended_tag(t, table, cfg.composite_separator)
@@ -225,75 +221,55 @@ def cmd_parse(cfg: PipelineConfig) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig) -> int:
-    gold_path = _input_path(cfg, "gold_treebank")
-    pred_path = _input_path(cfg, "pred_treebank")
-    gold = read_treebank(gold_path)
-    pred = read_treebank(pred_path)
+    inputs: dict[str, Path] = {}
+    gold = _read(cfg, inputs, "gold_treebank", read_treebank)
+    pred = _read(cfg, inputs, "pred_treebank", read_treebank)
     try:
         result, rows = evalb.score_corpus_detailed(gold, pred, cfg.eval)
     except ValueError as exc:
         raise CliError("eval", str(exc)) from exc
-    report = _output_path(cfg, "report", default=str(pred_path) + ".report")
+    report = _output_path(cfg, "report", default=str(inputs["pred_treebank"]) + ".report")
     evalb.write_report(result, rows, report)
-    _write_manifest("eval", cfg, {"gold_treebank": gold_path,
-                                  "pred_treebank": pred_path}, [report], report)
+    _write_manifest("eval", cfg, inputs, [report], report)
     print(evalb.format_summary(result))
     return 0
 
 
 def cmd_tag(cfg: PipelineConfig) -> int:
+    sep = cfg.transform.morph_separator
     inputs: dict[str, Path] = {}
     tag_model = None
     outputs: list[Path] = []
-    anchor: Path | None = None
     if cfg.paths.get("train_corpus"):
-        corpus_path = _input_path(cfg, "train_corpus")
-        inputs["train_corpus"] = corpus_path
-        corpus = read_tagged_corpus_file(corpus_path, cfg.transform.morph_separator)
+        corpus = _read(cfg, inputs, "train_corpus", read_tagged_corpus_file, sep)
         try:
-            tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed,
-                                            cfg.transform.morph_separator)
+            tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed, sep)
         except ValueError as exc:
             raise CliError("train", str(exc)) from exc
         model_out = _output_path(cfg, "tagger_model")
         tagger.save_tagger(tag_model, model_out)
         outputs.append(model_out)
-        anchor = model_out
         print(f"tagger model written to {model_out}")
     if cfg.paths.get("tokens"):
         if tag_model is None:
-            model_path = _input_path(cfg, "tagger_model")
-            inputs["tagger_model"] = model_path
-            tag_model = tagger.load_tagger(model_path, cfg.transform.morph_separator)
-        tokens_path = _input_path(cfg, "tokens")
-        inputs["tokens"] = tokens_path
-        tagged = []
-        for line in _read_utf8(tokens_path).splitlines():
-            tokens = line.split()
-            if tokens:
-                tagged.append(tagger.tag_sentence(tag_model, tokens))
+            tag_model = _read(cfg, inputs, "tagger_model", tagger.load_tagger, sep)
+        tagged = [tagger.tag_sentence(tag_model, tokens)
+                  for tokens in _read(cfg, inputs, "tokens", _token_lines)]
         output = _output_path(cfg, "tagged_output")
-        write_tagged_corpus(tagged, output, cfg.transform.morph_separator)
+        write_tagged_corpus(tagged, output, sep)
         outputs.append(output)
-        anchor = output
         print(f"tagged {len(tagged)} sentences -> {output}")
-    if anchor is None:
+    if not outputs:
         raise CliError("load", "tag needs train_corpus and/or tokens input")
-    _write_manifest("tag", cfg, inputs, outputs, anchor)
+    _write_manifest("tag", cfg, inputs, outputs, outputs[-1])
     return 0
 
 
 def cmd_map_tags(cfg: PipelineConfig) -> int:
     sep = cfg.transform.morph_separator
-    corpus_path = _input_path(cfg, "tagged_corpus")
-    inputs = {"tagged_corpus": corpus_path}
-    if cfg.paths.get("tag_map"):
-        table_path = _input_path(cfg, "tag_map")
-        inputs["tag_map"] = table_path
-        table = read_tag_map_file(table_path, sep)
-    else:
-        table = tagmap.default_table()
-    sentences = read_tagged_corpus_file(corpus_path, sep)
+    inputs: dict[str, Path] = {}
+    sentences = _read(cfg, inputs, "tagged_corpus", read_tagged_corpus_file, sep)
+    table = _tag_map(cfg, inputs)
     mapped = [tagmap.map_sentence(s, table, cfg.composite_separator)
               for s in sentences]
     output = _output_path(cfg, "tagged_output")
@@ -305,44 +281,37 @@ def cmd_map_tags(cfg: PipelineConfig) -> int:
 
 def cmd_delex(cfg: PipelineConfig) -> int:
     tcfg = cfg.transform
+    inputs: dict[str, Path] = {}
     output = _output_path(cfg, "delex_output")
     if cfg.paths.get("treebank"):
-        path = _input_path(cfg, "treebank")
-        trees = read_treebank(path)
-        done = []
-        for index, tree in enumerate(trees):
-            try:
-                stripped = transform.strip_annotations(tree, tcfg)
-                done.append(stripped if cfg.strip_only
-                            else transform.delexicalize_tree(stripped, tcfg))
-            except ValueError as exc:
-                raise CliError("transform", f"tree {index}: {exc}") from exc
+        def delex(tree):
+            stripped = transform.strip_annotations(tree, tcfg)
+            return stripped if cfg.strip_only else transform.delexicalize_tree(stripped, tcfg)
+
+        done = _each_tree(_read(cfg, inputs, "treebank", read_treebank), delex)
         write_treebank(done, output)
-        _write_manifest("delex", cfg, {"treebank": path}, [output], output)
-        print(f"wrote {len(done)} trees -> {output}")
-        return 0
-    if cfg.paths.get("tagged_corpus"):
-        path = _input_path(cfg, "tagged_corpus")
-        sentences = read_tagged_corpus_file(path, tcfg.morph_separator)
+        written = f"{len(done)} trees"
+    elif cfg.paths.get("tagged_corpus"):
+        sentences = _read(cfg, inputs, "tagged_corpus", read_tagged_corpus_file,
+                          tcfg.morph_separator)
         lines = [" ".join(transform.delexicalize_sentence(s, tcfg))
                  for s in sentences]
         output.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        _write_manifest("delex", cfg, {"tagged_corpus": path}, [output], output)
-        print(f"wrote {len(lines)} sentences -> {output}")
-        return 0
-    raise CliError("load", "delex needs a treebank or tagged_corpus input")
+        written = f"{len(lines)} sentences"
+    else:
+        raise CliError("load", "delex needs a treebank or tagged_corpus input")
+    _write_manifest("delex", cfg, inputs, [output], output)
+    print(f"wrote {written} -> {output}")
+    return 0
 
 
 def cmd_filter(cfg: PipelineConfig) -> int:
-    path = _input_path(cfg, "treebank")
-    inputs = {"treebank": path}
+    inputs: dict[str, Path] = {}
+    trees = _read(cfg, inputs, "treebank", read_treebank)
     lexicon: set[str] = set()
     if cfg.paths.get("latin_lexicon"):
-        lex_path = _input_path(cfg, "latin_lexicon")
-        inputs["latin_lexicon"] = lex_path
-        lexicon = {line.strip() for line in _read_utf8(lex_path).splitlines()
-                   if line.strip()}
-    trees = read_treebank(path)
+        text = _read(cfg, inputs, "latin_lexicon", _read_utf8)
+        lexicon = {line.strip() for line in text.splitlines() if line.strip()}
     kept, report = transform.filter_target_treebank(trees, lexicon)
     output = _output_path(cfg, "filtered_treebank")
     write_treebank(kept, output)
@@ -363,20 +332,6 @@ _COMMANDS = {
     "filter": cmd_filter,
 }
 
-_PATH_FLAGS = {
-    "train": ("train_treebank", "dev_treebank", "checkpoint", "checkpoint_dir",
-              "train_log"),
-    "parse": ("checkpoint", "gold_treebank", "tagged_corpus", "tokens",
-              "tagger_model", "tag_map", "parse_output"),
-    "tag": ("train_corpus", "tagger_model", "tokens", "tagged_output"),
-    "map-tags": ("tagged_corpus", "tag_map", "tagged_output"),
-    "delex": ("treebank", "tagged_corpus", "delex_output"),
-    "eval": ("gold_treebank", "pred_treebank", "report"),
-    "filter": ("treebank", "latin_lexicon", "filtered_treebank",
-               "filter_report"),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delexparse",
@@ -393,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=("desk", "paper"))
         if command == "delex":
             p.add_argument("--strip-only", action="store_true", default=None)
-        for key in _PATH_FLAGS[command]:
+        for key in COMMAND_PATHS[command]:
             p.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 
@@ -412,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         "preset": args.preset,
         "strip_only": getattr(args, "strip_only", None),
     }
-    path_overrides = {key: getattr(args, key) for key in _PATH_FLAGS[args.command]}
+    path_overrides = {key: getattr(args, key) for key in COMMAND_PATHS[args.command]}
     try:
         cfg = load_pipeline_config(args.config, overrides, path_overrides)
     except (ValueError, FileNotFoundError) as exc:
@@ -422,9 +377,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg)
     except CliError as exc:
         print(f"error: stage={exc.stage}: {exc}", file=sys.stderr)
-        return 2
-    except TreebankFormatError as exc:
-        print(f"error: stage=input: {exc}", file=sys.stderr)
         return 2
 
 

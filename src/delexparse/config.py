@@ -18,21 +18,25 @@ from .model import DESK_MODEL, PAPER_MODEL, ModelConfig
 from .trainer import DESK_TRAIN, PAPER_TRAIN, TrainConfig
 from .transform import TransformConfig
 
-# Path keys a config file or command line may set.  Inputs are validated
-# for existence by the commands that consume them.
-PATH_KEYS = (
-    "train_treebank", "dev_treebank", "gold_treebank", "pred_treebank",
-    "treebank", "tagged_corpus", "tokens", "tag_map", "tagger_model",
-    "train_corpus", "checkpoint", "checkpoint_dir", "train_log",
-    "parse_output", "tagged_output", "delex_output", "report",
-    "latin_lexicon", "filtered_treebank", "filter_report",
-)
+# Path keys each command takes from a config file or its command line.
+# Inputs are validated for existence by the commands that consume them.
+COMMAND_PATHS = {
+    "train": ("train_treebank", "dev_treebank", "checkpoint", "checkpoint_dir",
+              "train_log"),
+    "parse": ("checkpoint", "gold_treebank", "tagged_corpus", "tokens",
+              "tagger_model", "tag_map", "parse_output"),
+    "tag": ("train_corpus", "tagger_model", "tokens", "tagged_output"),
+    "map-tags": ("tagged_corpus", "tag_map", "tagged_output"),
+    "delex": ("treebank", "tagged_corpus", "delex_output"),
+    "eval": ("gold_treebank", "pred_treebank", "report"),
+    "filter": ("treebank", "latin_lexicon", "filtered_treebank",
+               "filter_report"),
+}
+PATH_KEYS = frozenset(key for keys in COMMAND_PATHS.values() for key in keys)
 
 _MODES = ("delexicalized", "lexicalized")
 _MODE_KEYS = ("mode", "preset", "use_gold_tags", "apply_mapping",
               "keep_morphology", "composite_separator")
-_EVAL_KEYS = ("punctuation_tags", "ignore_labels", "label_equivalences",
-              "include_root")
 _PRESETS = ("desk", "paper")
 _SECTIONS = ("paths", "mode", "model", "train", "transform", "eval", "tagger")
 
@@ -86,8 +90,10 @@ def _typed(cls, section: dict[str, str], base) -> Any:
             kwargs[fld] = int(value)
         elif kind is float:
             kwargs[fld] = float(value)
-        elif kind is tuple:
-            kwargs[fld] = tuple(value.split())
+        elif kind in (tuple, frozenset):
+            kwargs[fld] = kind(value.split())
+        elif kind is dict:
+            kwargs[fld] = dict(_label_pair(item) for item in value.split())
         else:
             kwargs[fld] = value
     return replace(base, **kwargs)
@@ -98,20 +104,6 @@ def _label_pair(item: str) -> tuple[str, str]:
     if not (src and eq and tgt):
         raise ValueError(f"label_equivalences item {item!r} is not SOURCE=TARGET")
     return src, tgt
-
-
-def _eval_config(section: dict[str, str]) -> EvalConfig:
-    kwargs: dict[str, Any] = {}
-    if "punctuation_tags" in section:
-        kwargs["punctuation_tags"] = frozenset(section["punctuation_tags"].split())
-    if "ignore_labels" in section:
-        kwargs["ignore_labels"] = frozenset(section["ignore_labels"].split())
-    if "label_equivalences" in section:
-        kwargs["label_equivalences"] = dict(
-            _label_pair(item) for item in section["label_equivalences"].split())
-    if "include_root" in section:
-        kwargs["include_root"] = _parse_bool(section["include_root"])
-    return EvalConfig(**kwargs)
 
 
 def load_pipeline_config(config_path: str | None = None,
@@ -152,7 +144,7 @@ def load_pipeline_config(config_path: str | None = None,
     cfg.train = _typed(TrainConfig, _section(parser, "train"), train_base)
     cfg.transform = _typed(TransformConfig, _section(parser, "transform"),
                            TransformConfig())
-    cfg.eval = _eval_config(_section(parser, "eval", _EVAL_KEYS))
+    cfg.eval = _typed(EvalConfig, _section(parser, "eval"), EvalConfig())
 
     for key, value in _section(parser, "paths").items():
         if key not in PATH_KEYS:

@@ -212,12 +212,6 @@ def _embed_backward(params, grads, cache, dx):
             np.add.at(grads["feature_embedding"], ids, dx[i])
 
 
-def embed_sequence(params: ModelParams, tags: list[ExtendedTag]) -> np.ndarray:
-    """Row i = pos embedding + sum of feature embeddings + position row."""
-    x, _ = _embed_forward(params, tags)
-    return x
-
-
 def _encode_forward(params: ModelParams, x: np.ndarray):
     cfg = params.config
     t = params.tensors
@@ -303,12 +297,6 @@ def _encode_backward(params, grads, cache, dfence):
         grads[p + "ln1_bias"] += db1
         dh = da + dh_prev
     return dh
-
-
-def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Run the encoder stack; returns n+1 fencepost vectors for n inputs."""
-    fenceposts, _ = _encode_forward(params, x)
-    return fenceposts
 
 
 # Span rows per block of the scorer's hidden layer: about 1 MB at h = 250,
@@ -409,12 +397,6 @@ def _scores_backward(params, grads, cache, starts, ends, dout):
     grads["label_b1"] += dz.sum(axis=0)
     grads["label_w1"] += fenceposts.T @ dproj
     return dproj @ t["label_w1"].T
-
-
-def span_scores(params: ModelParams, fenceposts: np.ndarray) -> np.ndarray:
-    """Label scores for every span i < j; the empty-label column is zero."""
-    scores, _ = _scores_forward(params, fenceposts)
-    return scores
 
 
 def forward_scores(params: ModelParams, tags: list[ExtendedTag]):

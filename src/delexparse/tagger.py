@@ -186,6 +186,10 @@ def load_tagger(path: str | Path, sep: str = TAG_SEPARATOR) -> TaggerModel:
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) == 2 and parts[0] == "tag":
+            try:
+                ExtendedTag.parse(parts[1], sep)
+            except ValueError as exc:
+                raise TreebankFormatError(str(exc), line=lineno) from None
             inventory.append(parts[1])
         elif len(parts) == 3:
             try:

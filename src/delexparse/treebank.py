@@ -237,13 +237,13 @@ def _checked_atom(text: str | None, kind: str) -> str:
 def _read_utf8(path: str | Path) -> str:
     """A text file's content with universal newlines, as ``read_text``
     gives it; bytes that are not UTF-8 raise :class:`TreebankFormatError`
-    naming the path and the byte offset."""
+    naming the byte offset."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TreebankFormatError(
-            f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+            f"not UTF-8: {exc.reason} at byte offset {exc.start}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -297,13 +297,16 @@ def test_morph_separator_reaches_training_tagging_and_parsing(tmp_path, monkeypa
     assert [p.label for p in pred.preterminals()] == ["ART", "NN", "VVFIN"]
 
 
-def test_truncated_checkpoint_exits_2_at_load(tmp_path, capsys):
+def tiny_checkpoint(path):
     cfg = model.ModelConfig(model_dim=8, num_layers=1, num_heads=2, head_dim=3,
                             ff_dim=8, label_hidden_dim=6, max_len=32, seed=1)
-    params = model.init_params(cfg, [model.UNK, "NN"], [model.UNK], [EMPTY_LABEL, "S"])
-    full = tmp_path / "full.ckpt"
-    model.save_checkpoint(params, full)
-    blob = full.read_bytes()
+    model.save_checkpoint(model.init_params(cfg, [model.UNK, "NN"], [model.UNK],
+                                            [EMPTY_LABEL, "S"]), path)
+    return path
+
+
+def test_truncated_checkpoint_exits_2_at_load(tmp_path, capsys):
+    blob = tiny_checkpoint(tmp_path / "full.ckpt").read_bytes()
     cut = tmp_path / "cut.ckpt"
     for offset in (10, 40, len(blob) // 2, len(blob) - 1):
         cut.write_bytes(blob[:offset])
@@ -369,11 +372,7 @@ def test_non_utf8_tokens_exit_2_in_tag_and_parse(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: stage=" in err and str(tokens) in err and "byte offset 5" in err
-    cfg = model.ModelConfig(model_dim=8, num_layers=1, num_heads=2, head_dim=3,
-                            ff_dim=8, label_hidden_dim=6, max_len=32, seed=1)
-    checkpoint = tmp_path / "parser.ckpt"
-    model.save_checkpoint(model.init_params(cfg, [model.UNK, "NN"], [model.UNK],
-                                            [EMPTY_LABEL, "S"]), checkpoint)
+    checkpoint = tiny_checkpoint(tmp_path / "parser.ckpt")
     code = cli.main(["parse", "--checkpoint", str(checkpoint), "--tokens", str(tokens),
                      "--tagger-model", str(tagger_model),
                      "--parse-output", f"{tmp_path}/pred.brackets"])
@@ -407,12 +406,15 @@ def test_non_utf8_tagger_checkpoint_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("version", "one"), ("weight", "notanumber"), ("weight", "nan"), ("weight", "-inf"),
-    ("weight", "1e999")])
+    ("weight", "1e999"), ("tag", "")])
 def test_bad_tagger_checkpoint_value_exits_2_with_line(tmp_path, capsys, field, value):
     lines = trained_tagger(tmp_path).read_text(encoding="utf-8").splitlines()
     if field == "version":
         line = 1
         lines[0] = lines[0].split("\t")[0] + "\t" + value
+    elif field == "tag":
+        line = next(k for k, text in enumerate(lines, start=1) if text.startswith("tag\t"))
+        lines[line - 1] = "tag\t" + value
     else:
         line = next(k for k, text in enumerate(lines, start=1) if text.count("\t") == 2)
         feature, tag, _ = lines[line - 1].split("\t")
@@ -426,3 +428,90 @@ def test_bad_tagger_checkpoint_value_exits_2_with_line(tmp_path, capsys, field, 
     assert code == 2
     err = capsys.readouterr().err
     assert "error: stage=" in err and repr(value) in err and f"(line {line})" in err
+    assert str(bad) in err
+
+
+# one malformed file of each input kind, as bytes
+MALFORMED = {
+    "treebank": b"(S (NN a)\n",
+    "tags": b"diu\tDDART.Nom\nfrouwe\n\n",
+    "tagmap": b"[pos]\nDDART\n",
+    "tokens": b"der \xffMann\n",
+    "tagger": b"delexparse-tagger\t1\ntag\t\n",
+    "checkpoint": b"not a checkpoint",
+    "lexicon": b"laud\xffamus\n",
+}
+
+# every command with each input kind it reads; {bad} is the malformed file
+READS = {
+    "train-treebank": ("treebank", ["train", "--train-treebank", "{bad}",
+                                    "--checkpoint", "{out}/p.ckpt"]),
+    "train-dev-treebank": ("treebank", ["train", "--train-treebank", "{toy}",
+                                        "--dev-treebank", "{bad}",
+                                        "--checkpoint", "{out}/p.ckpt"]),
+    "eval-gold-treebank": ("treebank", ["eval", "--gold-treebank", "{bad}",
+                                        "--pred-treebank", "{toy}", "--report", "{out}/r"]),
+    "eval-pred-treebank": ("treebank", ["eval", "--gold-treebank", "{toy}",
+                                        "--pred-treebank", "{bad}", "--report", "{out}/r"]),
+    "delex-treebank": ("treebank", ["delex", "--treebank", "{bad}",
+                                    "--delex-output", "{out}/d"]),
+    "filter-treebank": ("treebank", ["filter", "--treebank", "{bad}",
+                                     "--filtered-treebank", "{out}/f"]),
+    "parse-gold-treebank": ("treebank", ["parse", "--use-gold-tags", "--gold-treebank",
+                                         "{bad}", "--checkpoint", "{ckpt}",
+                                         "--parse-output", "{out}/p"]),
+    "map-tags-tags": ("tags", ["map-tags", "--tagged-corpus", "{bad}",
+                               "--tagged-output", "{out}/m"]),
+    "delex-tags": ("tags", ["delex", "--tagged-corpus", "{bad}", "--delex-output", "{out}/d"]),
+    "parse-tags": ("tags", ["parse", "--tagged-corpus", "{bad}", "--checkpoint", "{ckpt}",
+                            "--parse-output", "{out}/p"]),
+    "tag-train-corpus": ("tags", ["tag", "--train-corpus", "{bad}",
+                                  "--tagger-model", "{out}/t"]),
+    "parse-tagmap": ("tagmap", ["parse", "--tagged-corpus", "{tags}", "--tag-map", "{bad}",
+                                "--checkpoint", "{ckpt}", "--parse-output", "{out}/p"]),
+    "map-tags-tagmap": ("tagmap", ["map-tags", "--tagged-corpus", "{tags}",
+                                   "--tag-map", "{bad}", "--tagged-output", "{out}/m"]),
+    "tag-tokens": ("tokens", ["tag", "--tagger-model", "{tagger}", "--tokens", "{bad}",
+                              "--tagged-output", "{out}/o"]),
+    "parse-tokens": ("tokens", ["parse", "--tokens", "{bad}", "--tagger-model", "{tagger}",
+                                "--checkpoint", "{ckpt}", "--parse-output", "{out}/p"]),
+    "tag-tagger": ("tagger", ["tag", "--tagger-model", "{bad}", "--tokens", "{tokens}",
+                              "--tagged-output", "{out}/o"]),
+    "parse-tagger": ("tagger", ["parse", "--tokens", "{tokens}", "--tagger-model", "{bad}",
+                                "--checkpoint", "{ckpt}", "--parse-output", "{out}/p"]),
+    "parse-checkpoint": ("checkpoint", ["parse", "--use-gold-tags", "--gold-treebank",
+                                        "{toy}", "--checkpoint", "{bad}",
+                                        "--parse-output", "{out}/p"]),
+    "filter-lexicon": ("lexicon", ["filter", "--treebank", "{toy}", "--latin-lexicon",
+                                   "{bad}", "--filtered-treebank", "{out}/f"]),
+}
+
+
+@pytest.mark.parametrize("case", READS)
+def test_malformed_input_names_its_file_once_at_load(tmp_path, capsys, case):
+    kind, argv = READS[case]
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(MALFORMED[kind])
+    tags = tmp_path / "ok.tags"
+    tags.write_text("diu\tDDART.Nom\nfrouwe\tNA.Nom\n\n", encoding="utf-8")
+    tokens = tmp_path / "ok.txt"
+    tokens.write_text("der Mann\n", encoding="utf-8")
+    slots = {"bad": bad, "out": tmp_path / "out", "toy": data.toy_treebank_path(),
+             "tags": tags, "tokens": tokens, "ckpt": tiny_checkpoint(tmp_path / "ok.ckpt"),
+             "tagger": trained_tagger(tmp_path)}
+    capsys.readouterr()
+    code = cli.main([arg.format(**slots) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"error: stage=load: {bad}: " in err and err.count(str(bad)) == 1, err
+    assert "Traceback" not in err
+
+
+def test_gold_tree_of_traces_exits_2_at_transform(tmp_path, capsys):
+    gold = tmp_path / "gold.brackets"
+    gold.write_text("(S (-NONE- *T*-1))\n", encoding="utf-8")
+    code = cli.main(["parse", "--use-gold-tags", "--gold-treebank", str(gold),
+                     "--checkpoint", str(tiny_checkpoint(tmp_path / "ok.ckpt")),
+                     "--parse-output", f"{tmp_path}/pred.brackets"])
+    assert code == 2
+    assert "error: stage=transform: tree 0: " in capsys.readouterr().err

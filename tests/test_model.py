@@ -27,6 +27,18 @@ def tags(*specs):
     return [ExtendedTag.parse(s) for s in specs]
 
 
+def embed_sequence(params, tag_list):
+    return model._embed_forward(params, tag_list)[0]
+
+
+def encode(params, x):
+    return model._encode_forward(params, x)[0]
+
+
+def span_scores(params, fenceposts):
+    return model._scores_forward(params, fenceposts)[0]
+
+
 def test_config_validation():
     with pytest.raises(model.ModelError):
         model.ModelConfig(model_dim=7)
@@ -36,7 +48,7 @@ def test_config_validation():
 
 def test_embed_no_features_is_pos_plus_position():
     params = tiny_params()
-    x = model.embed_sequence(params, tags("NN"))
+    x = embed_sequence(params, tags("NN"))
     expected = params.tensors["pos_embedding"][POS.index("NN")] + \
         params.tensors["position_encoding"][0]
     np.testing.assert_array_equal(x[0], expected)
@@ -44,14 +56,14 @@ def test_embed_no_features_is_pos_plus_position():
 
 def test_embed_features_change_embedding():
     params = tiny_params()
-    a = model.embed_sequence(params, tags("NN.Nom"))
-    b = model.embed_sequence(params, tags("NN.Acc"))
+    a = embed_sequence(params, tags("NN.Nom"))
+    b = embed_sequence(params, tags("NN.Acc"))
     assert not np.array_equal(a, b)
 
 
 def test_embed_unknown_pos_uses_unk_row():
     params = tiny_params()
-    x = model.embed_sequence(params, [ExtendedTag("XYZ")])
+    x = embed_sequence(params, [ExtendedTag("XYZ")])
     expected = params.tensors["pos_embedding"][0] + \
         params.tensors["position_encoding"][0]
     np.testing.assert_array_equal(x[0], expected)
@@ -60,23 +72,23 @@ def test_embed_unknown_pos_uses_unk_row():
 def test_embed_rejects_overlong():
     params = tiny_params()
     with pytest.raises(model.ModelError):
-        model.embed_sequence(params, [ExtendedTag("NN")] * 17)
+        embed_sequence(params, [ExtendedTag("NN")] * 17)
 
 
 def test_encode_shapes_and_determinism():
     params = tiny_params()
-    x = model.embed_sequence(params, tags("ART", "NN", "VVFIN"))
-    fence = model.encode(params, x)
+    x = embed_sequence(params, tags("ART", "NN", "VVFIN"))
+    fence = encode(params, x)
     assert fence.shape == (4, 8)
-    np.testing.assert_array_equal(fence, model.encode(params, x))
-    single = model.encode(params, model.embed_sequence(params, tags("NN")))
+    np.testing.assert_array_equal(fence, encode(params, x))
+    single = encode(params, embed_sequence(params, tags("NN")))
     assert single.shape == (2, 8)
 
 
 def test_encode_zero_layers_builds_fenceposts_from_embeddings():
     params = tiny_params(layers=0)
-    x = model.embed_sequence(params, tags("ART", "NN"))
-    fence = model.encode(params, x)
+    x = embed_sequence(params, tags("ART", "NN"))
+    fence = encode(params, x)
     half = 4
     boundary = params.tensors["boundary"]
     np.testing.assert_array_equal(fence[0, :half], boundary[0, :half])
@@ -87,8 +99,8 @@ def test_encode_zero_layers_builds_fenceposts_from_embeddings():
 
 def test_span_scores_shape_and_empty_column():
     params = tiny_params()
-    x = model.embed_sequence(params, tags("ART", "NN", "VVFIN"))
-    scores = model.span_scores(params, model.encode(params, x))
+    x = embed_sequence(params, tags("ART", "NN", "VVFIN"))
+    scores = span_scores(params, encode(params, x))
     assert scores.shape == (3, 4, 4)
     starts, ends = np.triu_indices(4, k=1)
     np.testing.assert_array_equal(scores[starts, ends, 0], 0.0)
@@ -104,7 +116,7 @@ def test_span_scores_match_unfactored_reference():
     for n in range(1, 65):
         fenceposts = rng.standard_normal((n + 1, cfg.model_dim))
         expected = oracles.unfactored_span_scores(params.tensors, fenceposts, len(LABELS))
-        np.testing.assert_allclose(model.span_scores(params, fenceposts), expected,
+        np.testing.assert_allclose(span_scores(params, fenceposts), expected,
                                    rtol=0.0, atol=1e-12)
 
 
@@ -219,7 +231,7 @@ def test_blocked_scores_forward_matches_dense_oracle(monkeypatch, chunk_rows):
         params = desk_scorer_params(num_labels, rng)
         for n in lengths:
             fenceposts = rng.standard_normal((n + 1, model.DESK_MODEL.model_dim))
-            scores = model.span_scores(params, fenceposts)
+            scores = span_scores(params, fenceposts)
             expected, _ = oracles.dense_scores_forward(params.tensors, fenceposts,
                                                        num_labels)
             np.testing.assert_allclose(scores, expected, rtol=0.0, atol=1e-12,
@@ -233,7 +245,7 @@ def test_scores_forward_peak_memory_is_one_score_tensor():
     fenceposts = np.random.default_rng(3).standard_normal((201, model.DESK_MODEL.model_dim))
     tracemalloc.start()
     try:
-        scores = model.span_scores(params, fenceposts)
+        scores = span_scores(params, fenceposts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
