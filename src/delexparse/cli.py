@@ -13,10 +13,11 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import evalb, model, tagger, tagmap, trainer, transform
-from .config import COMMAND_PATHS, PipelineConfig, config_snapshot, load_pipeline_config
+from .config import COMMAND_PATHS, PipelineConfig, load_pipeline_config
 from .treebank import (ExtendedTag, TreebankFormatError, _read_utf8, read_tag_map_file,
                        read_tagged_corpus_file, read_treebank, serialize_tree,
                        write_tagged_corpus, write_treebank)
@@ -58,13 +59,13 @@ def _write_manifest(command: str, cfg: PipelineConfig, inputs: dict[str, Path],
                     outputs: list[Path], anchor: Path) -> None:
     payload = {
         "command": command,
-        "config": config_snapshot(cfg),
+        "config": asdict(cfg),
         "inputs": {key: {"path": str(path), "sha256": _sha256(path)}
                    for key, path in sorted(inputs.items())},
         "outputs": [str(p) for p in outputs],
     }
     manifest = anchor.with_name(anchor.name + ".manifest")
-    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n",
                         encoding="utf-8")
 
 
@@ -77,6 +78,8 @@ def _read(cfg: PipelineConfig, inputs: dict[str, Path], key: str, reader, *args)
         return reader(path, *args)
     except (TreebankFormatError, model.ModelError) as exc:
         raise CliError("load", f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise CliError("load", f"{path}: {exc.strerror}") from exc
 
 
 def _token_lines(path: Path) -> list[list[str]]:
@@ -342,8 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--mode", choices=("delexicalized", "lexicalized"))
         p.add_argument("--use-gold-tags", action="store_true", default=None)
-        p.add_argument("--no-mapping", action="store_true", default=None)
-        p.add_argument("--no-morph", action="store_true", default=None)
+        p.add_argument("--no-mapping", dest="apply_mapping", action="store_false",
+                       default=None)
+        p.add_argument("--no-morph", dest="keep_morphology", action="store_false",
+                       default=None)
         p.add_argument("--seed", type=int)
         p.add_argument("--preset", choices=("desk", "paper"))
         if command == "delex":
@@ -357,24 +362,20 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr)
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "mode": args.mode,
-        "use_gold_tags": args.use_gold_tags,
-        "apply_mapping": False if args.no_mapping else None,
-        "keep_morphology": False if args.no_morph else None,
-        "seed": args.seed,
-        "preset": args.preset,
-        "strip_only": getattr(args, "strip_only", None),
-    }
-    path_overrides = {key: getattr(args, key) for key in COMMAND_PATHS[args.command]}
+    # every flag's dest is the override or path key it sets
+    overrides = vars(_build_parser().parse_args(argv))
+    command, config_path = overrides.pop("command"), overrides.pop("config")
+    paths = {key: overrides.pop(key) for key in COMMAND_PATHS[command]}
     try:
-        cfg = load_pipeline_config(args.config, overrides, path_overrides)
-    except (ValueError, FileNotFoundError) as exc:
+        cfg = load_pipeline_config(config_path, overrides, paths)
+    except OSError as exc:
+        print(f"error: stage=load: {config_path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: stage=load: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[command](cfg)
     except CliError as exc:
         print(f"error: stage={exc.stage}: {exc}", file=sys.stderr)
         return 2

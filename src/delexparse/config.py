@@ -2,14 +2,15 @@
 
 A config file groups keys into ``[paths]``, ``[mode]``, ``[model]``,
 ``[train]``, ``[transform]``, ``[eval]``, and ``[tagger]`` sections.
-Command-line flags override file values, and the ``desk`` / ``paper``
-presets pick the base model and training dimensions.
+Command-line flags are the file's last layer: each sets the key it names
+in its section.  The ``desk`` / ``paper`` presets pick the base model and
+training dimensions.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -17,6 +18,7 @@ from .evalb import EvalConfig
 from .model import DESK_MODEL, PAPER_MODEL, ModelConfig
 from .trainer import DESK_TRAIN, PAPER_TRAIN, TrainConfig
 from .transform import TransformConfig
+from .treebank import TreebankFormatError, _read_utf8
 
 # Path keys each command takes from a config file or its command line.
 # Inputs are validated for existence by the commands that consume them.
@@ -106,6 +108,17 @@ def _label_pair(item: str) -> tuple[str, str]:
     return src, tgt
 
 
+# the config sections each command-line override writes its key into
+_OVERRIDE_SECTIONS = {
+    "seed": ("model", "train", "tagger"),
+    "mode": ("mode",),
+    "use_gold_tags": ("mode",),
+    "apply_mapping": ("mode",),
+    "preset": ("mode",),
+    "keep_morphology": ("mode",),
+}
+
+
 def load_pipeline_config(config_path: str | None = None,
                          overrides: dict[str, Any] | None = None,
                          path_overrides: dict[str, str] | None = None,
@@ -113,105 +126,62 @@ def load_pipeline_config(config_path: str | None = None,
     """Assemble the effective configuration.
 
     Precedence, lowest to highest: preset defaults, config file sections,
-    then command-line overrides.  ``overrides['seed']`` sets the model,
-    training, and tagger seeds at once.  ``keep_morphology`` lives on
-    ``cfg.transform``; ``[mode]`` beats ``[transform]`` for it.
+    then command-line overrides, written into the file's sections as its
+    last layer; ``overrides['seed']`` sets the ``[model]``, ``[train]`` and
+    ``[tagger]`` seeds at once, and ``strip_only`` has no file key.
+    ``keep_morphology`` lives on ``cfg.transform``; ``[mode]`` beats
+    ``[transform]`` for it.  A file that cannot be read raises ``OSError``.
     """
-    overrides = dict(overrides or {})
+    overrides = {key: value for key, value in (overrides or {}).items()
+                 if value is not None}
     # values are literal, and no name makes an implicit [DEFAULT] section
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
     if config_path is not None:
         try:
-            read = parser.read(config_path, encoding="utf-8")
+            parser.read_string(_read_utf8(config_path), source=str(config_path))
+        except TreebankFormatError as exc:
+            raise ValueError(f"{config_path}: {exc}") from exc
         except configparser.Error as exc:
             raise ValueError(f"malformed config file: {exc}") from exc
-        if not read:
-            raise FileNotFoundError(f"config file {config_path!r} not found")
     for name in parser.sections():
         if name not in _SECTIONS:
             raise ValueError(f"unknown config section [{name}]")
+    flags = {"paths": {key: value for key, value in (path_overrides or {}).items()
+                       if value is not None}}
+    for key, value in overrides.items():
+        for name in _OVERRIDE_SECTIONS.get(key, ()):
+            flags.setdefault(name, {})[key] = value
+    parser.read_dict(flags)
 
-    mode_section = _section(parser, "mode", _MODE_KEYS)
-    preset = overrides.get("preset") or mode_section.get("preset", "desk")
-    if preset not in _PRESETS:
-        raise ValueError(f"unknown preset {preset!r}")
-    model_base = PAPER_MODEL if preset == "paper" else DESK_MODEL
-    train_base = PAPER_TRAIN if preset == "paper" else DESK_TRAIN
-
-    cfg = PipelineConfig(preset=preset)
-    cfg.model = _typed(ModelConfig, _section(parser, "model"), model_base)
-    cfg.train = _typed(TrainConfig, _section(parser, "train"), train_base)
-    cfg.transform = _typed(TransformConfig, _section(parser, "transform"),
-                           TransformConfig())
-    cfg.eval = _typed(EvalConfig, _section(parser, "eval"), EvalConfig())
-
-    for key, value in _section(parser, "paths").items():
-        if key not in PATH_KEYS:
-            raise ValueError(f"unknown path key {key!r}")
-        cfg.paths[key] = value
-    for key, value in (path_overrides or {}).items():
-        if value is not None:
-            cfg.paths[key] = value
-
-    if "mode" in mode_section:
-        cfg.mode = mode_section["mode"]
-    for flag in ("use_gold_tags", "apply_mapping"):
-        if flag in mode_section:
-            setattr(cfg, flag, _parse_bool(mode_section[flag]))
-    if "composite_separator" in mode_section:
-        cfg.composite_separator = mode_section["composite_separator"]
-    if "keep_morphology" in mode_section:
-        cfg.transform = replace(cfg.transform, keep_morphology=_parse_bool(
-            mode_section["keep_morphology"]))
-
-    tagger_section = _section(parser, "tagger", ("epochs", "seed"))
-    if "epochs" in tagger_section:
-        cfg.tagger_epochs = int(tagger_section["epochs"])
-    if "seed" in tagger_section:
-        cfg.tagger_seed = int(tagger_section["seed"])
-
-    for flag in ("mode", "use_gold_tags", "apply_mapping", "strip_only"):
-        if overrides.get(flag) is not None:
-            setattr(cfg, flag, overrides[flag])
-    if overrides.get("keep_morphology") is not None:
-        cfg.transform = replace(cfg.transform,
-                                keep_morphology=overrides["keep_morphology"])
-    if overrides.get("seed") is not None:
-        seed = int(overrides["seed"])
-        cfg.model = replace(cfg.model, seed=seed)
-        cfg.train = replace(cfg.train, seed=seed)
-        cfg.tagger_seed = seed
-
+    # PipelineConfig's own fields: [mode], [tagger] as tagger_*, and strip_only
+    top = {"tagger_" + key: value
+           for key, value in _section(parser, "tagger", ("epochs", "seed")).items()}
+    top.update(_section(parser, "mode", _MODE_KEYS))
+    transform = _section(parser, "transform")
+    if "keep_morphology" in top:
+        transform["keep_morphology"] = top.pop("keep_morphology")
+    if "strip_only" in overrides:
+        top["strip_only"] = str(overrides["strip_only"])
+    cfg = _typed(PipelineConfig, top, PipelineConfig())
+    if cfg.preset not in _PRESETS:
+        raise ValueError(f"unknown preset {cfg.preset!r}")
     if cfg.mode not in _MODES:
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    paper = cfg.preset == "paper"
+    cfg.model = _typed(ModelConfig, _section(parser, "model"),
+                       PAPER_MODEL if paper else DESK_MODEL)
+    cfg.train = _typed(TrainConfig, _section(parser, "train"),
+                       PAPER_TRAIN if paper else DESK_TRAIN)
+    cfg.transform = _typed(TransformConfig, transform, TransformConfig())
+    cfg.eval = _typed(EvalConfig, _section(parser, "eval"), EvalConfig())
+    cfg.paths = _section(parser, "paths")
+    for key in cfg.paths:
+        if key not in PATH_KEYS:
+            raise ValueError(f"unknown path key {key!r}")
     if cfg.use_gold_tags and not cfg.paths.get("gold_treebank"):
         raise ValueError("use_gold_tags requires a gold_treebank path")
     return cfg
-
-
-def config_snapshot(cfg: PipelineConfig) -> dict[str, Any]:
-    """JSON-ready snapshot of the effective configuration."""
-    eval_dict = {
-        "punctuation_tags": sorted(cfg.eval.punctuation_tags),
-        "ignore_labels": sorted(cfg.eval.ignore_labels),
-        "label_equivalences": dict(sorted(cfg.eval.label_equivalences.items())),
-        "include_root": cfg.eval.include_root,
-    }
-    return {
-        "mode": cfg.mode,
-        "use_gold_tags": cfg.use_gold_tags,
-        "apply_mapping": cfg.apply_mapping,
-        "preset": cfg.preset,
-        "composite_separator": cfg.composite_separator,
-        "tagger_epochs": cfg.tagger_epochs,
-        "tagger_seed": cfg.tagger_seed,
-        "paths": dict(sorted(cfg.paths.items())),
-        "model": asdict(cfg.model),
-        "train": asdict(cfg.train),
-        "transform": asdict(cfg.transform),
-        "eval": eval_dict,
-    }
 
 
 def write_example_config(path: str | Path) -> None:

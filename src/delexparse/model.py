@@ -123,45 +123,26 @@ def tensor_names(config: ModelConfig) -> list[str]:
     return list(_tensor_shapes(config, 0, 0, 1))
 
 
+_UNIFORM_INIT = ("pos_embedding", "feature_embedding", "position_encoding", "boundary")
+
+
 def init_params(config: ModelConfig, pos_names: list[str],
                 feature_names: list[str], labels: list[str]) -> ModelParams:
-    """Seeded initialization: uniform(-0.1, 0.1) embeddings, fan-in scaled
-    Gaussian weight matrices, unit gains and zero biases."""
+    """Seeded initialization, drawn in checkpoint order: uniform(-0.1, 0.1)
+    embeddings, position encodings and boundaries, fan-in scaled Gaussian
+    weight matrices, unit gains and zero biases."""
     rng = np.random.default_rng(config.seed)
-    d = config.model_dim
-    att = config.num_heads * config.head_dim
     tensors: dict[str, np.ndarray] = {}
-
-    def emb(shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    def mat(fan_in, fan_out):
-        return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-
-    tensors["pos_embedding"] = emb((len(pos_names), d))
-    tensors["feature_embedding"] = emb((len(feature_names), d))
-    tensors["position_encoding"] = emb((config.max_len, d))
-    tensors["boundary"] = emb((2, d))
-    for i in range(config.num_layers):
-        p = f"layer_{i}/"
-        tensors[p + "ln1_gain"] = np.ones(d)
-        tensors[p + "ln1_bias"] = np.zeros(d)
-        tensors[p + "wq"] = mat(d, att)
-        tensors[p + "wk"] = mat(d, att)
-        tensors[p + "wv"] = mat(d, att)
-        tensors[p + "wo"] = mat(att, d)
-        tensors[p + "ln2_gain"] = np.ones(d)
-        tensors[p + "ln2_bias"] = np.zeros(d)
-        tensors[p + "ff_w1"] = mat(d, config.ff_dim)
-        tensors[p + "ff_b1"] = np.zeros(config.ff_dim)
-        tensors[p + "ff_w2"] = mat(config.ff_dim, d)
-        tensors[p + "ff_b2"] = np.zeros(d)
-    tensors["label_w1"] = mat(d, config.label_hidden_dim)
-    tensors["label_b1"] = np.zeros(config.label_hidden_dim)
-    tensors["label_ln_gain"] = np.ones(config.label_hidden_dim)
-    tensors["label_ln_bias"] = np.zeros(config.label_hidden_dim)
-    tensors["label_w2"] = mat(config.label_hidden_dim, len(labels) - 1)
-    tensors["label_b2"] = np.zeros(len(labels) - 1)
+    for name, shape in _tensor_shapes(config, len(pos_names), len(feature_names),
+                                      len(labels)).items():
+        if name in _UNIFORM_INIT:
+            tensors[name] = rng.uniform(-0.1, 0.1, size=shape)
+        elif len(shape) == 2:
+            tensors[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+        elif name.endswith("gain"):
+            tensors[name] = np.ones(shape)
+        else:
+            tensors[name] = np.zeros(shape)
     return ModelParams(config, pos_names, feature_names, labels, tensors)
 
 

@@ -440,6 +440,7 @@ MALFORMED = {
     "tagger": b"delexparse-tagger\t1\ntag\t\n",
     "checkpoint": b"not a checkpoint",
     "lexicon": b"laud\xffamus\n",
+    "directory": None,  # a directory where a file belongs
 }
 
 # every command with each input kind it reads; {bad} is the malformed file
@@ -484,6 +485,14 @@ READS = {
                                         "--parse-output", "{out}/p"]),
     "filter-lexicon": ("lexicon", ["filter", "--treebank", "{toy}", "--latin-lexicon",
                                    "{bad}", "--filtered-treebank", "{out}/f"]),
+    "eval-directory": ("directory", ["eval", "--gold-treebank", "{bad}",
+                                     "--pred-treebank", "{bad}", "--report", "{out}/r"]),
+    "map-tags-directory": ("directory", ["map-tags", "--tagged-corpus", "{bad}",
+                                         "--tagged-output", "{out}/m"]),
+    "parse-checkpoint-directory": ("directory", ["parse", "--use-gold-tags",
+                                                 "--gold-treebank", "{toy}",
+                                                 "--checkpoint", "{bad}",
+                                                 "--parse-output", "{out}/p"]),
 }
 
 
@@ -491,7 +500,10 @@ READS = {
 def test_malformed_input_names_its_file_once_at_load(tmp_path, capsys, case):
     kind, argv = READS[case]
     bad = tmp_path / f"bad.{kind}"
-    bad.write_bytes(MALFORMED[kind])
+    if MALFORMED[kind] is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(MALFORMED[kind])
     tags = tmp_path / "ok.tags"
     tags.write_text("diu\tDDART.Nom\nfrouwe\tNA.Nom\n\n", encoding="utf-8")
     tokens = tmp_path / "ok.txt"

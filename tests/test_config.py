@@ -1,7 +1,11 @@
+import functools
+import json
+from dataclasses import asdict
+
 import pytest
 
 from delexparse import cli
-from delexparse.config import config_snapshot, load_pipeline_config, write_example_config
+from delexparse.config import load_pipeline_config, write_example_config
 
 
 def test_defaults_are_desk_preset():
@@ -51,7 +55,7 @@ def test_keep_morphology_has_one_home(tmp_path):
     config.write_text("[transform]\nkeep_morphology = false\n", encoding="utf-8")
     cfg = load_pipeline_config(str(config))
     assert cfg.transform.keep_morphology is False
-    assert "keep_morphology" not in config_snapshot(cfg)
+    assert "keep_morphology" not in asdict(cfg)
     # precedence: [transform] < [mode] < command-line flag
     config.write_text("[transform]\nkeep_morphology = false\n"
                       "[mode]\nkeep_morphology = true\n", encoding="utf-8")
@@ -132,3 +136,67 @@ def test_example_config_loads(tmp_path):
     cfg = load_pipeline_config(str(path))
     assert cfg.paths["train_treebank"] == "data/source.brackets"
     assert cfg.train.epochs == 200
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "missing"])
+def test_unreadable_config_names_its_file_once_at_load(tmp_path, capsys, kind):
+    config = tmp_path / "run.ini"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "non-utf8":
+        config.write_bytes(b"[train]\nepochs = \xff\n")
+    code = cli.main(["eval", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"error: stage=load: {config}: " in err and err.count(str(config)) == 1, err
+    assert "Traceback" not in err
+
+
+def _recorded_config(tmp_path, monkeypatch, file_text, flags):
+    """The ``config`` that ``delex`` records, run on a config file and flags."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.tags").write_text("a\tNN.Nom\n\n", encoding="utf-8")
+    (tmp_path / "run.ini").write_text(file_text, encoding="utf-8")
+    assert cli.main(["delex", "--config", "run.ini", "--tagged-corpus", "in.tags",
+                     "--delex-output", "out.txt", *flags]) == 0
+    [manifest] = tmp_path.glob("*.manifest")
+    return json.loads(manifest.read_text(encoding="utf-8"))["config"]
+
+
+# a flag, a config file setting the same keys otherwise, and the values
+# (by dotted path into the manifest's config) the flag must record
+LAYERS = {
+    "mode": (["--mode", "lexicalized"], "[mode]\nmode = delexicalized\n",
+             {"mode": "lexicalized"}),
+    "use-gold-tags": (["--use-gold-tags"],
+                      "[mode]\nuse_gold_tags = false\n[paths]\ngold_treebank = g\n",
+                      {"use_gold_tags": True}),
+    "no-mapping": (["--no-mapping"], "[mode]\napply_mapping = true\n",
+                   {"apply_mapping": False}),
+    "no-morph": (["--no-morph"],
+                 "[transform]\nkeep_morphology = true\n[mode]\nkeep_morphology = true\n",
+                 {"transform.keep_morphology": False}),
+    "seed": (["--seed", "7"], "[model]\nseed = 1\n[train]\nseed = 2\n[tagger]\nseed = 3\n",
+             {"model.seed": 7, "train.seed": 7, "tagger_seed": 7}),
+    "preset": (["--preset", "paper"], "[mode]\npreset = desk\n",
+               {"preset": "paper", "model.model_dim": 1024}),
+    "path": (["--delex-output", "flag.txt"], "[paths]\ndelex_output = file.txt\n",
+             {"paths.delex_output": "flag.txt"}),
+}
+
+
+@pytest.mark.parametrize("case", LAYERS)
+def test_every_flag_beats_its_file_key(tmp_path, monkeypatch, case):
+    flags, file_text, expected = LAYERS[case]
+    config = _recorded_config(tmp_path, monkeypatch, file_text, flags)
+    for dotted, value in expected.items():
+        assert functools.reduce(dict.__getitem__, dotted.split("."), config) == value, dotted
+
+
+def test_manifest_records_every_field(tmp_path, monkeypatch):
+    recorded = _recorded_config(tmp_path, monkeypatch, "[mode]\nmode = lexicalized\n",
+                                ["--strip-only"])
+    cfg = load_pipeline_config("run.ini", {"strip_only": True},
+                               {"tagged_corpus": "in.tags", "delex_output": "out.txt"})
+    assert recorded["strip_only"] is True
+    assert recorded == json.loads(json.dumps(asdict(cfg), default=sorted))

@@ -1,0 +1,64 @@
+"""Property tests: readers given generated input load it or reject it cleanly."""
+
+from dataclasses import fields
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from delexparse import cli
+from delexparse.config import (_MODE_KEYS, _SECTIONS, PATH_KEYS, PipelineConfig,
+                               load_pipeline_config)
+from delexparse.evalb import EvalConfig
+from delexparse.model import ModelConfig
+from delexparse.trainer import TrainConfig
+from delexparse.transform import TransformConfig
+
+# deterministic runs that leave no example database behind
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+SECTION_KEYS = {
+    "paths": sorted(PATH_KEYS), "mode": _MODE_KEYS, "tagger": ("epochs", "seed"),
+    **{name: [f.name for f in fields(cls)] for name, cls in (
+        ("model", ModelConfig), ("train", TrainConfig), ("transform", TransformConfig),
+        ("eval", EvalConfig))}}
+VALUES = ("true", "false", "0", "1", "-3", "7", "0.5", "1e400", "nan", "", "paper", "desk",
+          "lexicalized", "delexicalized", "adam", "sgd", ".", "-", "#", "SBAR=S", "SBAR=S PP",
+          "$. $,", "%(x)s", "in.tags", "out.txt", "run.ini", "missing.brackets")
+
+_values = st.one_of(st.sampled_from(VALUES), st.text(max_size=12))
+# files of known sections and keys, files of any names, and raw bytes
+_known = st.lists(st.sampled_from(_SECTIONS), unique=True, max_size=4).flatmap(
+    lambda names: st.tuples(*(
+        st.tuples(st.just(name),
+                  st.dictionaries(st.sampled_from(SECTION_KEYS[name]), _values,
+                                  max_size=4).map(dict.items))
+        for name in names)))
+_any = st.lists(st.tuples(st.text(max_size=8), st.lists(
+    st.tuples(st.text(max_size=8), _values), max_size=4)), max_size=4)
+config_files = st.one_of(
+    st.one_of(_known, _any).map(lambda sections: "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items)
+        for name, items in sections).encode("utf-8")),
+    st.binary(max_size=64))
+
+
+@FUZZ
+@given(data=config_files)
+def test_config_reader_loads_or_raises_value_error(tmp_path, data):
+    config = tmp_path / "run.ini"
+    config.write_bytes(data)
+    try:
+        assert isinstance(load_pipeline_config(str(config)), PipelineConfig)
+    except (ValueError, FileNotFoundError):
+        pass
+
+
+@FUZZ
+@given(data=config_files)
+def test_cli_exits_0_or_2_on_any_config(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.tags").write_text("a\tNN.Nom\nb\tVVFIN\n\n", encoding="utf-8")
+    (tmp_path / "run.ini").write_bytes(data)
+    assert cli.main(["delex", "--config", "run.ini", "--tagged-corpus", "in.tags",
+                     "--delex-output", "out.txt"]) in (0, 2)
