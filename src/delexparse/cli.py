@@ -42,12 +42,22 @@ def _input_path(cfg: PipelineConfig, key: str) -> Path:
 
 
 def _output_path(cfg: PipelineConfig, key: str, default: str | None = None) -> Path:
+    """Output ``key``, its missing parent directories made; a path that
+    cannot become a file fails at stage ``load``, so commands call this
+    before any work."""
     value = cfg.paths.get(key) or default
     if not value:
         raise CliError("load", f"missing required output path {key!r}")
     path = Path(value)
-    if path.parent and not path.parent.exists():
+    if path.is_dir():
+        raise CliError("load", f"{path}: is a directory")
+    ancestor = next(parent for parent in path.parents if parent.exists())
+    if not ancestor.is_dir():
+        raise CliError("load", f"{path}: {ancestor} is not a directory")
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError("load", f"{path}: {exc.strerror}") from exc
     return path
 
 
@@ -122,15 +132,18 @@ def _prepare_trees(trees, cfg: PipelineConfig):
 
 def cmd_train(cfg: PipelineConfig) -> int:
     inputs: dict[str, Path] = {}
-    train_trees = dev_trees = _prepare_trees(
-        _read(cfg, inputs, "train_treebank", read_treebank), cfg)
-    if cfg.paths.get("dev_treebank"):
-        dev_trees = _prepare_trees(_read(cfg, inputs, "dev_treebank", read_treebank), cfg)
     checkpoint = _output_path(cfg, "checkpoint")
     log_path = _output_path(cfg, "train_log", default=str(checkpoint) + ".log")
     checkpoint_dir = cfg.paths.get("checkpoint_dir")
     if checkpoint_dir:
-        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError("load", f"{checkpoint_dir}: {exc.strerror}") from exc
+    train_trees = dev_trees = _prepare_trees(
+        _read(cfg, inputs, "train_treebank", read_treebank), cfg)
+    if cfg.paths.get("dev_treebank"):
+        dev_trees = _prepare_trees(_read(cfg, inputs, "dev_treebank", read_treebank), cfg)
     try:
         params = trainer.train(train_trees, dev_trees, cfg.model, cfg.train,
                                log_path=log_path, checkpoint_dir=checkpoint_dir,
@@ -178,6 +191,7 @@ def _gather_sentences(cfg: PipelineConfig, inputs: dict[str, Path],
 
 def cmd_parse(cfg: PipelineConfig) -> int:
     inputs: dict[str, Path] = {}
+    output = _output_path(cfg, "parse_output")
     params = _read(cfg, inputs, "checkpoint", model.load_checkpoint)
     lexicalized = cfg.mode == "lexicalized"
     sentences = _gather_sentences(cfg, inputs, need_tags=not lexicalized)
@@ -200,7 +214,6 @@ def cmd_parse(cfg: PipelineConfig) -> int:
                          for _, tags in sentences]
 
     results = trainer.parse_corpus(params, tag_lists)
-    output = _output_path(cfg, "parse_output")
     lines = []
     failures = 0
     for index, ((tokens, tags), tree) in enumerate(zip(sentences, results)):
@@ -227,11 +240,11 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     inputs: dict[str, Path] = {}
     gold = _read(cfg, inputs, "gold_treebank", read_treebank)
     pred = _read(cfg, inputs, "pred_treebank", read_treebank)
+    report = _output_path(cfg, "report", default=str(inputs["pred_treebank"]) + ".report")
     try:
         result, rows = evalb.score_corpus_detailed(gold, pred, cfg.eval)
     except ValueError as exc:
         raise CliError("eval", str(exc)) from exc
-    report = _output_path(cfg, "report", default=str(inputs["pred_treebank"]) + ".report")
     evalb.write_report(result, rows, report)
     _write_manifest("eval", cfg, inputs, [report], report)
     print(evalb.format_summary(result))
@@ -244,21 +257,21 @@ def cmd_tag(cfg: PipelineConfig) -> int:
     tag_model = None
     outputs: list[Path] = []
     if cfg.paths.get("train_corpus"):
+        model_out = _output_path(cfg, "tagger_model")
         corpus = _read(cfg, inputs, "train_corpus", read_tagged_corpus_file, sep)
         try:
             tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed, sep)
         except ValueError as exc:
             raise CliError("train", str(exc)) from exc
-        model_out = _output_path(cfg, "tagger_model")
         tagger.save_tagger(tag_model, model_out)
         outputs.append(model_out)
         print(f"tagger model written to {model_out}")
     if cfg.paths.get("tokens"):
+        output = _output_path(cfg, "tagged_output")
         if tag_model is None:
             tag_model = _read(cfg, inputs, "tagger_model", tagger.load_tagger, sep)
         tagged = [tagger.tag_sentence(tag_model, tokens)
                   for tokens in _read(cfg, inputs, "tokens", _token_lines)]
-        output = _output_path(cfg, "tagged_output")
         write_tagged_corpus(tagged, output, sep)
         outputs.append(output)
         print(f"tagged {len(tagged)} sentences -> {output}")
@@ -271,11 +284,11 @@ def cmd_tag(cfg: PipelineConfig) -> int:
 def cmd_map_tags(cfg: PipelineConfig) -> int:
     sep = cfg.transform.morph_separator
     inputs: dict[str, Path] = {}
+    output = _output_path(cfg, "tagged_output")
     sentences = _read(cfg, inputs, "tagged_corpus", read_tagged_corpus_file, sep)
     table = _tag_map(cfg, inputs)
     mapped = [tagmap.map_sentence(s, table, cfg.composite_separator)
               for s in sentences]
-    output = _output_path(cfg, "tagged_output")
     write_tagged_corpus(mapped, output, sep)
     _write_manifest("map-tags", cfg, inputs, [output], output)
     print(f"mapped {len(mapped)} sentences -> {output}")
@@ -310,15 +323,15 @@ def cmd_delex(cfg: PipelineConfig) -> int:
 
 def cmd_filter(cfg: PipelineConfig) -> int:
     inputs: dict[str, Path] = {}
+    output = _output_path(cfg, "filtered_treebank")
+    report_path = _output_path(cfg, "filter_report", default=str(output) + ".report")
     trees = _read(cfg, inputs, "treebank", read_treebank)
     lexicon: set[str] = set()
     if cfg.paths.get("latin_lexicon"):
         text = _read(cfg, inputs, "latin_lexicon", _read_utf8)
         lexicon = {line.strip() for line in text.splitlines() if line.strip()}
     kept, report = transform.filter_target_treebank(trees, lexicon)
-    output = _output_path(cfg, "filtered_treebank")
     write_treebank(kept, output)
-    report_path = _output_path(cfg, "filter_report", default=str(output) + ".report")
     report_path.write_text("".join(line + "\n" for line in report), encoding="utf-8")
     _write_manifest("filter", cfg, inputs, [output, report_path], output)
     print(f"kept {len(kept)}/{len(trees)} trees -> {output}")

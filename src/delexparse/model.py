@@ -309,40 +309,90 @@ def _normalize_rows(z: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _scores_forward(params: ModelParams, fenceposts: np.ndarray):
-    """Label MLP over every span, with ``label_w1`` factored through the
-    fenceposts: ``(f_j - f_i) @ W1 = P[j] - P[i]`` for ``P = F @ W1``.
+def _label_projection(params: ModelParams, fenceposts: np.ndarray):
+    """The scorer's n+1-row arrays, which are also its backward cache:
+    ``F``, ``P = F @ W1`` and ``P + b1``."""
+    proj = fenceposts @ params.tensors["label_w1"]
+    return fenceposts, proj, proj + params.tensors["label_b1"]
 
-    The hidden layer is built, normalized, rectified and projected one
-    :func:`_start_chunks` run of start points at a time, in one reused
-    buffer of at most ``_CHUNK_ROWS`` rows (more only for a single start
-    point with more spans), so no array has a row per span.  The cache
-    keeps only n+1-row arrays: ``F``, ``P`` and ``P + b1``; the backward
-    pass recomputes the hidden rows it needs.
+
+def _span_cells(n: int) -> np.ndarray:
+    """Flat index into an (n, n+1) table of every span (i, j), i < j, in
+    triu order, the order of the scorer's span rows."""
+    return np.flatnonzero(np.arange(n)[:, None] < np.arange(n + 1))
+
+
+def _score_blocks(params: ModelParams, cache):
+    """Label scores of every span, one :func:`_start_chunks` run of start
+    points at a time, with ``label_w1`` factored through the fenceposts:
+    ``(f_j - f_i) @ W1 = P[j] - P[i]``.
+
+    Yields ``(rows, block)``: ``block`` holds span rows ``rows`` (a slice
+    of the triu order of :func:`_span_cells`), one column per label, the
+    empty label's column 0 being zero.  The hidden layer is built,
+    normalized, rectified and projected in one reused buffer of at most
+    ``_CHUNK_ROWS`` rows (more only for a single start point with more
+    spans), and the block is reused too: it is valid until the next one.
     """
     t = params.tensors
-    n = fenceposts.shape[0] - 1
-    proj = fenceposts @ t["label_w1"]
-    shifted = proj + t["label_b1"]
-    scores = np.zeros((n, n + 1, len(params.labels)))
-    buffer = np.empty((min(max(_CHUNK_ROWS, n), n * (n + 1) // 2), proj.shape[1]))
+    _, proj, shifted = cache
+    n = proj.shape[0] - 1
+    size = min(max(_CHUNK_ROWS, n), n * (n + 1) // 2)
+    hidden_buffer = np.empty((size, proj.shape[1]))
+    block_buffer = np.empty((size, len(params.labels)))
+    first = 0
     for lo, hi, rows in _start_chunks(n):
-        hidden = buffer[:rows]
-        blocks, offset = [], 0
+        hidden, block = hidden_buffer[:rows], block_buffer[:rows]
+        offset = 0
         for i in range(lo, hi):
-            blocks.append((i, slice(offset, offset + n - i)))
+            np.subtract(shifted[i + 1:], proj[i], out=hidden[offset:offset + n - i])
             offset += n - i
-        for i, block in blocks:
-            np.subtract(shifted[i + 1:], proj[i], out=hidden[block])
         _normalize_rows(hidden)
         hidden *= t["label_ln_gain"]
         hidden += t["label_ln_bias"]
         np.maximum(hidden, 0.0, out=hidden)
-        out = hidden @ t["label_w2"]
-        out += t["label_b2"]
-        for i, block in blocks:
-            scores[i, i + 1:, 1:] = out[block]
-    return scores, (fenceposts, proj, shifted)
+        np.add(hidden @ t["label_w2"], t["label_b2"], out=block[:, 1:])
+        block[:, 0] = 0.0
+        yield slice(first, first + rows), block
+        first += rows
+
+
+def _scores_forward(params: ModelParams, fenceposts: np.ndarray, gold=None):
+    """The span tables CKY decodes, reduced from each :func:`_score_blocks`
+    block as it is made, so no array has a cell per span and label.
+
+    With ``gold``, a list of ``(i, j, label)`` entries, the tables are
+    those of the Hamming-augmented scores (:func:`chart.hamming_augment`
+    on each block) and ``gold_scores[k]`` is gold entry k's plain score;
+    without it ``gold_scores`` is empty.  Returns ``(tables, gold_scores,
+    cache)``; the cache keeps only the n+1-row arrays of
+    :func:`_label_projection`, and the backward pass recomputes the hidden
+    rows it needs.
+    """
+    n = fenceposts.shape[0] - 1
+    cache = _label_projection(params, fenceposts)
+    cells = _span_cells(n)
+    score = np.zeros((n, n + 1))
+    label = np.zeros((n, n + 1), dtype=np.int64)
+    entries = [] if gold is None else gold
+    gold_rows = np.searchsorted(cells, [i * (n + 1) + j for i, j, _ in entries])
+    gold_labels = np.array([gold_label for _, _, gold_label in entries], dtype=np.int64)
+    gold_scores = np.empty(len(entries))
+    for rows, block in _score_blocks(params, cache):
+        if gold is not None:
+            # the block's gold entries, in gold order, as a repeated (i, j) needs
+            k = np.flatnonzero((gold_rows >= rows.start) & (gold_rows < rows.stop))
+            local, local_labels = gold_rows[k] - rows.start, gold_labels[k]
+            gold_scores[k] = block[local, local_labels]
+            _chart.hamming_augment(block, list(zip(local.tolist(), local_labels.tolist())))
+        best = block.argmax(axis=1)
+        label.reshape(-1)[cells[rows]] = best
+        score.reshape(-1)[cells[rows]] = block[np.arange(len(best)), best]
+        if rows.start == 0:
+            root_label = 1 + int(block[n - 1, 1:].argmax())
+            root_score = block[n - 1, root_label]
+    tables = _chart.SpanTables(score, label, root_label, root_score, len(params.labels))
+    return tables, gold_scores, cache
 
 
 def _scores_backward(params, grads, cache, starts, ends, dout):
@@ -380,12 +430,32 @@ def _scores_backward(params, grads, cache, starts, ends, dout):
     return dproj @ t["label_w1"].T
 
 
-def forward_scores(params: ModelParams, tags: list[ExtendedTag]):
-    """Full forward pass tags -> score tensor, keeping backprop caches."""
+def forward_tables(params: ModelParams, tags: list[ExtendedTag], gold=None):
+    """Full forward pass tags -> span tables, keeping backprop caches;
+    ``gold`` and the returned ``gold_scores`` are :func:`_scores_forward`'s."""
     x, embed_cache = _embed_forward(params, tags)
     fenceposts, encode_cache = _encode_forward(params, x)
-    scores, scores_cache = _scores_forward(params, fenceposts)
-    return scores, (embed_cache, encode_cache, scores_cache)
+    tables, gold_scores, scores_cache = _scores_forward(params, fenceposts, gold)
+    return tables, gold_scores, (embed_cache, encode_cache, scores_cache)
+
+
+def forward_scores(params: ModelParams, tags: list[ExtendedTag]):
+    """Full forward pass tags -> dense (n, n+1, L) score tensor, keeping
+    backprop caches; cells with j <= i and the empty label's are zero."""
+    x, embed_cache = _embed_forward(params, tags)
+    fenceposts, encode_cache = _encode_forward(params, x)
+    scores_cache = _label_projection(params, fenceposts)
+    return _dense_scores(params, scores_cache), (embed_cache, encode_cache, scores_cache)
+
+
+def _dense_scores(params: ModelParams, cache) -> np.ndarray:
+    """The (n, n+1, L) score tensor filled from :func:`_score_blocks`."""
+    n = cache[0].shape[0] - 1
+    scores = np.zeros((n, n + 1, len(params.labels)))
+    cells = _span_cells(n)
+    for rows, block in _score_blocks(params, cache):
+        scores.reshape(n * (n + 1), -1)[cells[rows]] = block
+    return scores
 
 
 def backward_scores(params: ModelParams, caches, dscores) -> dict[str, np.ndarray]:
@@ -430,10 +500,9 @@ def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag],
     if leaves != len(tags):
         raise ModelError(f"gold tree covers {leaves} leaves, got {len(tags)} tags")
     gold_idx = _chart.spans_to_indices(gold_spans, params.labels)
-    scores, caches = forward_scores(params, tags)
-    gold_total = sum(scores[i, j, l] for i, j, l in gold_idx if l != 0)
-    augmented_total, pred_spans = _chart.decode_spans(
-        _chart.hamming_augment(scores, gold_idx))
+    tables, gold_scores, caches = forward_tables(params, tags, gold_idx)
+    gold_total = sum(score for score, (_, _, l) in zip(gold_scores, gold_idx) if l != 0)
+    augmented_total, pred_spans = _chart.decode_spans(tables)
     loss = augmented_total - gold_total
     if loss <= 0.0:
         return 0.0, {}

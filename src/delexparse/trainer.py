@@ -49,12 +49,19 @@ PAPER_TRAIN = TrainConfig(epochs=50, batch_size=32, learning_rate=5e-5, seed=10)
 
 
 class _Optimizer:
+    """SGD, or Adam updating its moments and the parameters in place,
+    through per-tensor views of two scratch buffers allocated once, in the
+    order of ``tensor -= lr * (m / c1) / (sqrt(v / c2) + eps)``."""
+
     def __init__(self, params: model.ModelParams, config: TrainConfig):
         self.config = config
         self.step_count = 0
         if config.optimizer == "adam":
             self.m = params.zero_grads()
             self.v = params.zero_grads()
+            scratch = np.empty((2, max(t.size for t in params.tensors.values())))
+            self.scratch = {name: tuple(row[:t.size].reshape(t.shape) for row in scratch)
+                            for name, t in params.tensors.items()}
 
     def step(self, params: model.ModelParams, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
@@ -70,11 +77,18 @@ class _Optimizer:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            update, denom = self.scratch[name]
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=update)
             v *= b2
-            v += (1.0 - b2) * g * g
-            tensor -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + cfg.eps)
+            np.multiply(g, 1.0 - b2, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(m, correct1, out=update)
+            update *= cfg.learning_rate
+            np.divide(v, correct2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.eps
+            tensor -= np.divide(update, denom, out=update)
 
 
 def tree_tag_sequence(tree: Tree, morph_separator: str = TAG_SEPARATOR,
@@ -194,8 +208,8 @@ def parse_corpus(params: model.ModelParams,
     results: list[Tree | None] = []
     for index, tags in enumerate(sentences):
         try:
-            scores = model.sentence_scores(params, tags)
-            tree = chart.cky_decode(scores, params.labels, tags)
+            tables, _, _ = model.forward_tables(params, tags)
+            tree = chart.cky_decode(tables, params.labels, tags)
             results.append(debinarize(tree))
         except (model.ModelError, ValueError) as exc:
             log.warning("sentence %d failed: %s", index, exc)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to verify the library.
 
 Everything here is deliberately naive: enumeration instead of dynamic
-programming, a direct span walk instead of the scorer's rebuild pass, a
+programming, a dense score tensor reduced to CKY's span tables in one
+pass, a direct span walk instead of the scorer's rebuild pass, a
 span-by-span label MLP and a span-by-span CKY loop for the vectorized
 scorer and chart, a scorer backward over every span for the row-only
 one, a dense cost tensor for the in-place loss augmentation, and a
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from delexparse.chart import SpanTables
 from delexparse.treebank import ExtendedTag, TaggedSentence, Tree
 
 DEFAULT_PUNCT = frozenset({"$,", "$.", "$("})
@@ -67,14 +69,23 @@ def best_tree_score_full_enumeration(scores: np.ndarray) -> float:
     return best
 
 
+def dense_tables(scores: np.ndarray) -> SpanTables:
+    """The per-span tables CKY reads, reduced from a dense (n, n+1, L)
+    score tensor: each cell's argmax label and max score, and the root
+    span's best non-empty label and its score."""
+    n, _, num_labels = scores.shape
+    root_label = 1 + int(scores[0, n, 1:].argmax())
+    return SpanTables(scores.max(axis=2), scores.argmax(axis=2), root_label,
+                      scores[0, n, root_label], num_labels)
+
+
 def per_span_chart(scores: np.ndarray):
     """CKY filled one span at a time, each span's splits scanned left to
     right; returns (best_score, best_split, best_label) as the chart does."""
     n = scores.shape[0]
-    best = np.zeros((n + 1, n + 1))
-    split = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    labels = np.zeros((n + 1, n + 1), dtype=np.int64)
-    labels[:n] = scores.argmax(axis=2)
+    best = np.zeros((n, n + 1))
+    split = np.full((n, n + 1), -1, dtype=np.int64)
+    labels = scores.argmax(axis=2)
     for i in range(n):
         best[i, i + 1] = scores[i, i + 1].max()
     for width in range(2, n + 1):

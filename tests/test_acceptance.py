@@ -48,7 +48,7 @@ def test_01_cky_oracle_equivalence():
         scores = rng.standard_normal((n, n + 1, num_labels))
         if trial % 2 == 0:
             scores[:, :, 0] = 0.0  # the span scorer's empty-label contract
-        total, _ = chart.decode_spans(scores)
+        total, _ = chart.decode_spans(oracles.dense_tables(scores))
         reference = oracles.best_tree_score(scores)
         assert abs(total - reference) <= 1e-9, (trial, total, reference)
     elapsed = time.monotonic() - started
@@ -104,7 +104,7 @@ def _random_gold_tree(rng, tags, labels):
 
 def _hinge_loss_value(params, tags, gold_idx, augment):
     scores = model.sentence_scores(params, tags)
-    total, spans = chart.decode_spans(scores + augment)
+    total, spans = chart.decode_spans(oracles.dense_tables(scores + augment))
     gold_score = sum(scores[i, j, l] for i, j, l in gold_idx if l)
     return total - gold_score, tuple(spans)
 

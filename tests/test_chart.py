@@ -23,14 +23,14 @@ def random_scores(rng, n, num_labels, zero_empty=True):
 def test_single_token_forced_structure():
     scores = np.zeros((1, 2, 4))
     scores[0, 1, 2] = 3.0
-    tree = chart.cky_decode(scores, LABELS, tags(1))
+    tree = chart.cky_decode(oracles.dense_tables(scores), LABELS, tags(1))
     assert serialize_tree(tree) == "(NP (P0 P0))"
 
 
 def test_single_token_root_never_empty():
     scores = np.zeros((1, 2, 4))
     scores[0, 1, 0] = 5.0  # irrelevant: root must pick a non-empty label
-    tree = chart.cky_decode(scores, LABELS, tags(1))
+    tree = chart.cky_decode(oracles.dense_tables(scores), LABELS, tags(1))
     assert tree.label == "S"  # lowest non-empty index on ties
 
 
@@ -39,9 +39,9 @@ def test_hand_built_three_token_tensor():
     scores[0, 3, 1] = 5.0
     scores[0, 2, 2] = 4.0
     scores[1, 3, 3] = 1.0
-    total, _ = chart.decode_spans(scores)
+    total, _ = chart.decode_spans(oracles.dense_tables(scores))
     assert total == pytest.approx(9.0, abs=1e-12)
-    tree = debinarize(chart.cky_decode(scores, LABELS, tags(3)))
+    tree = debinarize(chart.cky_decode(oracles.dense_tables(scores), LABELS, tags(3)))
     assert serialize_tree(tree) == "(S (NP (P0 P0) (P1 P1)) (P2 P2))"
 
 
@@ -51,7 +51,7 @@ def test_decode_matches_enumeration_oracle():
         n = int(rng.integers(1, 7))
         num_labels = int(rng.integers(2, 5))
         scores = random_scores(rng, n, num_labels, zero_empty=(trial % 2 == 0))
-        total, _ = chart.decode_spans(scores)
+        total, _ = chart.decode_spans(oracles.dense_tables(scores))
         assert total == pytest.approx(oracles.best_tree_score(scores), abs=1e-9)
 
 
@@ -61,7 +61,7 @@ def test_decode_matches_full_labeling_enumeration_small():
         n = int(rng.integers(1, 4))
         num_labels = int(rng.integers(2, 4))
         scores = random_scores(rng, n, num_labels)
-        total, _ = chart.decode_spans(scores)
+        total, _ = chart.decode_spans(oracles.dense_tables(scores))
         assert total == pytest.approx(
             oracles.best_tree_score_full_enumeration(scores), abs=1e-9)
 
@@ -71,7 +71,7 @@ def test_decode_beats_arbitrary_trees():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         scores = random_scores(rng, n, 4)
-        total, _ = chart.decode_spans(scores)
+        total, _ = chart.decode_spans(oracles.dense_tables(scores))
         for bracketing in oracles.all_bracketings(0, n):
             score = 0.0
             for index, (i, j) in enumerate(bracketing):
@@ -86,7 +86,7 @@ def test_decoded_tree_well_formed():
     for _ in range(50):
         n = int(rng.integers(1, 7))
         scores = random_scores(rng, n, 4)
-        tree = chart.cky_decode(scores, LABELS, tags(n))
+        tree = chart.cky_decode(oracles.dense_tables(scores), LABELS, tags(n))
         assert tree.label != EMPTY_LABEL
         assert len(tree.leaf_tokens()) == n
         spans, leaves = chart.tree_spans(tree)
@@ -109,8 +109,8 @@ def single_path_cases():
 
 def test_cky_tree_is_the_decode_spans_bracketing():
     for n, scores in single_path_cases():
-        total, spans = chart.decode_spans(scores)
-        tree = chart.cky_decode(scores, LABELS, tags(n))
+        total, spans = chart.decode_spans(oracles.dense_tables(scores))
+        tree = chart.cky_decode(oracles.dense_tables(scores), LABELS, tags(n))
         tree_idx = chart.spans_to_indices(chart.tree_spans(tree)[0], LABELS)
         # preterminals stand for the width-1 spans that took the empty label
         expected = [(i, j, l) for i, j, l in spans if j - i > 1 or l != 0]
@@ -128,7 +128,8 @@ def test_build_chart_is_the_per_span_loop_bit_for_bit():
             scores = np.round(scores)  # many ties
         elif trial % 10 == 0:
             scores = np.zeros_like(scores)
-        got = chart.build_chart(scores)
+        tables = oracles.dense_tables(scores)
+        got = chart.build_chart(tables.score, tables.label)
         best, split, labels = oracles.per_span_chart(scores)
         np.testing.assert_array_equal(got.best_score, best)
         np.testing.assert_array_equal(got.best_split, split)
@@ -137,7 +138,7 @@ def test_build_chart_is_the_per_span_loop_bit_for_bit():
 
 def test_tie_breaking_lowest_label_then_smallest_split():
     scores = np.zeros((4, 5, 4))
-    tree = chart.cky_decode(scores, LABELS, tags(4))
+    tree = chart.cky_decode(oracles.dense_tables(scores), LABELS, tags(4))
     # root takes label index 1 on an all-zero tensor
     assert tree.label == "S"
     # all-zero scores: every split ties, so each span picks the smallest k,
@@ -149,7 +150,7 @@ def test_tie_breaking_lowest_label_then_smallest_split():
 def test_preterminals_attached_from_tags():
     scores = np.zeros((2, 3, 4))
     sentence = [ExtendedTag("ART", ("Nom", "Sg")), ExtendedTag("NN")]
-    tree = chart.cky_decode(scores, LABELS, sentence)
+    tree = chart.cky_decode(oracles.dense_tables(scores), LABELS, sentence)
     leaves = tree.leaf_tokens()
     assert leaves == ["ART.Nom.Sg", "NN"]
     preterminal_labels = [p.label for p in tree.preterminals()]
@@ -158,13 +159,15 @@ def test_preterminals_attached_from_tags():
 
 def test_decode_errors():
     with pytest.raises(ValueError):
-        chart.decode_spans(np.zeros((0, 1, 3)))
+        chart.decode_spans(chart.SpanTables(np.zeros((0, 1)), np.zeros((0, 1), dtype=np.int64),
+                                            1, 0.0, 3))
     with pytest.raises(ValueError):
-        chart.cky_decode(np.zeros((2, 3, 4)), LABELS, tags(3))
+        chart.cky_decode(oracles.dense_tables(np.zeros((2, 3, 4))), LABELS, tags(3))
     with pytest.raises(ValueError):
-        chart.cky_decode(np.zeros((2, 3, 3)), LABELS, tags(2))
+        chart.cky_decode(oracles.dense_tables(np.zeros((2, 3, 3))), LABELS, tags(2))
     with pytest.raises(ValueError):
-        chart.cky_decode(np.zeros((2, 3, 4)), ["S"] + LABELS[1:], tags(2))
+        chart.cky_decode(oracles.dense_tables(np.zeros((2, 3, 4))), ["S"] + LABELS[1:],
+                         tags(2))
 
 
 def test_tree_spans_read_off():
@@ -174,13 +177,21 @@ def test_tree_spans_read_off():
     assert set(spans) == {(0, 2, "NP"), (0, 3, "S")}
 
 
+def span_rows(n):
+    """Every span of an n-token sentence as rows in triu order: the
+    ``(starts, ends)`` arrays and a map from (i, j) to its row."""
+    starts, ends = np.triu_indices(n + 1, k=1)
+    return starts, ends, {span: k for k, span in enumerate(zip(starts.tolist(), ends.tolist()))}
+
+
 def test_hamming_augment_layout():
-    gold = [(0, 2, 2), (0, 3, 1)]
-    augment = chart.hamming_augment(np.zeros((3, 4, 4)), gold)
-    assert augment[0, 2, 2] == 0.0 and augment[0, 2, 0] == 1.0
-    assert augment[0, 3, 1] == 0.0 and augment[0, 3, 3] == 1.0
+    starts, _, row = span_rows(3)
+    gold = [(row[0, 2], 2), (row[0, 3], 1)]
+    augment = chart.hamming_augment(np.zeros((len(starts), 4)), gold)
+    assert augment[row[0, 2], 2] == 0.0 and augment[row[0, 2], 0] == 1.0
+    assert augment[row[0, 3], 1] == 0.0 and augment[row[0, 3], 3] == 1.0
     # off-gold spans: empty label costs nothing, real labels cost one
-    assert augment[1, 2, 0] == 0.0 and augment[1, 2, 1] == 1.0
+    assert augment[row[1, 2], 0] == 0.0 and augment[row[1, 2], 1] == 1.0
 
 
 def random_bracketing(rng, n):
@@ -212,15 +223,18 @@ def test_in_place_augment_is_the_dense_cost_tensor_bit_for_bit():
                 labels.reverse()
             gold += [(i, j, label) for label in labels]
         expected = scores + oracles.dense_hamming_augment(n, num_labels, gold)
-        result = chart.hamming_augment(scores.copy(), gold)
-        np.testing.assert_array_equal(result, expected)
+        starts, ends, row = span_rows(n)
+        result = chart.hamming_augment(scores[starts, ends],
+                                       [(row[i, j], label) for i, j, label in gold])
+        np.testing.assert_array_equal(result, expected[starts, ends])
 
 
 def test_loss_augmented_decode_prefers_distant_trees_on_zero_scores():
     gold = binarize(parse_bracketed("(S (NP (ART a) (NN b)) (VVFIN c))")[0])
     gold_idx = chart.spans_to_indices(chart.tree_spans(gold)[0], LABELS)
     scores = np.zeros((3, 4, 4))
-    _, decoded = chart.decode_spans(scores + oracles.dense_hamming_augment(3, 4, gold_idx))
+    _, decoded = chart.decode_spans(
+        oracles.dense_tables(scores + oracles.dense_hamming_augment(3, 4, gold_idx)))
     # the augmentation pushes the decode away from every gold decision
     assert not set(decoded) & set(gold_idx)
 
@@ -233,7 +247,7 @@ def test_augmented_score_at_least_plain_gold_score():
     for _ in range(50):
         scores = random_scores(rng, 3, 4)
         augment = oracles.dense_hamming_augment(3, 4, gold_idx)
-        aug_total, _ = chart.decode_spans(scores + augment)
+        aug_total, _ = chart.decode_spans(oracles.dense_tables(scores + augment))
         gold_score = sum(scores[i, j, l] for i, j, l in gold_idx if l)
         assert aug_total >= gold_score - 1e-9
 

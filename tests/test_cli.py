@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from delexparse import cli, data, model, trainer
+from delexparse import cli, data, evalb, model, trainer, transform
 from delexparse.transform import EMPTY_LABEL
 from delexparse.treebank import (ExtendedTag, parse_bracketed,
                                  read_tagged_corpus_file, read_treebank,
@@ -527,3 +527,40 @@ def test_gold_tree_of_traces_exits_2_at_transform(tmp_path, capsys):
                      "--parse-output", f"{tmp_path}/pred.brackets"])
     assert code == 2
     assert "error: stage=transform: tree 0: " in capsys.readouterr().err
+
+
+# output paths that cannot become files, with the work each command must
+# not start: {dir} is an existing directory, {file} a regular file
+WRITES = {
+    "eval-report": (["eval", "--gold-treebank", "{toy}", "--pred-treebank", "{toy}",
+                     "--report", "{dir}"], "{dir}", (evalb, "score_corpus_detailed")),
+    "delex-output": (["delex", "--treebank", "{toy}", "--delex-output", "{file}/out"],
+                     "{file}/out", (transform, "strip_annotations")),
+    "train-checkpoint": (["train", "--train-treebank", "{toy}", "--checkpoint", "{dir}"],
+                         "{dir}", (trainer, "train")),
+    "parse-output": (["parse", "--use-gold-tags", "--gold-treebank", "{toy}",
+                      "--checkpoint", "{ckpt}", "--parse-output", "{dir}"],
+                     "{dir}", (trainer, "parse_corpus")),
+}
+
+
+@pytest.mark.parametrize("case", WRITES)
+def test_unwritable_output_exits_2_at_load_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           case):
+    argv, output, (module, work) = WRITES[case]
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("x\n", encoding="utf-8")
+    slots = {"dir": tmp_path / "adir", "file": tmp_path / "afile",
+             "toy": data.toy_treebank_path(), "ckpt": tiny_checkpoint(tmp_path / "ok.ckpt")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(module, work, forbidden)
+    capsys.readouterr()
+    code = cli.main([arg.format(**slots) for arg in argv])
+    err = capsys.readouterr().err
+    path = output.format(**slots)
+    assert code == 2, err
+    assert f"error: stage=load: {path}: " in err and err.count(path) == 1, err
+    assert "Traceback" not in err

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from delexparse import chart, model
 from delexparse.transform import EMPTY_LABEL, binarize
-from delexparse.treebank import ExtendedTag, parse_bracketed
+from delexparse.treebank import ExtendedTag, Tree, parse_bracketed
 
 TINY = model.ModelConfig(model_dim=8, num_layers=1, num_heads=2, head_dim=3,
                          ff_dim=10, label_hidden_dim=6, max_len=16, seed=3)
@@ -36,7 +36,8 @@ def encode(params, x):
 
 
 def span_scores(params, fenceposts):
-    return model._scores_forward(params, fenceposts)[0]
+    """The dense score tensor, built from the scorer's blocks."""
+    return model._dense_scores(params, model._label_projection(params, fenceposts))
 
 
 def test_config_validation():
@@ -156,7 +157,7 @@ def test_sparse_scorer_backward_matches_dense_oracle():
         kind = kinds[(case // 40) % len(kinds)]
         params = scorer_params(rng)
         fenceposts = rng.standard_normal((n + 1, SCORER.model_dim))
-        _, cache = model._scores_forward(params, fenceposts)
+        _, _, cache = model._scores_forward(params, fenceposts)
         oracle_scores, oracle_cache = oracles.dense_scores_forward(
             params.tensors, fenceposts, num_labels)
         if kind == "dense upstream":
@@ -203,17 +204,17 @@ def test_scores_cache_holds_no_span_sized_array():
     params = scorer_params(np.random.default_rng(5))
     for n in (1, 2, 7, 30):
         fenceposts = np.random.default_rng(n).standard_normal((n + 1, SCORER.model_dim))
-        _, cache = model._scores_forward(params, fenceposts)
+        _, _, cache = model._scores_forward(params, fenceposts)
         arrays = [item for item in cache if isinstance(item, np.ndarray)]
         assert arrays and all(a.shape[0] <= n + 1 for a in arrays), \
             [a.shape for a in arrays]
 
 
-def desk_scorer_params(num_labels, rng):
-    """Desk-preset scorer weights for ``num_labels`` labels, every label
-    tensor moved off its initial value."""
+def desk_scorer_params(num_labels, rng, max_len=model.DESK_MODEL.max_len):
+    """Desk-preset parameters for ``num_labels`` labels and ``max_len``
+    tokens, every label tensor moved off its initial value."""
     labels = [EMPTY_LABEL] + [f"L{k}" for k in range(1, num_labels)]
-    params = model.init_params(model.DESK_MODEL, POS, FEATS, labels)
+    params = model.init_params(model.ModelConfig(max_len=max_len), POS, FEATS, labels)
     for name in ("label_b1", "label_ln_gain", "label_ln_bias", "label_b2"):
         params.tensors[name] += rng.standard_normal(params.tensors[name].shape)
     return params
@@ -241,15 +242,115 @@ def test_blocked_scores_forward_matches_dense_oracle(monkeypatch, chunk_rows):
 
 
 def test_scores_forward_peak_memory_is_one_score_tensor():
+    # the span tables, the n+1-row cache and one chunk's two buffers bound
+    # the peak; the score tensor (9.6 MB here) is never allocated
     params = desk_scorer_params(30, np.random.default_rng(2))
     fenceposts = np.random.default_rng(3).standard_normal((201, model.DESK_MODEL.model_dim))
     tracemalloc.start()
     try:
-        scores = span_scores(params, fenceposts)
+        tables, _, cache = model._scores_forward(params, fenceposts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * scores.nbytes, peak / scores.nbytes
+    chunk = model._CHUNK_ROWS * (model.DESK_MODEL.label_hidden_dim + 30) * 8
+    working = (tables.score.nbytes + tables.label.nbytes + chunk
+               + sum(array.nbytes for array in cache[1:]))
+    assert peak <= 1.25 * working, peak / working
+
+
+def random_tags(rng, n):
+    return [ExtendedTag(POS[int(rng.integers(1, len(POS)))]) for _ in range(n)]
+
+
+def assert_tables_equal(got, expected, context):
+    """Equal on every span (i, j), i < j; other cells are not spans."""
+    spans = np.triu_indices(got.score.shape[1], k=1)
+    assert got.score.shape == expected.score.shape == got.label.shape, context
+    np.testing.assert_array_equal(got.label[spans], expected.label[spans], err_msg=context)
+    np.testing.assert_array_equal(got.score[spans], expected.score[spans], err_msg=context)
+    assert (got.root_label, got.root_score, got.num_labels) == \
+        (expected.root_label, expected.root_score, expected.num_labels), context
+
+
+@pytest.mark.parametrize("chunk_rows", [model._CHUNK_ROWS, 20], ids=["default", "20-rows"])
+def test_span_tables_are_the_reduced_dense_scores(monkeypatch, chunk_rows):
+    monkeypatch.setattr(model, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(51)
+    for num_labels in (2, 30, 100):
+        params = desk_scorer_params(num_labels, rng, 300)
+        for n in (1, 2, 31, 32, 33, 100, 257, 300):
+            sentence = random_tags(rng, n)
+            tables, gold_scores, _ = model.forward_tables(params, sentence)
+            expected = oracles.dense_tables(model.sentence_scores(params, sentence))
+            assert_tables_equal(tables, expected, f"n={n} labels={num_labels}")
+            assert gold_scores.shape == (0,)
+
+
+def block_boundary_spans(n):
+    """The first and the last span of every other scorer block."""
+    chunks = list(model._start_chunks(n))[::2]
+    return [span for lo, hi, _ in chunks for span in ((lo, lo + 1), (hi - 1, n))]
+
+
+@pytest.mark.parametrize("chunk_rows", [model._CHUNK_ROWS, 20], ids=["default", "20-rows"])
+def test_augmented_span_tables_are_the_reduced_dense_augmented_scores(monkeypatch,
+                                                                        chunk_rows):
+    monkeypatch.setattr(model, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(53)
+    for num_labels in (2, 30):
+        params = desk_scorer_params(num_labels, rng, 100)
+        for n in (1, 2, 7, 33, 60, 100):
+            sentence = random_tags(rng, n)
+            # half a tree's spans, so that some blocks hold no gold entry
+            gold = [span for span in random_labeled_tree(rng, n, num_labels)
+                    if rng.random() < 0.5]
+            gold += [(i, j, int(rng.integers(num_labels))) for i, j in block_boundary_spans(n)]
+            # a repeated (i, j): empty then non-empty label, and the reverse
+            for labels in ([0, num_labels - 1], [num_labels - 1, 0]):
+                i, j, _ = gold[int(rng.integers(len(gold)))]
+                gold += [(i, j, label) for label in labels]
+            order = rng.permutation(len(gold))
+            gold = [gold[k] for k in order]
+            tables, gold_scores, _ = model.forward_tables(params, sentence, gold)
+            scores = model.sentence_scores(params, sentence)
+            augment = oracles.dense_hamming_augment(n, num_labels, gold)
+            context = f"n={n} labels={num_labels}"
+            assert_tables_equal(tables, oracles.dense_tables(scores + augment), context)
+            np.testing.assert_array_equal(
+                gold_scores, [scores[i, j, label] for i, j, label in gold], err_msg=context)
+
+
+def balanced_tree(rng, sentence, labels):
+    """A binarized tree over ``sentence``, split near the middle, with
+    random non-empty labels."""
+    def build(lo, hi):
+        if hi - lo == 1:
+            return Tree.node(sentence[lo].pos, [Tree.leaf(sentence[lo].serialized())])
+        k = (lo + hi) // 2 + int(rng.integers(0, 2)) * (hi - lo > 2)
+        label = labels[int(rng.integers(1, len(labels)))]
+        return Tree.node(label, [build(lo, k), build(k, hi)])
+
+    return build(0, len(sentence))
+
+
+def test_loss_peak_memory_is_independent_of_the_label_count():
+    n = 256
+    sentence = random_tags(np.random.default_rng(5), n)
+    peaks = {}
+    for num_labels in (2, 100):
+        rng = np.random.default_rng(7)
+        params = desk_scorer_params(num_labels, rng, n)
+        gold = balanced_tree(rng, sentence, params.labels)
+        model.loss_and_gradients(params, sentence, gold)  # warm-up
+        tracemalloc.start()
+        try:
+            loss, _ = model.loss_and_gradients(params, sentence, gold)
+            peaks[num_labels] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loss > 0.0
+    score_tensor = n * (n + 1) * 100 * 8
+    assert peaks[100] - peaks[2] < 0.1 * score_tensor, (peaks, score_tensor)
 
 
 def test_start_chunks_cover_every_start_once_within_the_row_budget():
@@ -297,7 +398,7 @@ def test_augmented_decode_returns_dominant_gold():
     test_scores = dominant_gold_scores()
     augment = oracles.dense_hamming_augment(
         3, len(LABELS), chart.spans_to_indices(gold_spans, LABELS))
-    aug_total, spans = chart.decode_spans(test_scores + augment)
+    aug_total, spans = chart.decode_spans(oracles.dense_tables(test_scores + augment))
     decoded = {(i, j, l) for i, j, l in spans if l != 0}
     expected = {(i, j, idx[l]) for i, j, l in gold_spans if l != EMPTY_LABEL}
     assert decoded == expected
@@ -338,7 +439,13 @@ def test_zero_subgradient_sentence_allocates_and_adds_no_gradients(monkeypatch, 
         scores, gold = dominant_gold_scores(), gold_tree()
     else:
         scores, gold = rounding_residue_case()
-    monkeypatch.setattr(model, "forward_scores", lambda p, sentence: (scores, None))
+
+    def forward_tables(p, sentence, gold_idx):
+        augment = oracles.dense_hamming_augment(len(sentence), len(LABELS), gold_idx)
+        gold_scores = np.array([scores[i, j, l] for i, j, l in gold_idx])
+        return oracles.dense_tables(scores + augment), gold_scores, None
+
+    monkeypatch.setattr(model, "forward_tables", forward_tables)
 
     def forbidden(*args):
         raise AssertionError("gradient work on a zero-subgradient sentence")
@@ -434,7 +541,7 @@ def _augmented_spans(params, sentence, gold):
     augment = oracles.dense_hamming_augment(
         len(sentence), len(params.labels),
         chart.spans_to_indices(gold_spans, params.labels))
-    _, spans = chart.decode_spans(scores + augment)
+    _, spans = chart.decode_spans(oracles.dense_tables(scores + augment))
     return spans
 
 

@@ -143,3 +143,34 @@ def test_skipping_zero_loss_sentences_keeps_batch_gradients_bit_identical(monkey
         return steps
 
     assert run(zero_dict=True) == run(zero_dict=False)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_optimizer_steps_are_the_plain_formula_bit_for_bit(optimizer):
+    labels = [transform.EMPTY_LABEL, "NP", "S"]
+    params = model.init_params(SMALL, [model.UNK, "NN"], [model.UNK, "Sg"], labels)
+    config = trainer.TrainConfig(optimizer=optimizer, learning_rate=3e-3)
+    optimizer_state = trainer._Optimizer(params, config)
+    expected = params.copy_tensors()
+    m = {name: np.zeros_like(value) for name, value in expected.items()}
+    v = {name: np.zeros_like(value) for name, value in expected.items()}
+    b1, b2, lr = config.beta1, config.beta2, config.learning_rate
+    rng = np.random.default_rng(4)
+    for step in range(1, 6):
+        grads = {name: rng.standard_normal(value.shape) for name, value in expected.items()}
+        given = {name: value.copy() for name, value in grads.items()}
+        optimizer_state.step(params, grads)
+        for name, tensor in expected.items():
+            g = grads[name]
+            if optimizer == "sgd":
+                tensor -= lr * g
+                continue
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * g * g
+            tensor -= lr * (m[name] / (1.0 - b1 ** step)) / (
+                np.sqrt(v[name] / (1.0 - b2 ** step)) + config.eps)
+        for name, tensor in expected.items():
+            np.testing.assert_array_equal(params.tensors[name], tensor, err_msg=name)
+            np.testing.assert_array_equal(grads[name], given[name], err_msg=name)
