@@ -43,14 +43,15 @@ def _input_path(cfg: PipelineConfig, key: str) -> Path:
 
 def _output_path(cfg: PipelineConfig, key: str, default: str | None = None) -> Path:
     """Output ``key``, its missing parent directories made; a path that
-    cannot become a file fails at stage ``load``, so commands call this
-    before any work."""
+    cannot become a file, or whose manifest cannot, fails at stage
+    ``load``, so commands call this before any work."""
     value = cfg.paths.get(key) or default
     if not value:
         raise CliError("load", f"missing required output path {key!r}")
     path = Path(value)
-    if path.is_dir():
-        raise CliError("load", f"{path}: is a directory")
+    for target in (path, _manifest_path(path)):
+        if target.is_dir():
+            raise CliError("load", f"{target}: is a directory")
     ancestor = next(parent for parent in path.parents if parent.exists())
     if not ancestor.is_dir():
         raise CliError("load", f"{path}: {ancestor} is not a directory")
@@ -59,6 +60,10 @@ def _output_path(cfg: PipelineConfig, key: str, default: str | None = None) -> P
     except OSError as exc:
         raise CliError("load", f"{path}: {exc.strerror}") from exc
     return path
+
+
+def _manifest_path(output: Path) -> Path:
+    return output.with_name(output.name + ".manifest")
 
 
 def _sha256(path: Path) -> str:
@@ -74,9 +79,8 @@ def _write_manifest(command: str, cfg: PipelineConfig, inputs: dict[str, Path],
                    for key, path in sorted(inputs.items())},
         "outputs": [str(p) for p in outputs],
     }
-    manifest = anchor.with_name(anchor.name + ".manifest")
-    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n",
-                        encoding="utf-8")
+    _manifest_path(anchor).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n", encoding="utf-8")
 
 
 def _read(cfg: PipelineConfig, inputs: dict[str, Path], key: str, reader, *args):

@@ -25,6 +25,7 @@ TAG_SEPARATOR = "."
 
 _ESCAPES = (("(", "-LRB-"), (")", "-RRB-"))
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+_SPACE = re.compile(r"\s").search  # a match iff some char.isspace()
 
 
 class TreebankFormatError(ValueError):
@@ -150,59 +151,72 @@ def scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
 
     Diagnostics report accepted-but-irregular structure (flat preterminals,
     leaves with non-leaf siblings).  Hard format problems raise
-    :class:`TreebankFormatError` with a character offset.
+    :class:`TreebankFormatError` with a character offset.  Trees may nest
+    to any depth: one pass over the tokens keeps the open nodes on a stack.
     """
-    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    # the tokens of _TOKEN_RE: split() and the regex's \s agree on whitespace
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    offsets: list[int] | None = None
+
+    def offset(index: int) -> int:
+        """Character offset of ``tokens[index]``, from one regex scan made
+        only when an error or a diagnostic needs it."""
+        nonlocal offsets
+        if offsets is None:
+            offsets = [m.start() for m in _TOKEN_RE.finditer(text)]
+        return offsets[index]
+
     trees: list[Tree] = []
     diagnostics: list[str] = []
-    pos = 0
-
-    def parse_node(i: int) -> tuple[Tree, int]:
-        # tokens[i] is the "(" that opens this node
-        open_offset = tokens[i][1]
-        i += 1
-        if i >= len(tokens):
-            raise TreebankFormatError("unbalanced parentheses", offset=len(text))
-        head, head_offset = tokens[i]
-        if head == ")":
-            raise TreebankFormatError("empty label", offset=head_offset)
-        if head == "(":
-            raise TreebankFormatError("missing label before '('", offset=head_offset)
-        label = unescape_atom(head)
-        i += 1
-        children: list[Tree] = []
-        while True:
-            if i >= len(tokens):
+    # the innermost open node is (label, index of its "(", children, leaf
+    # count) in locals; the nodes enclosing it wait on the stack
+    stack: list[tuple[str, int, list[Tree], int]] = []
+    label: str | None = None
+    end = len(tokens)
+    i = 0
+    while i < end:
+        tok = tokens[i]
+        if tok == "(":
+            if i + 1 == end:
                 raise TreebankFormatError("unbalanced parentheses", offset=len(text))
-            tok, offset = tokens[i]
-            if tok == "(":
-                child, i = parse_node(i)
-                children.append(child)
-            elif tok == ")":
-                i += 1
-                break
+            head = tokens[i + 1]
+            if head == ")":
+                raise TreebankFormatError("empty label", offset=offset(i + 1))
+            if head == "(":
+                raise TreebankFormatError("missing label before '('", offset=offset(i + 1))
+            if label is not None:
+                stack.append((label, start, children, leaves))
+            label = unescape_atom(head) if "-" in head else head
+            start, children, leaves = i, [], 0
+            i += 2
+            continue
+        if label is None:
+            raise TreebankFormatError(f"unexpected {tok!r} outside tree", offset=offset(i))
+        if tok == ")":
+            if not children:
+                raise TreebankFormatError(
+                    f"constituent {label!r} has no children", offset=offset(start))
+            if leaves and leaves < len(children):
+                diagnostics.append(
+                    f"leaf with non-leaf siblings under {label!r} (offset {offset(start)})")
+            elif leaves > 1:
+                diagnostics.append(
+                    f"flat preterminal {label!r} with {leaves} leaves (offset {offset(start)})")
+            node = Tree(label, tuple(children), None)
+            if stack:
+                label, start, children, leaves = stack.pop()
+                children.append(node)
             else:
-                children.append(Tree.leaf(unescape_atom(tok)))
-                i += 1
-        if not children:
-            raise TreebankFormatError(
-                f"constituent {label!r} has no children", offset=open_offset)
-        node = Tree.node(label, children)
-        leaf_kids = sum(1 for c in children if c.is_leaf)
-        if leaf_kids and leaf_kids < len(children):
-            diagnostics.append(
-                f"leaf with non-leaf siblings under {label!r} (offset {open_offset})")
-        elif leaf_kids > 1:
-            diagnostics.append(
-                f"flat preterminal {label!r} with {leaf_kids} leaves (offset {open_offset})")
-        return node, i
-
-    while pos < len(tokens):
-        tok, offset = tokens[pos]
-        if tok != "(":
-            raise TreebankFormatError(f"unexpected {tok!r} outside tree", offset=offset)
-        tree, pos = parse_node(pos)
-        trees.append(tree)
+                label = None
+                trees.append(node)
+        else:
+            if "-" in tok:
+                tok = unescape_atom(tok)
+            children.append(Tree(tok, (), tok))
+            leaves += 1
+        i += 1
+    if label is not None:
+        raise TreebankFormatError("unbalanced parentheses", offset=len(text))
     return trees, diagnostics
 
 
@@ -229,7 +243,7 @@ def serialize_tree(tree: Tree) -> str:
 def _checked_atom(text: str | None, kind: str) -> str:
     if not text:
         raise ValueError(f"empty {kind} is not serializable")
-    if any(ch.isspace() for ch in text):
+    if _SPACE(text):
         raise ValueError(f"{kind} {text!r} contains whitespace")
     return text
 
@@ -282,7 +296,7 @@ class ExtendedTag:
         punctuation tag ``$.``) are treated as an atomic POS with no
         features, so that real tag inventories never halt the pipeline.
         """
-        if not text or any(ch.isspace() for ch in text):
+        if not text or _SPACE(text):
             raise ValueError(f"invalid extended tag {text!r}")
         parts = text.split(sep)
         if any(not p for p in parts):
@@ -339,7 +353,7 @@ def read_tagged_corpus(text: str, sep: str = TAG_SEPARATOR) -> list[TaggedSenten
         if "\t" not in line:
             raise TreebankFormatError("expected token<TAB>tag", line=lineno)
         token, tag_text = line.split("\t", 1)
-        if not token or not tag_text or any(ch.isspace() for ch in tag_text):
+        if not token or not tag_text or _SPACE(tag_text):
             raise TreebankFormatError(
                 f"malformed tagged line {line!r}", line=lineno)
         try:

@@ -5,21 +5,25 @@ programming, a dense score tensor reduced to CKY's span tables in one
 pass, a direct span walk instead of the scorer's rebuild pass, a
 span-by-span label MLP and a span-by-span CKY loop for the vectorized
 scorer and chart, a scorer backward over every span for the row-only
-one, a dense cost tensor for the in-place loss augmentation, and a
-ground-truth HMM with Viterbi decoding for the tagger.  None of it
-shares code paths with the implementations under test.
+one, a dense cost tensor for the in-place loss augmentation, a
+recursive-descent bracket reader over per-token (token, offset) pairs
+for the one-pass reader, and a ground-truth HMM with Viterbi decoding
+for the tagger.  None of it shares code paths with the implementations
+under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from delexparse.chart import SpanTables
-from delexparse.treebank import ExtendedTag, TaggedSentence, Tree
+from delexparse.treebank import (ExtendedTag, TaggedSentence, Tree, TreebankFormatError,
+                                 unescape_atom)
 
 DEFAULT_PUNCT = frozenset({"$,", "$.", "$("})
 
@@ -197,6 +201,68 @@ def dense_hamming_augment(n: int, num_labels: int,
             augment[i, j, 0] = 1.0
         augment[i, j, label] = 0.0
     return augment
+
+
+# ------------------------------------------------------------- reader oracle
+
+_BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def recursive_scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
+    """``treebank.scan_bracketed`` by recursive descent: the same trees,
+    diagnostics, errors and offsets, one Python frame per tree level."""
+    tokens = [(m.group(), m.start()) for m in _BRACKET_TOKEN.finditer(text)]
+    trees: list[Tree] = []
+    diagnostics: list[str] = []
+    pos = 0
+
+    def parse_node(i: int) -> tuple[Tree, int]:
+        # tokens[i] is the "(" that opens this node
+        open_offset = tokens[i][1]
+        i += 1
+        if i >= len(tokens):
+            raise TreebankFormatError("unbalanced parentheses", offset=len(text))
+        head, head_offset = tokens[i]
+        if head == ")":
+            raise TreebankFormatError("empty label", offset=head_offset)
+        if head == "(":
+            raise TreebankFormatError("missing label before '('", offset=head_offset)
+        label = unescape_atom(head)
+        i += 1
+        children: list[Tree] = []
+        while True:
+            if i >= len(tokens):
+                raise TreebankFormatError("unbalanced parentheses", offset=len(text))
+            tok, offset = tokens[i]
+            if tok == "(":
+                child, i = parse_node(i)
+                children.append(child)
+            elif tok == ")":
+                i += 1
+                break
+            else:
+                children.append(Tree.leaf(unescape_atom(tok)))
+                i += 1
+        if not children:
+            raise TreebankFormatError(
+                f"constituent {label!r} has no children", offset=open_offset)
+        node = Tree.node(label, children)
+        leaf_kids = sum(1 for c in children if c.is_leaf)
+        if leaf_kids and leaf_kids < len(children):
+            diagnostics.append(
+                f"leaf with non-leaf siblings under {label!r} (offset {open_offset})")
+        elif leaf_kids > 1:
+            diagnostics.append(
+                f"flat preterminal {label!r} with {leaf_kids} leaves (offset {open_offset})")
+        return node, i
+
+    while pos < len(tokens):
+        tok, offset = tokens[pos]
+        if tok != "(":
+            raise TreebankFormatError(f"unexpected {tok!r} outside tree", offset=offset)
+        tree, pos = parse_node(pos)
+        trees.append(tree)
+    return trees, diagnostics
 
 
 # -------------------------------------------------------------- evalb oracle

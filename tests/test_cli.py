@@ -530,10 +530,14 @@ def test_gold_tree_of_traces_exits_2_at_transform(tmp_path, capsys):
 
 
 # output paths that cannot become files, with the work each command must
-# not start: {dir} is an existing directory, {file} a regular file
+# not start: {dir} is an existing directory, {file} a regular file, and
+# {report} a free name whose manifest name is taken by a directory
 WRITES = {
     "eval-report": (["eval", "--gold-treebank", "{toy}", "--pred-treebank", "{toy}",
                      "--report", "{dir}"], "{dir}", (evalb, "score_corpus_detailed")),
+    "eval-manifest": (["eval", "--gold-treebank", "{toy}", "--pred-treebank", "{toy}",
+                       "--report", "{report}"], "{report}.manifest",
+                      (evalb, "score_corpus_detailed")),
     "delex-output": (["delex", "--treebank", "{toy}", "--delex-output", "{file}/out"],
                      "{file}/out", (transform, "strip_annotations")),
     "train-checkpoint": (["train", "--train-treebank", "{toy}", "--checkpoint", "{dir}"],
@@ -550,7 +554,8 @@ def test_unwritable_output_exits_2_at_load_before_any_work(tmp_path, capsys, mon
     argv, output, (module, work) = WRITES[case]
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("x\n", encoding="utf-8")
-    slots = {"dir": tmp_path / "adir", "file": tmp_path / "afile",
+    (tmp_path / "r.report.manifest").mkdir()
+    slots = {"dir": tmp_path / "adir", "file": tmp_path / "afile", "report": tmp_path / "r.report",
              "toy": data.toy_treebank_path(), "ckpt": tiny_checkpoint(tmp_path / "ok.ckpt")}
 
     def forbidden(*args, **kwargs):

@@ -12,6 +12,8 @@ from delexparse.evalb import EvalConfig
 from delexparse.model import ModelConfig
 from delexparse.trainer import TrainConfig
 from delexparse.transform import TransformConfig
+from delexparse.treebank import Tree, TreebankFormatError, read_treebank, scan_bracketed
+from oracles import recursive_scan_bracketed
 
 # deterministic runs that leave no example database behind
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -62,3 +64,51 @@ def test_cli_exits_0_or_2_on_any_config(tmp_path, monkeypatch, data):
     (tmp_path / "run.ini").write_bytes(data)
     assert cli.main(["delex", "--config", "run.ini", "--tagged-corpus", "in.tags",
                      "--delex-output", "out.txt"]) in (0, 2)
+
+
+# bracket texts: loose characters, or generated trees between runs of
+# whitespace (one of them not ASCII) with now and then a stray token or a
+# childless node
+_SPACES = (" ", "\t", "\n", "\u3000")
+_ATOMS = ("a", "b", "-", "L", "R", "B", "-LRB-", "-RRB-", "a-RRB-b")
+
+
+def _node(parts):
+    label, children = parts
+    return "(" + " ".join((label, *children)) + ")"
+
+
+_bracket_trees = st.tuples(st.sampled_from(_ATOMS), st.lists(st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda kids: st.tuples(st.sampled_from(_ATOMS), st.lists(kids, min_size=1, max_size=4))
+    .map(_node), max_leaves=24), min_size=1, max_size=4)).map(_node)
+_separators = st.sampled_from(_SPACES * 8 + ("",) * 4 + (" ) ", "x", "(a)", "((", "( )"))
+bracket_texts = st.one_of(
+    st.lists(st.sampled_from(("(", ")") + _ATOMS + _SPACES), max_size=40).map("".join),
+    st.lists(st.tuples(_separators, _bracket_trees), max_size=4).map(
+        lambda parts: "".join(sep + tree for sep, tree in parts)))
+
+
+def _scan_or_error(scan, text):
+    try:
+        return scan(text)
+    except TreebankFormatError as exc:
+        return str(exc), exc.offset
+
+
+@FUZZ
+@given(text=bracket_texts)
+def test_bracket_reader_is_the_recursive_oracle(text):
+    assert _scan_or_error(scan_bracketed, text) == _scan_or_error(recursive_scan_bracketed, text)
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=64), bracket_texts.map(str.encode)))
+def test_treebank_reader_loads_or_raises_format_error(tmp_path, data):
+    path = tmp_path / "in.brackets"
+    path.write_bytes(data)
+    try:
+        trees = read_treebank(path)
+    except TreebankFormatError:
+        return
+    assert all(isinstance(tree, Tree) and not tree.is_leaf for tree in trees)

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from delexparse import synthetic
-from delexparse.treebank import (ExtendedTag, TaggedSentence, Tree,
+import oracles
+from delexparse import synthetic, treebank
+from delexparse.treebank import (_SPACE, _TOKEN_RE, ExtendedTag, TaggedSentence, Tree,
                                  TreebankFormatError, parse_bracketed,
                                  read_tag_map, read_tagged_corpus, scan_bracketed,
                                  serialize_tree, split_treebank)
@@ -100,6 +103,52 @@ def test_multiline_input_single_line_output():
     text = "(S\n  (NP (ART der)\n      (NN Mann))\n  (VVFIN lacht))\n"
     tree = parse_bracketed(text)[0]
     assert "\n" not in serialize_tree(tree)
+
+
+def test_a_5000_deep_chain_reads_through():
+    depth = 5000
+    text = "(X (P w) " * depth + "(P w)" + ")" * depth
+    (tree,) = parse_bracketed(text)
+    node = tree
+    for _ in range(depth):
+        assert node.label == "X" and len(node.children) == 2
+        preterminal, node = node.children
+        assert preterminal.label == "P" and preterminal.children == (Tree.leaf("w"),)
+    assert node.label == "P" and node.children == (Tree.leaf("w"),)
+    assert tree.leaf_tokens() == ["w"] * (depth + 1)
+
+
+class _CountingTokenRe:
+    """``_TOKEN_RE`` that counts its ``finditer`` scans."""
+
+    def __init__(self):
+        self.scans = 0
+
+    def finditer(self, text):
+        self.scans += 1
+        return _TOKEN_RE.finditer(text)
+
+
+def test_thousands_of_diagnostics_carry_the_oracles_offsets_from_one_scan(monkeypatch):
+    text = "\n".join(f"(S (NN a{k} b) (NP (ART c) x) ( VP\t(V d e f)))" for k in range(2000))
+    counting = _CountingTokenRe()
+    monkeypatch.setattr(treebank, "_TOKEN_RE", counting)
+    trees, diagnostics = scan_bracketed(text)
+    assert (trees, diagnostics) == oracles.recursive_scan_bracketed(text)
+    assert len(diagnostics) == 3 * 2000
+    assert counting.scans == 1
+    counting.scans = 0
+    clean = " ".join(f"(S (NN a{k}) (VP (V b)))" for k in range(2000))
+    assert scan_bracketed(clean) == oracles.recursive_scan_bracketed(clean)
+    assert counting.scans == 0
+
+
+def test_space_search_and_split_agree_with_isspace_on_every_code_point():
+    chars = [chr(c) for c in range(0x110000)]
+    assert [c for c in chars if bool(_SPACE(c)) != c.isspace()] == []
+    # the reader's split() leaves exactly the regex's tokens
+    spaced = "".join(chars)
+    assert set(spaced) - set("".join(spaced.split())) == set(re.findall(r"\s", spaced))
 
 
 def test_extended_tag_parse():
