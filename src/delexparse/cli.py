@@ -13,14 +13,14 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import evalb, model, tagger, tagmap, trainer, transform
 from .config import COMMAND_PATHS, PipelineConfig, load_pipeline_config
 from .treebank import (ExtendedTag, TreebankFormatError, _read_utf8, read_tag_map_file,
                        read_tagged_corpus_file, read_treebank, serialize_tree,
-                       write_tagged_corpus, write_treebank)
+                       write_lines, write_tagged_corpus, write_treebank)
 
 log = logging.getLogger(__name__)
 
@@ -31,69 +31,70 @@ class CliError(Exception):
         self.stage = stage
 
 
-def _input_path(cfg: PipelineConfig, key: str) -> Path:
-    value = cfg.paths.get(key)
-    if not value:
-        raise CliError("load", f"missing required path {key!r}")
-    path = Path(value)
-    if not path.exists():
-        raise CliError("load", f"input {key}={value} does not exist")
-    return path
+@dataclass
+class _Run:
+    """One command run: its configuration and the files it reads and
+    writes, which ``main`` records in the run's manifest."""
 
+    cfg: PipelineConfig
+    inputs: dict[str, dict[str, str]] = field(default_factory=dict)
+    outputs: list[Path] = field(default_factory=list)
 
-def _output_path(cfg: PipelineConfig, key: str, default: str | None = None) -> Path:
-    """Output ``key``, its missing parent directories made; a path that
-    cannot become a file, or whose manifest cannot, fails at stage
-    ``load``, so commands call this before any work."""
-    value = cfg.paths.get(key) or default
-    if not value:
-        raise CliError("load", f"missing required output path {key!r}")
-    path = Path(value)
-    for target in (path, _manifest_path(path)):
-        if target.is_dir():
-            raise CliError("load", f"{target}: is a directory")
-    ancestor = next(parent for parent in path.parents if parent.exists())
-    if not ancestor.is_dir():
-        raise CliError("load", f"{path}: {ancestor} is not a directory")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError("load", f"{path}: {exc.strerror}") from exc
-    return path
+    def read(self, key: str, reader, *args):
+        """``reader(path, *args)`` on input ``key``, recorded with its
+        checksum; a missing, unreadable or malformed file fails at stage
+        ``load`` with its path named once."""
+        value = self.cfg.paths.get(key)
+        if not value:
+            raise CliError("load", f"missing required path {key!r}")
+        path = Path(value)
+        try:
+            if not path.exists():
+                raise CliError("load", f"input {key}={value} does not exist")
+            result = reader(path, *args)
+            self.inputs[key] = {"path": str(path),
+                                "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        except (TreebankFormatError, model.ModelError) as exc:
+            raise CliError("load", f"{path}: {exc}") from exc
+        except OSError as exc:
+            raise CliError("load", f"{path}: {exc.strerror}") from exc
+        return result
+
+    def output(self, key: str, default: str | None = None) -> Path:
+        """Output ``key``, recorded, its missing parent directories made; a
+        path that cannot become a file, or whose manifest cannot, fails at
+        stage ``load``, so commands call this before any work."""
+        value = self.cfg.paths.get(key) or default
+        if not value:
+            raise CliError("load", f"missing required output path {key!r}")
+        path = Path(value)
+        try:
+            for target in (path, _manifest_path(path)):
+                if target.is_dir():
+                    raise CliError("load", f"{target}: is a directory")
+            ancestor = next(parent for parent in path.parents if parent.exists())
+            if not ancestor.is_dir():
+                raise CliError("load", f"{path}: {ancestor} is not a directory")
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError("load", f"{path}: {exc.strerror}") from exc
+        self.outputs.append(path)
+        return path
 
 
 def _manifest_path(output: Path) -> Path:
     return output.with_name(output.name + ".manifest")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(command: str, cfg: PipelineConfig, inputs: dict[str, Path],
-                    outputs: list[Path], anchor: Path) -> None:
+def _write_manifest(command: str, run: _Run, anchor: Path) -> None:
     payload = {
         "command": command,
-        "config": asdict(cfg),
-        "inputs": {key: {"path": str(path), "sha256": _sha256(path)}
-                   for key, path in sorted(inputs.items())},
-        "outputs": [str(p) for p in outputs],
+        "config": asdict(run.cfg),
+        "inputs": run.inputs,
+        "outputs": [str(p) for p in run.outputs],
     }
-    _manifest_path(anchor).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n", encoding="utf-8")
-
-
-def _read(cfg: PipelineConfig, inputs: dict[str, Path], key: str, reader, *args):
-    """``reader(path, *args)`` on input ``key``, recorded in ``inputs``; a
-    malformed file fails at stage ``load`` with its path named once."""
-    path = _input_path(cfg, key)
-    inputs[key] = path
-    try:
-        return reader(path, *args)
-    except (TreebankFormatError, model.ModelError) as exc:
-        raise CliError("load", f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise CliError("load", f"{path}: {exc.strerror}") from exc
+    write_lines(_manifest_path(anchor),
+                json.dumps(payload, indent=2, sort_keys=True, default=sorted).splitlines())
 
 
 def _token_lines(path: Path) -> list[list[str]]:
@@ -101,11 +102,10 @@ def _token_lines(path: Path) -> list[list[str]]:
     return [tokens for tokens in map(str.split, _read_utf8(path).splitlines()) if tokens]
 
 
-def _tag_map(cfg: PipelineConfig, inputs: dict[str, Path]):
+def _tag_map(run: _Run):
     """The configured tag map table, or the bundled default."""
-    if cfg.paths.get("tag_map"):
-        return _read(cfg, inputs, "tag_map", read_tag_map_file,
-                     cfg.transform.morph_separator)
+    if run.cfg.paths.get("tag_map"):
+        return run.read("tag_map", read_tag_map_file, run.cfg.transform.morph_separator)
     return tagmap.default_table()
 
 
@@ -134,20 +134,19 @@ def _prepare_trees(trees, cfg: PipelineConfig):
     return _each_tree(trees, prepare)
 
 
-def cmd_train(cfg: PipelineConfig) -> int:
-    inputs: dict[str, Path] = {}
-    checkpoint = _output_path(cfg, "checkpoint")
-    log_path = _output_path(cfg, "train_log", default=str(checkpoint) + ".log")
+def cmd_train(run: _Run) -> Path:
+    cfg = run.cfg
+    checkpoint = run.output("checkpoint")
+    log_path = run.output("train_log", default=str(checkpoint) + ".log")
     checkpoint_dir = cfg.paths.get("checkpoint_dir")
     if checkpoint_dir:
         try:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError("load", f"{checkpoint_dir}: {exc.strerror}") from exc
-    train_trees = dev_trees = _prepare_trees(
-        _read(cfg, inputs, "train_treebank", read_treebank), cfg)
+    train_trees = dev_trees = _prepare_trees(run.read("train_treebank", read_treebank), cfg)
     if cfg.paths.get("dev_treebank"):
-        dev_trees = _prepare_trees(_read(cfg, inputs, "dev_treebank", read_treebank), cfg)
+        dev_trees = _prepare_trees(run.read("dev_treebank", read_treebank), cfg)
     try:
         params = trainer.train(train_trees, dev_trees, cfg.model, cfg.train,
                                log_path=log_path, checkpoint_dir=checkpoint_dir,
@@ -156,18 +155,17 @@ def cmd_train(cfg: PipelineConfig) -> int:
     except ValueError as exc:
         raise CliError("train", str(exc)) from exc
     model.save_checkpoint(params, checkpoint)
-    _write_manifest("train", cfg, inputs, [checkpoint, log_path], checkpoint)
     print(f"checkpoint written to {checkpoint}")
-    return 0
+    return checkpoint
 
 
-def _gather_sentences(cfg: PipelineConfig, inputs: dict[str, Path],
-                      need_tags: bool = True):
+def _gather_sentences(run: _Run, need_tags: bool = True):
     """Input sentences as (tokens, tags) pairs per the configured source.
 
     With ``need_tags`` false (lexicalized mode), a raw tokens file needs no
     tagger and yields ``tags=None``.
     """
+    cfg = run.cfg
     tcfg = cfg.transform
     if cfg.use_gold_tags:
         def gold_pair(tree):
@@ -176,36 +174,34 @@ def _gather_sentences(cfg: PipelineConfig, inputs: dict[str, Path],
                     [ExtendedTag.parse(p.label, tcfg.morph_separator)
                      for p in stripped.preterminals()])
 
-        return _each_tree(_read(cfg, inputs, "gold_treebank", read_treebank), gold_pair)
+        return _each_tree(run.read("gold_treebank", read_treebank), gold_pair)
     if cfg.paths.get("tagged_corpus"):
-        corpus = _read(cfg, inputs, "tagged_corpus", read_tagged_corpus_file,
-                       tcfg.morph_separator)
+        corpus = run.read("tagged_corpus", read_tagged_corpus_file, tcfg.morph_separator)
         return [(list(sentence.tokens), list(sentence.tags)) for sentence in corpus]
     if cfg.paths.get("tokens"):
-        lines = _read(cfg, inputs, "tokens", _token_lines)
+        lines = run.read("tokens", _token_lines)
         if not need_tags:
             return [(tokens, None) for tokens in lines]
-        tag_model = _read(cfg, inputs, "tagger_model", tagger.load_tagger,
-                          tcfg.morph_separator)
+        tag_model = run.read("tagger_model", tagger.load_tagger, tcfg.morph_separator)
         return [(tokens, list(tagger.tag_sentence(tag_model, tokens).tags))
                 for tokens in lines]
     raise CliError("load", "no input: set gold_treebank with use_gold_tags, "
                            "tagged_corpus, or tokens plus tagger_model")
 
 
-def cmd_parse(cfg: PipelineConfig) -> int:
-    inputs: dict[str, Path] = {}
-    output = _output_path(cfg, "parse_output")
-    params = _read(cfg, inputs, "checkpoint", model.load_checkpoint)
+def cmd_parse(run: _Run) -> Path:
+    cfg = run.cfg
+    output = run.output("parse_output")
+    params = run.read("checkpoint", model.load_checkpoint)
     lexicalized = cfg.mode == "lexicalized"
-    sentences = _gather_sentences(cfg, inputs, need_tags=not lexicalized)
+    sentences = _gather_sentences(run, need_tags=not lexicalized)
 
     if lexicalized:
         tag_lists = [[ExtendedTag(tok) for tok in tokens]
                      for tokens, _ in sentences]
     else:
         if cfg.apply_mapping:
-            table = _tag_map(cfg, inputs)
+            table = _tag_map(run)
             sentences = [
                 (tokens,
                  [tagmap.map_extended_tag(t, table, cfg.composite_separator)
@@ -233,113 +229,100 @@ def cmd_parse(cfg: PipelineConfig) -> int:
         except ValueError as exc:
             log.warning("sentence %d unusable: %s", index, exc)
             failures += 1
-    output.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    _write_manifest("parse", cfg, inputs, [output], output)
+    write_lines(output, lines)
     print(f"parsed {len(lines)}/{len(sentences)} sentences "
           f"({failures} failures) -> {output}")
-    return 0
+    return output
 
 
-def cmd_eval(cfg: PipelineConfig) -> int:
-    inputs: dict[str, Path] = {}
-    gold = _read(cfg, inputs, "gold_treebank", read_treebank)
-    pred = _read(cfg, inputs, "pred_treebank", read_treebank)
-    report = _output_path(cfg, "report", default=str(inputs["pred_treebank"]) + ".report")
+def cmd_eval(run: _Run) -> Path:
+    gold = run.read("gold_treebank", read_treebank)
+    pred = run.read("pred_treebank", read_treebank)
+    report = run.output("report", default=run.inputs["pred_treebank"]["path"] + ".report")
     try:
-        result, rows = evalb.score_corpus_detailed(gold, pred, cfg.eval)
+        result, rows = evalb.score_corpus_detailed(gold, pred, run.cfg.eval)
     except ValueError as exc:
         raise CliError("eval", str(exc)) from exc
     evalb.write_report(result, rows, report)
-    _write_manifest("eval", cfg, inputs, [report], report)
     print(evalb.format_summary(result))
-    return 0
+    return report
 
 
-def cmd_tag(cfg: PipelineConfig) -> int:
+def cmd_tag(run: _Run) -> Path:
+    cfg = run.cfg
     sep = cfg.transform.morph_separator
-    inputs: dict[str, Path] = {}
     tag_model = None
-    outputs: list[Path] = []
     if cfg.paths.get("train_corpus"):
-        model_out = _output_path(cfg, "tagger_model")
-        corpus = _read(cfg, inputs, "train_corpus", read_tagged_corpus_file, sep)
+        model_out = run.output("tagger_model")
+        corpus = run.read("train_corpus", read_tagged_corpus_file, sep)
         try:
             tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed, sep)
         except ValueError as exc:
             raise CliError("train", str(exc)) from exc
         tagger.save_tagger(tag_model, model_out)
-        outputs.append(model_out)
         print(f"tagger model written to {model_out}")
     if cfg.paths.get("tokens"):
-        output = _output_path(cfg, "tagged_output")
+        output = run.output("tagged_output")
         if tag_model is None:
-            tag_model = _read(cfg, inputs, "tagger_model", tagger.load_tagger, sep)
+            tag_model = run.read("tagger_model", tagger.load_tagger, sep)
         tagged = [tagger.tag_sentence(tag_model, tokens)
-                  for tokens in _read(cfg, inputs, "tokens", _token_lines)]
+                  for tokens in run.read("tokens", _token_lines)]
         write_tagged_corpus(tagged, output, sep)
-        outputs.append(output)
         print(f"tagged {len(tagged)} sentences -> {output}")
-    if not outputs:
+    if not run.outputs:
         raise CliError("load", "tag needs train_corpus and/or tokens input")
-    _write_manifest("tag", cfg, inputs, outputs, outputs[-1])
-    return 0
+    return run.outputs[-1]
 
 
-def cmd_map_tags(cfg: PipelineConfig) -> int:
-    sep = cfg.transform.morph_separator
-    inputs: dict[str, Path] = {}
-    output = _output_path(cfg, "tagged_output")
-    sentences = _read(cfg, inputs, "tagged_corpus", read_tagged_corpus_file, sep)
-    table = _tag_map(cfg, inputs)
-    mapped = [tagmap.map_sentence(s, table, cfg.composite_separator)
+def cmd_map_tags(run: _Run) -> Path:
+    output = run.output("tagged_output")
+    sep = run.cfg.transform.morph_separator
+    sentences = run.read("tagged_corpus", read_tagged_corpus_file, sep)
+    table = _tag_map(run)
+    mapped = [tagmap.map_sentence(s, table, run.cfg.composite_separator)
               for s in sentences]
     write_tagged_corpus(mapped, output, sep)
-    _write_manifest("map-tags", cfg, inputs, [output], output)
     print(f"mapped {len(mapped)} sentences -> {output}")
-    return 0
+    return output
 
 
-def cmd_delex(cfg: PipelineConfig) -> int:
+def cmd_delex(run: _Run) -> Path:
+    cfg = run.cfg
     tcfg = cfg.transform
-    inputs: dict[str, Path] = {}
-    output = _output_path(cfg, "delex_output")
+    output = run.output("delex_output")
     if cfg.paths.get("treebank"):
         def delex(tree):
             stripped = transform.strip_annotations(tree, tcfg)
             return stripped if cfg.strip_only else transform.delexicalize_tree(stripped, tcfg)
 
-        done = _each_tree(_read(cfg, inputs, "treebank", read_treebank), delex)
+        done = _each_tree(run.read("treebank", read_treebank), delex)
         write_treebank(done, output)
         written = f"{len(done)} trees"
     elif cfg.paths.get("tagged_corpus"):
-        sentences = _read(cfg, inputs, "tagged_corpus", read_tagged_corpus_file,
-                          tcfg.morph_separator)
+        sentences = run.read("tagged_corpus", read_tagged_corpus_file, tcfg.morph_separator)
         lines = [" ".join(transform.delexicalize_sentence(s, tcfg))
                  for s in sentences]
-        output.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        write_lines(output, lines)
         written = f"{len(lines)} sentences"
     else:
         raise CliError("load", "delex needs a treebank or tagged_corpus input")
-    _write_manifest("delex", cfg, inputs, [output], output)
     print(f"wrote {written} -> {output}")
-    return 0
+    return output
 
 
-def cmd_filter(cfg: PipelineConfig) -> int:
-    inputs: dict[str, Path] = {}
-    output = _output_path(cfg, "filtered_treebank")
-    report_path = _output_path(cfg, "filter_report", default=str(output) + ".report")
-    trees = _read(cfg, inputs, "treebank", read_treebank)
+def cmd_filter(run: _Run) -> Path:
+    output = run.output("filtered_treebank")
+    report_path = run.output("filter_report", default=str(output) + ".report")
+    trees = run.read("treebank", read_treebank)
     lexicon: set[str] = set()
-    if cfg.paths.get("latin_lexicon"):
-        text = _read(cfg, inputs, "latin_lexicon", _read_utf8)
+    if run.cfg.paths.get("latin_lexicon"):
+        text = run.read("latin_lexicon", _read_utf8)
         lexicon = {line.strip() for line in text.splitlines() if line.strip()}
     kept, report = transform.filter_target_treebank(trees, lexicon)
     write_treebank(kept, output)
-    report_path.write_text("".join(line + "\n" for line in report), encoding="utf-8")
-    _write_manifest("filter", cfg, inputs, [output, report_path], output)
+    write_lines(report_path, report)
     print(f"kept {len(kept)}/{len(trees)} trees -> {output}")
-    return 0
+    return output
 
 
 _COMMANDS = {
@@ -391,11 +374,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: stage=load: {exc}", file=sys.stderr)
         return 2
+    run = _Run(cfg)
     try:
-        return _COMMANDS[command](cfg)
+        _write_manifest(command, run, _COMMANDS[command](run))
     except CliError as exc:
         print(f"error: stage={exc.stage}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # every writer names its path in the error
+        print(f"error: stage=write: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

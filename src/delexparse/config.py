@@ -18,7 +18,7 @@ from .evalb import EvalConfig
 from .model import DESK_MODEL, PAPER_MODEL, ModelConfig
 from .trainer import DESK_TRAIN, PAPER_TRAIN, TrainConfig
 from .transform import TransformConfig
-from .treebank import TreebankFormatError, _read_utf8
+from .treebank import TreebankFormatError, _read_utf8, write_lines
 
 # Path keys each command takes from a config file or its command line.
 # Inputs are validated for existence by the commands that consume them.
@@ -186,7 +186,7 @@ def load_pipeline_config(config_path: str | None = None,
 
 def write_example_config(path: str | Path) -> None:
     """Write a documented template config file."""
-    Path(path).write_text(EXAMPLE_CONFIG, encoding="utf-8")
+    write_lines(path, EXAMPLE_CONFIG.splitlines())
 
 
 EXAMPLE_CONFIG = """\

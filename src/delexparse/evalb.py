@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .treebank import Tree
+from .treebank import Tree, write_lines
 
 DEFAULT_PUNCTUATION = frozenset({"$,", "$.", "$("})
 
@@ -161,4 +161,4 @@ def write_report(result: EvalResult, rows: list[SentenceScore],
         else:
             lines.append(f"{row.index}\t{row.gold_spans}\t{row.pred_spans}"
                          f"\t{row.matched}\t{int(row.exact)}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)

@@ -593,13 +593,17 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "tensors": directory,
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
+            fh.write(len(header_bytes).to_bytes(8, "little"))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+    except OSError as exc:
+        exc.filename = path  # named also when the write fails after the open
+        raise
 
 
 _HEADER_KEYS = ("format_version", "config", "labels", "pos_vocab", "feature_vocab",
@@ -639,13 +643,18 @@ def load_checkpoint(path) -> ModelParams:
         config = ModelConfig(**fields)
     except TypeError as exc:
         raise ModelError(f"bad checkpoint config: {exc}") from None
-    expected = _tensor_shapes(config, len(header["pos_vocab"]),
-                              len(header["feature_vocab"]), len(header["labels"]))
     entries = header["tensors"]
     if not (isinstance(entries, list)
             and all(isinstance(e, dict) and all(k in e for k in _ENTRY_KEYS)
                     for e in entries)):
         raise ModelError("checkpoint tensor entries need " + ", ".join(_ENTRY_KEYS))
+    # every layer has tensors, so a larger claim is false; checked before
+    # the expected directory, which grows with the claim, is built
+    if config.num_layers > len(entries):
+        raise ModelError(f"checkpoint config claims {config.num_layers} layers "
+                         f"for {len(entries)} tensors")
+    expected = _tensor_shapes(config, len(header["pos_vocab"]),
+                              len(header["feature_vocab"]), len(header["labels"]))
     if [entry["name"] for entry in entries] != list(expected):
         raise ModelError("checkpoint tensor names do not match its config")
     blob = memoryview(data)[16 + header_len:]

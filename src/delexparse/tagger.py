@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .treebank import (TAG_SEPARATOR, ExtendedTag, TaggedSentence, TreebankFormatError,
-                       _read_utf8)
+                       _read_utf8, write_lines)
 
 FORMAT_NAME = "delexparse-tagger"
 FORMAT_VERSION = 1
@@ -167,7 +167,7 @@ def save_tagger(model: TaggerModel, path: str | Path) -> None:
         row = model.feature_weights[feat]
         for tag in sorted(row):
             lines.append(f"{feat}\t{tag}\t{row[tag]!r}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_tagger(path: str | Path, sep: str = TAG_SEPARATOR) -> TaggerModel:

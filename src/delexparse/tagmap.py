@@ -9,31 +9,18 @@ from __future__ import annotations
 
 import logging
 
-from .treebank import ExtendedTag, TaggedSentence, TagMapTable
+from .data import default_tagmap_path
+from .treebank import ExtendedTag, TaggedSentence, TagMapTable, read_tag_map_file
 
 log = logging.getLogger(__name__)
 
 COMPOSITE_SEPARATOR = "|"
 
-# Known HiTS -> STTS correspondences shipped as the default table.
-DEFAULT_POS_PAIRS = (
-    ("CARDD", "CARD"),
-    ("DDA", "PDAT"),
-    ("DDART", "ART"),
-    ("DIA", "PIAT"),
-    ("DIART", "ART"),
-    ("DID", "PDAT"),
-    ("NA", "NN"),
-    ("VAPS", "ADJD.Pos"),
-)
-
 
 def default_table() -> TagMapTable:
-    """The bundled table: the known POS pairs, identity on features."""
-    return TagMapTable(
-        pos_map={src: ExtendedTag.parse(tgt) for src, tgt in DEFAULT_POS_PAIRS},
-        feature_map={},
-    )
+    """The bundled table, ``data/default.tagmap``: known HiTS -> STTS POS
+    pairs, identity on features."""
+    return read_tag_map_file(default_tagmap_path())
 
 
 def map_extended_tag(tag: ExtendedTag, table: TagMapTable,

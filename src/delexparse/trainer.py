@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chart, evalb, model
 from .transform import debinarize, relabel_preterminals
-from .treebank import TAG_SEPARATOR, ExtendedTag, Tree
+from .treebank import TAG_SEPARATOR, ExtendedTag, Tree, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -168,8 +168,7 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
             model.save_checkpoint(params, Path(checkpoint_dir) / f"epoch_{epoch:04d}.ckpt")
 
     if log_path is not None:
-        Path(log_path).write_text("".join(line + "\n" for line in log_lines),
-                                  encoding="utf-8")
+        write_lines(log_path, log_lines)
     log.info("best dev F1 %.4f at epoch %d", best_f1, best_epoch)
     return model.ModelParams(mconfig, params.pos_names, params.feature_names,
                              params.labels, best_tensors)

@@ -265,9 +265,19 @@ def read_treebank(path: str | Path) -> list[Tree]:
     return parse_bracketed(_read_utf8(path))
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by ``\\n``.  A failed
+    write raises ``OSError`` with ``path`` as its ``filename``, also when
+    it fails after the file opened (a full disk)."""
+    try:
+        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def write_treebank(trees: Iterable[Tree], path: str | Path) -> None:
-    lines = [serialize_tree(t) for t in trees]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, [serialize_tree(t) for t in trees])
 
 
 def split_treebank(trees: list[Tree], train_count: int) -> tuple[list[Tree], list[Tree]]:
@@ -373,7 +383,7 @@ def write_tagged_corpus(sentences: Iterable[TaggedSentence], path: str | Path,
         for token, tag in zip(sentence.tokens, sentence.tags):
             lines.append(f"{token}\t{tag.serialized(sep)}")
         lines.append("")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def read_tagged_corpus_file(path: str | Path, sep: str = TAG_SEPARATOR) -> list[TaggedSentence]:

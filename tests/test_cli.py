@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,11 @@ def test_tag_train_and_apply(tmp_path):
     sentences = read_tagged_corpus_file(tmp_path / "out.tags")
     assert [len(s) for s in sentences] == [3, 2]
     assert sentences[0].tags[0].serialized() == "ART.Nom"
+    # one manifest, named after the last output
+    assert not (tmp_path / "tagger.txt.manifest").exists()
+    manifest = json.loads((tmp_path / "out.tags.manifest").read_text())
+    assert manifest["outputs"] == [f"{tmp_path}/tagger.txt", f"{tmp_path}/out.tags"]
+    assert sorted(manifest["inputs"]) == ["tokens", "train_corpus"]
 
 
 def test_map_tags_roundtrip(tmp_path):
@@ -210,6 +218,9 @@ def test_filter_command(tmp_path):
     assert len(kept) == 1
     report = (tmp_path / "filter.report").read_text().splitlines()
     assert len(report) == 2
+    assert not (tmp_path / "filter.report.manifest").exists()
+    manifest = json.loads((tmp_path / "kept.brackets.manifest").read_text())
+    assert manifest["outputs"] == [f"{tmp_path}/kept.brackets", f"{tmp_path}/filter.report"]
 
 
 def test_manifest_contents(tmp_path):
@@ -569,3 +580,67 @@ def test_unwritable_output_exits_2_at_load_before_any_work(tmp_path, capsys, mon
     assert code == 2, err
     assert f"error: stage=load: {path}: " in err and err.count(path) == 1, err
     assert "Traceback" not in err
+
+
+# one failing write of every file a command writes, each after the work is
+# done: {full} is a name linked to /dev/full, where a write fails with
+# ENOSPC; so is {out}/r.report.manifest; {out}/ck/epoch_0002.ckpt is a
+# directory
+FAILED_WRITES = {
+    "train-checkpoint": (["train", "--config", "{ini}", "--checkpoint", "{full}",
+                          "--train-log", "{out}/p.log"], "{full}", errno.ENOSPC),
+    "train-log": (["train", "--config", "{ini}", "--checkpoint", "{out}/p.ckpt",
+                   "--train-log", "{full}"], "{full}", errno.ENOSPC),
+    "train-intermediate-checkpoint": (["train", "--config", "{ini}", "--checkpoint",
+                                       "{out}/p.ckpt", "--checkpoint-dir", "{out}/ck"],
+                                      "{out}/ck/epoch_0002.ckpt", errno.EISDIR),
+    "parse-output": (["parse", "--tagged-corpus", "{tags}", "--checkpoint", "{ckpt}",
+                      "--parse-output", "{full}"], "{full}", errno.ENOSPC),
+    "eval-report": (["eval", "--gold-treebank", "{toy}", "--pred-treebank", "{toy}",
+                     "--report", "{full}"], "{full}", errno.ENOSPC),
+    "eval-manifest": (["eval", "--gold-treebank", "{toy}", "--pred-treebank", "{toy}",
+                       "--report", "{out}/r.report"], "{out}/r.report.manifest", errno.ENOSPC),
+    "tag-model": (["tag", "--train-corpus", "{tags}", "--tagger-model", "{full}"],
+                  "{full}", errno.ENOSPC),
+    "tag-output": (["tag", "--tagger-model", "{tagger}", "--tokens", "{tokens}",
+                    "--tagged-output", "{full}"], "{full}", errno.ENOSPC),
+    "map-tags-output": (["map-tags", "--tagged-corpus", "{tags}", "--tagged-output", "{full}"],
+                        "{full}", errno.ENOSPC),
+    "delex-treebank-output": (["delex", "--treebank", "{toy}", "--delex-output", "{full}"],
+                              "{full}", errno.ENOSPC),
+    "delex-tags-output": (["delex", "--tagged-corpus", "{tags}", "--delex-output", "{full}"],
+                          "{full}", errno.ENOSPC),
+    "filter-treebank": (["filter", "--treebank", "{toy}", "--filtered-treebank", "{full}",
+                         "--filter-report", "{out}/f.report"], "{full}", errno.ENOSPC),
+    "filter-report": (["filter", "--treebank", "{short}", "--filtered-treebank", "{out}/f",
+                       "--filter-report", "{full}"], "{full}", errno.ENOSPC),
+}
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("case", FAILED_WRITES)
+def test_failed_write_exits_2_at_write_naming_its_path_once(tmp_path, capsys, case):
+    argv, failed, code = FAILED_WRITES[case]
+    out = tmp_path / "out"
+    (out / "ck" / "epoch_0002.ckpt").mkdir(parents=True)
+    for link in (tmp_path / "full", out / "r.report.manifest"):
+        link.symlink_to("/dev/full")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[paths]\ntrain_treebank = {data.toy_treebank_path()}\n"
+                   "[train]\nepochs = 2\ncheckpoint_every = 2\n" + TINY_MODEL,
+                   encoding="utf-8")
+    tags = tmp_path / "ok.tags"
+    tags.write_text("diu\tDDART.Nom\nfrouwe\tNA.Nom\n\n", encoding="utf-8")
+    tokens = tmp_path / "ok.txt"
+    tokens.write_text("der Mann\n", encoding="utf-8")
+    short = tmp_path / "short.brackets"  # a one-leaf tree, which filter reports
+    short.write_text("(S (NN kurz))\n", encoding="utf-8")
+    slots = {"full": tmp_path / "full", "out": out, "ini": ini, "tags": tags,
+             "tokens": tokens, "short": short, "toy": data.toy_treebank_path(),
+             "ckpt": tiny_checkpoint(tmp_path / "ok.ckpt"), "tagger": trained_tagger(tmp_path)}
+    capsys.readouterr()
+    assert cli.main([arg.format(**slots) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    path = failed.format(**slots)
+    assert err.splitlines()[-1] == f"error: stage=write: {path}: {os.strerror(code)}", err
+    assert err.count(path) == 1 and "Traceback" not in err, err

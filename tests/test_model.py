@@ -589,6 +589,20 @@ def rewrite_header(path, edit):
                      + blob[16 + length:])
 
 
+def test_checkpoint_claiming_more_layers_than_tensors_fails_before_building_shapes(
+        tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(tiny_params(), path)
+    rewrite_header(path, lambda h: h["config"].update(num_layers=10**12))
+
+    def forbidden(*args):
+        raise AssertionError("expected shapes built for the claimed layers")
+
+    monkeypatch.setattr(model, "_tensor_shapes", forbidden)
+    with pytest.raises(model.ModelError, match="claims 1000000000000 layers for 22 tensors"):
+        model.load_checkpoint(path)
+
+
 def test_checkpoint_truncated_anywhere_raises_model_error(tmp_path):
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(tiny_params(), path)

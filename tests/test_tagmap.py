@@ -1,6 +1,6 @@
 import pytest
 
-from delexparse.tagmap import DEFAULT_POS_PAIRS, default_table, map_extended_tag, map_sentence
+from delexparse.tagmap import default_table, map_extended_tag, map_sentence
 from delexparse.treebank import ExtendedTag, TagMapTable, TaggedSentence
 
 
@@ -70,7 +70,13 @@ def test_idempotent_on_target_inventory():
     assert map_sentence(once, table) == once
 
 
-@pytest.mark.parametrize("source,target", DEFAULT_POS_PAIRS)
+# the HiTS -> STTS pairs the bundled data/default.tagmap must hold
+# (acceptance criterion 5)
+BUNDLED_PAIRS = (("CARDD", "CARD"), ("DDA", "PDAT"), ("DDART", "ART"), ("DIA", "PIAT"),
+                 ("DIART", "ART"), ("DID", "PDAT"), ("NA", "NN"), ("VAPS", "ADJD.Pos"))
+
+
+@pytest.mark.parametrize("source,target", BUNDLED_PAIRS)
 def test_every_bundled_pair(source, target):
     table = default_table()
     mapped = map_extended_tag(ExtendedTag(source), table)
