@@ -136,20 +136,20 @@ def tree_spans(tree: Tree) -> tuple[list[tuple[int, int, str]], int]:
     Preterminals contribute no span; intermediate empty-label nodes do.
     """
     spans: list[tuple[int, int, str]] = []
+    end = 0  # leaves seen so far: the end of the node being folded
 
-    def walk(node: Tree, i: int) -> int:
-        if node.is_leaf:
-            return i + 1
-        if node.is_preterminal:
-            return i + len(node.children)
-        j = i
-        for child in node.children:
-            j = walk(child, j)
-        spans.append((i, j, node.label))
-        return j
+    def leaf(t: Tree) -> int:
+        nonlocal end
+        end += 1
+        return end - 1
 
-    n = walk(tree, 0)
-    return spans, n
+    def node(t: Tree, starts: list[int]) -> int:
+        if not t.is_preterminal:
+            spans.append((starts[0], end, t.label))
+        return starts[0]
+
+    tree.fold(leaf, node)
+    return spans, end
 
 
 def hamming_augment(rows: np.ndarray, gold: list[tuple[int, int]]) -> np.ndarray:

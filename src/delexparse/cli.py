@@ -20,9 +20,8 @@ from . import evalb, model, tagger, tagmap, trainer, transform
 from .config import COMMAND_PATHS, PipelineConfig, load_pipeline_config
 from .treebank import (ExtendedTag, TreebankFormatError, _read_utf8, read_tag_map_file,
                        read_tagged_corpus_file, read_treebank, serialize_tree,
-                       write_lines, write_tagged_corpus, write_treebank)
-
-log = logging.getLogger(__name__)
+                       well_formedness_problems, write_lines, write_tagged_corpus,
+                       write_treebank)
 
 
 class CliError(Exception):
@@ -39,6 +38,7 @@ class _Run:
     cfg: PipelineConfig
     inputs: dict[str, dict[str, str]] = field(default_factory=dict)
     outputs: list[Path] = field(default_factory=list)
+    anchor: Path | None = None  # the output the manifest is named after
 
     def read(self, key: str, reader, *args):
         """``reader(path, *args)`` on input ``key``, recorded with its
@@ -60,16 +60,17 @@ class _Run:
             raise CliError("load", f"{path}: {exc.strerror}") from exc
         return result
 
-    def output(self, key: str, default: str | None = None) -> Path:
-        """Output ``key``, recorded, its missing parent directories made; a
-        path that cannot become a file, or whose manifest cannot, fails at
-        stage ``load``, so commands call this before any work."""
+    def output(self, key: str, default: str | None = None, anchor: bool = True) -> Path:
+        """Output ``key``, recorded, its missing parent directories made; the
+        run's manifest is written next to its ``anchor`` output.  A path
+        that cannot become a file, or an anchor whose manifest cannot, fails
+        at stage ``load``, so commands call this before any work."""
         value = self.cfg.paths.get(key) or default
         if not value:
             raise CliError("load", f"missing required output path {key!r}")
         path = Path(value)
         try:
-            for target in (path, _manifest_path(path)):
+            for target in (path, _manifest_path(path)) if anchor else (path,):
                 if target.is_dir():
                     raise CliError("load", f"{target}: is a directory")
             ancestor = next(parent for parent in path.parents if parent.exists())
@@ -79,6 +80,8 @@ class _Run:
         except OSError as exc:
             raise CliError("load", f"{path}: {exc.strerror}") from exc
         self.outputs.append(path)
+        if anchor:
+            self.anchor = path
         return path
 
 
@@ -86,14 +89,14 @@ def _manifest_path(output: Path) -> Path:
     return output.with_name(output.name + ".manifest")
 
 
-def _write_manifest(command: str, run: _Run, anchor: Path) -> None:
+def _write_manifest(command: str, run: _Run) -> None:
     payload = {
         "command": command,
         "config": asdict(run.cfg),
         "inputs": run.inputs,
         "outputs": [str(p) for p in run.outputs],
     }
-    write_lines(_manifest_path(anchor),
+    write_lines(_manifest_path(run.anchor),
                 json.dumps(payload, indent=2, sort_keys=True, default=sorted).splitlines())
 
 
@@ -134,10 +137,10 @@ def _prepare_trees(trees, cfg: PipelineConfig):
     return _each_tree(trees, prepare)
 
 
-def cmd_train(run: _Run) -> Path:
+def cmd_train(run: _Run) -> None:
     cfg = run.cfg
     checkpoint = run.output("checkpoint")
-    log_path = run.output("train_log", default=str(checkpoint) + ".log")
+    log_path = run.output("train_log", default=str(checkpoint) + ".log", anchor=False)
     checkpoint_dir = cfg.paths.get("checkpoint_dir")
     if checkpoint_dir:
         try:
@@ -156,7 +159,6 @@ def cmd_train(run: _Run) -> Path:
         raise CliError("train", str(exc)) from exc
     model.save_checkpoint(params, checkpoint)
     print(f"checkpoint written to {checkpoint}")
-    return checkpoint
 
 
 def _gather_sentences(run: _Run, need_tags: bool = True):
@@ -170,6 +172,9 @@ def _gather_sentences(run: _Run, need_tags: bool = True):
     if cfg.use_gold_tags:
         def gold_pair(tree):
             stripped = transform.strip_annotations(tree, tcfg)
+            problems = well_formedness_problems(stripped)
+            if problems:
+                raise ValueError(f"gold tags need one preterminal per leaf: {problems[0]}")
             return (stripped.leaf_tokens(),
                     [ExtendedTag.parse(p.label, tcfg.morph_separator)
                      for p in stripped.preterminals()])
@@ -189,7 +194,7 @@ def _gather_sentences(run: _Run, need_tags: bool = True):
                            "tagged_corpus, or tokens plus tagger_model")
 
 
-def cmd_parse(run: _Run) -> Path:
+def cmd_parse(run: _Run) -> None:
     cfg = run.cfg
     output = run.output("parse_output")
     params = run.read("checkpoint", model.load_checkpoint)
@@ -214,28 +219,25 @@ def cmd_parse(run: _Run) -> Path:
                          for _, tags in sentences]
 
     results = trainer.parse_corpus(params, tag_lists)
-    lines = []
-    failures = 0
-    for index, ((tokens, tags), tree) in enumerate(zip(sentences, results)):
+    failures = sum(tree is None for tree in results)
+
+    def render(item) -> str:
+        (tokens, tags), tag_list, tree = item
         if tree is None:
-            failures += 1
-            continue
-        try:
-            if lexicalized and tags is not None:
-                # restore real tag labels at the preterminals, which carry
-                # embedded word types in lexicalized mode
-                tree = transform.relabel_preterminals(tree, [t.pos for t in tags])
-            lines.append(serialize_tree(transform.relexicalize_tree(tree, tokens)))
-        except ValueError as exc:
-            log.warning("sentence %d unusable: %s", index, exc)
-            failures += 1
+            tree = trainer.fallback_tree(tag_list)
+        if lexicalized and tags is not None:
+            # restore real tag labels at the preterminals, which carry
+            # embedded word types in lexicalized mode
+            tree = transform.relabel_preterminals(tree, [t.pos for t in tags])
+        return serialize_tree(transform.relexicalize_tree(tree, tokens))
+
+    lines = _each_tree(zip(sentences, tag_lists, results), render)
     write_lines(output, lines)
-    print(f"parsed {len(lines)}/{len(sentences)} sentences "
+    print(f"parsed {len(lines) - failures}/{len(lines)} sentences "
           f"({failures} failures) -> {output}")
-    return output
 
 
-def cmd_eval(run: _Run) -> Path:
+def cmd_eval(run: _Run) -> None:
     gold = run.read("gold_treebank", read_treebank)
     pred = run.read("pred_treebank", read_treebank)
     report = run.output("report", default=run.inputs["pred_treebank"]["path"] + ".report")
@@ -245,15 +247,14 @@ def cmd_eval(run: _Run) -> Path:
         raise CliError("eval", str(exc)) from exc
     evalb.write_report(result, rows, report)
     print(evalb.format_summary(result))
-    return report
 
 
-def cmd_tag(run: _Run) -> Path:
+def cmd_tag(run: _Run) -> None:
     cfg = run.cfg
     sep = cfg.transform.morph_separator
     tag_model = None
     if cfg.paths.get("train_corpus"):
-        model_out = run.output("tagger_model")
+        model_out = run.output("tagger_model", anchor=not cfg.paths.get("tokens"))
         corpus = run.read("train_corpus", read_tagged_corpus_file, sep)
         try:
             tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed, sep)
@@ -271,10 +272,9 @@ def cmd_tag(run: _Run) -> Path:
         print(f"tagged {len(tagged)} sentences -> {output}")
     if not run.outputs:
         raise CliError("load", "tag needs train_corpus and/or tokens input")
-    return run.outputs[-1]
 
 
-def cmd_map_tags(run: _Run) -> Path:
+def cmd_map_tags(run: _Run) -> None:
     output = run.output("tagged_output")
     sep = run.cfg.transform.morph_separator
     sentences = run.read("tagged_corpus", read_tagged_corpus_file, sep)
@@ -283,10 +283,9 @@ def cmd_map_tags(run: _Run) -> Path:
               for s in sentences]
     write_tagged_corpus(mapped, output, sep)
     print(f"mapped {len(mapped)} sentences -> {output}")
-    return output
 
 
-def cmd_delex(run: _Run) -> Path:
+def cmd_delex(run: _Run) -> None:
     cfg = run.cfg
     tcfg = cfg.transform
     output = run.output("delex_output")
@@ -307,12 +306,11 @@ def cmd_delex(run: _Run) -> Path:
     else:
         raise CliError("load", "delex needs a treebank or tagged_corpus input")
     print(f"wrote {written} -> {output}")
-    return output
 
 
-def cmd_filter(run: _Run) -> Path:
+def cmd_filter(run: _Run) -> None:
     output = run.output("filtered_treebank")
-    report_path = run.output("filter_report", default=str(output) + ".report")
+    report_path = run.output("filter_report", default=str(output) + ".report", anchor=False)
     trees = run.read("treebank", read_treebank)
     lexicon: set[str] = set()
     if run.cfg.paths.get("latin_lexicon"):
@@ -322,7 +320,6 @@ def cmd_filter(run: _Run) -> Path:
     write_treebank(kept, output)
     write_lines(report_path, report)
     print(f"kept {len(kept)}/{len(trees)} trees -> {output}")
-    return output
 
 
 _COMMANDS = {
@@ -376,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     run = _Run(cfg)
     try:
-        _write_manifest(command, run, _COMMANDS[command](run))
+        _COMMANDS[command](run)
+        _write_manifest(command, run)
     except CliError as exc:
         print(f"error: stage={exc.stage}: {exc}", file=sys.stderr)
         return 2

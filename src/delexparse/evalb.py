@@ -57,25 +57,26 @@ class SentenceScore:
 
 def _spans_and_length(tree: Tree, cfg: EvalConfig) -> tuple[Counter, int]:
     spans: Counter = Counter()
+    end = 0  # leaves kept so far: the end of the node being folded
 
-    def walk(node: Tree, i: int, is_root: bool) -> int:
-        if node.is_leaf:
-            return i + 1
-        if node.is_preterminal:
-            if node.label in cfg.punctuation_tags:
-                return i
-            return i + len(node.children)
-        j = i
-        for child in node.children:
-            j = walk(child, j, False)
-        if j > i and (cfg.include_root or not is_root):
-            label = cfg.label_equivalences.get(node.label, node.label)
+    def leaf(t: Tree) -> int:
+        nonlocal end
+        end += 1
+        return end - 1
+
+    def node(t: Tree, starts: list[int]) -> int:
+        nonlocal end
+        if t.is_preterminal:
+            if t.label in cfg.punctuation_tags:
+                end = starts[0]  # its leaves are removed
+        elif end > starts[0] and (cfg.include_root or t is not tree):
+            label = cfg.label_equivalences.get(t.label, t.label)
             if label not in cfg.ignore_labels:
-                spans[LabeledSpan(i, j, label)] += 1
-        return j
+                spans[LabeledSpan(starts[0], end, label)] += 1
+        return starts[0]
 
-    length = walk(tree, 0, True)
-    return spans, length
+    tree.fold(leaf, node)
+    return spans, end
 
 
 def extract_eval_spans(tree: Tree, cfg: EvalConfig = EvalConfig()) -> Counter:

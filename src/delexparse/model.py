@@ -536,18 +536,8 @@ def _subgradient_rows(pred_spans, gold_spans, num_labels):
 
 def build_label_inventory(trees: list[Tree]) -> list[str]:
     """Empty label first, then all phrase labels of the binarized trees."""
-    labels: set[str] = set()
-
-    def walk(node: Tree):
-        if node.is_leaf or node.is_preterminal:
-            return
-        if node.label != EMPTY_LABEL:
-            labels.add(node.label)
-        for child in node.children:
-            walk(child)
-
-    for tree in trees:
-        walk(tree)
+    labels = {node.label for tree in trees for node in tree.subtrees()
+              if node.children and not node.is_preterminal and node.label != EMPTY_LABEL}
     return [EMPTY_LABEL] + sorted(labels)
 
 
@@ -608,7 +598,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 _HEADER_KEYS = ("format_version", "config", "labels", "pos_vocab", "feature_vocab",
                 "tensors")
-_ENTRY_KEYS = ("name", "shape", "offset", "nbytes", "crc32")
+_ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes", "crc32")
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -632,6 +622,9 @@ def load_checkpoint(path) -> ModelParams:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise ModelError(f"checkpoint header lacks {', '.join(missing)}")
+    format_version = header["format_version"]
+    if type(format_version) is not int or format_version != CHECKPOINT_VERSION:
+        raise ModelError(f"unsupported checkpoint format_version {format_version!r}")
     for key in ("labels", "pos_vocab", "feature_vocab"):
         if not (isinstance(header[key], list) and header[key]
                 and all(isinstance(item, str) for item in header[key])):
@@ -661,6 +654,8 @@ def load_checkpoint(path) -> ModelParams:
     tensors: dict[str, np.ndarray] = {}
     for entry in entries:
         name, shape = entry["name"], expected[entry["name"]]
+        if entry["dtype"] != "<f8":
+            raise ModelError(f"tensor {name!r} has dtype {entry['dtype']!r}, not '<f8'")
         if entry["shape"] != list(shape):
             raise ModelError(f"tensor {name!r} has shape {entry['shape']}, "
                              f"expected {list(shape)} from the config and vocabularies")

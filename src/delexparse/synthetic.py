@@ -183,19 +183,18 @@ def random_annotated_tree(rng: np.random.Generator, max_leaves: int = 8) -> Tree
     """A random tree decorated with edge labels, coindexation, and traces."""
     tree = random_tree(rng, max_leaves)
 
-    def decorate(node: Tree, is_root: bool) -> Tree:
-        if node.is_leaf or node.is_preterminal:
+    def decorate(node: Tree, children: list[Tree]) -> Tree:
+        if node.is_preterminal:
             return node
         label = node.label
         if rng.random() < 0.4:
             label += "-" + ("SB", "OA", "HD", "MO")[rng.integers(4)]
         if rng.random() < 0.2:
             label += f"={int(rng.integers(1, 4))}"
-        children = [decorate(c, False) for c in node.children]
         if rng.random() < 0.25:
             trace = _pret("-NONE-", ("*T*1", "*", "*T*2")[rng.integers(3)])
             where = int(rng.integers(len(children) + 1))
             children.insert(where, trace)
         return Tree(label, tuple(children), None)
 
-    return decorate(tree, True)
+    return tree.fold(lambda t: t, decorate)

@@ -176,13 +176,13 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
 
 def _dev_fscore(params: model.ModelParams, dev_tags: list[list[ExtendedTag]],
                 dev_gold: list[Tree]) -> float:
-    if not dev_gold:
-        return 0.0
+    """Dev F1; a sentence that fails to parse is scored as its
+    :func:`fallback_tree`."""
     predictions = parse_corpus(params, dev_tags)
     gold_kept, pred_kept = [], []
-    for gold, pred in zip(dev_gold, predictions):
+    for gold, tags, pred in zip(dev_gold, dev_tags, predictions):
         if pred is None:
-            continue
+            pred = fallback_tree(tags)
         # predictions carry embedded symbols at the preterminals; restore
         # the reference tags so punctuation handling matches (a no-op in
         # delexicalized mode, where both sides already agree)
@@ -192,9 +192,15 @@ def _dev_fscore(params: model.ModelParams, dev_tags: list[list[ExtendedTag]],
             continue
         gold_kept.append(gold)
         pred_kept.append(pred)
-    if not gold_kept:
-        return 0.0
     return evalb.score_corpus(gold_kept, pred_kept, evalb.EvalConfig()).fscore
+
+
+def fallback_tree(tags: list[ExtendedTag]) -> Tree:
+    """The tree given to a sentence that cannot be parsed: a ``FAILED``
+    root over one preterminal per tag, built as :func:`chart.cky_decode`
+    builds them, so it counts as a parse with no correct bracket."""
+    return Tree.node("FAILED", [Tree.node(tag.pos, [Tree.leaf(tag.serialized())])
+                                for tag in tags])
 
 
 def parse_corpus(params: model.ModelParams,

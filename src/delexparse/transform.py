@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .treebank import ExtendedTag, TaggedSentence, Tree
+from .treebank import ExtendedTag, TaggedSentence, Tree, well_formedness_problems
 
 EMPTY_LABEL = "∅"
 CHAIN_SEPARATOR = "+"
@@ -65,17 +65,13 @@ def strip_annotations(tree: Tree, cfg: TransformConfig = TransformConfig()) -> T
     childless.  Raises ValueError if nothing remains below the root.
     """
 
-    def walk(node: Tree) -> Tree | None:
-        if node.is_leaf:
-            return node
-        if node.is_preterminal:
-            return None if _is_trace(node, cfg) else node
-        children = [c for c in (walk(child) for child in node.children) if c is not None]
-        if not children:
-            return None
-        return Tree.node(_clean_label(node.label, cfg), children)
+    def node(t: Tree, done: list[Tree | None]) -> Tree | None:
+        if t.is_preterminal:
+            return None if _is_trace(t, cfg) else t
+        children = [c for c in done if c is not None]
+        return Tree.node(_clean_label(t.label, cfg), children) if children else None
 
-    result = walk(tree)
+    result = tree.fold(lambda t: t, node)
     if result is None:
         raise ValueError("empty after stripping")
     return result
@@ -86,13 +82,17 @@ def delexicalize_tree(tree: Tree, cfg: TransformConfig = TransformConfig()) -> T
 
     The preterminal keeps only the POS part of its label; the leaf token
     becomes the full serialized tag, or just the POS when morphology is
-    dropped.  Tree shape is unchanged.
+    dropped.  Tree shape is unchanged.  The first problem in document order
+    raises ValueError.
     """
-
-    def walk(node: Tree) -> Tree:
+    preterminals: list[Tree] = []
+    under_preterminal = False  # preorder puts a preterminal's leaf right after it
+    for node in tree.subtrees():
         if node.is_leaf:
-            raise ValueError(f"leaf {node.token!r} has no preterminal parent")
-        if node.is_preterminal:
+            if not under_preterminal:
+                raise ValueError(f"leaf {node.token!r} has no preterminal parent")
+            under_preterminal = False
+        elif node.is_preterminal:
             if len(node.children) != 1:
                 raise ValueError(
                     f"preterminal {node.label!r} has {len(node.children)} children")
@@ -102,10 +102,11 @@ def delexicalize_tree(tree: Tree, cfg: TransformConfig = TransformConfig()) -> T
                 raise ValueError(
                     f"preterminal label {node.label!r} is not an extended tag") from exc
             token = tag.serialized(cfg.morph_separator) if cfg.keep_morphology else tag.pos
-            return Tree.node(tag.pos, [Tree.leaf(token)])
-        return Tree.node(node.label, [walk(c) for c in node.children])
-
-    return walk(tree)
+            preterminals.append(Tree.node(tag.pos, [Tree.leaf(token)]))
+            under_preterminal = True
+    preterminals.reverse()
+    return tree.fold(lambda t: t, lambda t, done: (
+        preterminals.pop() if t.is_preterminal else Tree.node(t.label, done)))
 
 
 def delexicalize_sentence(sentence: TaggedSentence,
@@ -116,21 +117,6 @@ def delexicalize_sentence(sentence: TaggedSentence,
     return [tag.pos for tag in sentence.tags]
 
 
-def _check_reserved(tree: Tree) -> None:
-    if tree.is_leaf or tree.is_preterminal:
-        return
-    if EMPTY_LABEL in tree.label or CHAIN_SEPARATOR in tree.label:
-        raise ValueError(f"label {tree.label!r} uses a reserved character")
-    for child in tree.children:
-        _check_reserved(child)
-
-
-def _fold_right(children: list[Tree]) -> list[Tree]:
-    if len(children) <= 2:
-        return children
-    return [children[0], Tree.node(EMPTY_LABEL, _fold_right(children[1:]))]
-
-
 def binarize(tree: Tree) -> Tree:
     """Right-branching binarization with unary chain collapse.
 
@@ -139,21 +125,23 @@ def binarize(tree: Tree) -> Tree:
     unary phrase nodes merge into one node with ``+``-joined labels; a
     phrase node directly over a preterminal is kept as is.
     """
-    _check_reserved(tree)
+    for t in tree.subtrees():
+        if ((EMPTY_LABEL in t.label or CHAIN_SEPARATOR in t.label)
+                and t.children and not t.is_preterminal):
+            raise ValueError(f"label {t.label!r} uses a reserved character")
 
-    def walk(node: Tree) -> Tree:
-        if node.is_leaf or node.is_preterminal:
-            return node
-        label = node.label
-        while (len(node.children) == 1
-               and not node.children[0].is_leaf
-               and not node.children[0].is_preterminal):
-            node = node.children[0]
-            label = label + CHAIN_SEPARATOR + node.label
-        children = _fold_right([walk(c) for c in node.children])
-        return Tree.node(label, children)
+    def node(t: Tree, done: list[Tree]) -> Tree:
+        if t.is_preterminal:
+            return t
+        if len(done) == 1 and not done[0].is_leaf and not done[0].is_preterminal:
+            # a unary chain: the child's merged label and folded children
+            return Tree.node(t.label + CHAIN_SEPARATOR + done[0].label, done[0].children)
+        children = done[-2:]
+        for child in reversed(done[:-2]):
+            children = [child, Tree.node(EMPTY_LABEL, children)]
+        return Tree.node(t.label, children)
 
-    return walk(tree)
+    return tree.fold(lambda t: t, node)
 
 
 def debinarize(tree: Tree) -> Tree:
@@ -161,23 +149,22 @@ def debinarize(tree: Tree) -> Tree:
     if not tree.is_leaf and not tree.is_preterminal and tree.label == EMPTY_LABEL:
         raise ValueError("cannot splice an empty-label node at the root")
 
-    def walk(node: Tree) -> Tree:
-        if node.is_leaf or node.is_preterminal:
-            return node
+    def node(t: Tree, done: list[Tree]) -> Tree:
+        if t.is_preterminal:
+            return t
         children: list[Tree] = []
-        for child in node.children:
-            done = walk(child)
-            if not done.is_leaf and not done.is_preterminal and done.label == EMPTY_LABEL:
-                children.extend(done.children)
+        for child in done:
+            if child.label == EMPTY_LABEL and not child.is_leaf and not child.is_preterminal:
+                children.extend(child.children)
             else:
-                children.append(done)
-        parts = node.label.split(CHAIN_SEPARATOR)
+                children.append(child)
+        parts = t.label.split(CHAIN_SEPARATOR)
         result = Tree.node(parts[-1], children)
         for part in reversed(parts[:-1]):
             result = Tree.node(part, [result])
         return result
 
-    return walk(tree)
+    return tree.fold(lambda t: t, node)
 
 
 def relabel_preterminals(tree: Tree, labels: list[str]) -> Tree:
@@ -189,20 +176,17 @@ def relabel_preterminals(tree: Tree, labels: list[str]) -> Tree:
     """
     position = 0
 
-    def walk(node: Tree) -> Tree:
+    def node(t: Tree, done: list[Tree]) -> Tree:
         nonlocal position
-        if node.is_leaf:
-            return node
-        if node.is_preterminal:
-            if position >= len(labels):
-                raise ValueError(
-                    f"tree has more preterminals than the {len(labels)} labels given")
-            relabeled = Tree.node(labels[position], list(node.children))
-            position += 1
-            return relabeled
-        return Tree.node(node.label, [walk(c) for c in node.children])
+        if not t.is_preterminal:
+            return Tree.node(t.label, done)
+        if position >= len(labels):
+            raise ValueError(
+                f"tree has more preterminals than the {len(labels)} labels given")
+        position += 1
+        return Tree.node(labels[position - 1], t.children)
 
-    result = walk(tree)
+    result = tree.fold(lambda t: t, node)
     if position != len(labels):
         raise ValueError(
             f"tree has {position} preterminals but {len(labels)} labels given")
@@ -213,18 +197,15 @@ def relexicalize_tree(tree: Tree, tokens: list[str]) -> Tree:
     """Replace leaf tokens left to right with the given surface tokens."""
     position = 0
 
-    def walk(node: Tree) -> Tree:
+    def leaf(t: Tree) -> Tree:
         nonlocal position
-        if node.is_leaf:
-            if position >= len(tokens):
-                raise ValueError(
-                    f"tree has more leaves than the {len(tokens)} tokens given")
-            leaf = Tree.leaf(tokens[position])
-            position += 1
-            return leaf
-        return Tree.node(node.label, [walk(c) for c in node.children])
+        if position >= len(tokens):
+            raise ValueError(
+                f"tree has more leaves than the {len(tokens)} tokens given")
+        position += 1
+        return Tree.leaf(tokens[position - 1])
 
-    result = walk(tree)
+    result = tree.fold(leaf, lambda t, done: Tree.node(t.label, done))
     if position != len(tokens):
         raise ValueError(f"tree has {position} leaves but {len(tokens)} tokens given")
     return result
@@ -232,19 +213,18 @@ def relexicalize_tree(tree: Tree, tokens: list[str]) -> Tree:
 
 def _drop_leaf(tree: Tree, target: int) -> Tree | None:
     """Remove the leaf at index ``target`` plus any ancestors left empty."""
-    position = 0
+    position = -1
 
-    def walk(node: Tree) -> Tree | None:
+    def leaf(t: Tree) -> Tree | None:
         nonlocal position
-        if node.is_leaf:
-            position += 1
-            return None if position - 1 == target else node
-        children = [c for c in (walk(child) for child in node.children) if c is not None]
-        if not children:
-            return None
-        return Tree.node(node.label, children)
+        position += 1
+        return None if position == target else t
 
-    return walk(tree)
+    def node(t: Tree, done: list[Tree | None]) -> Tree | None:
+        children = [c for c in done if c is not None]
+        return Tree.node(t.label, children) if children else None
+
+    return tree.fold(leaf, node)
 
 
 def filter_target_treebank(trees: list[Tree], latin_lexicon: set[str],
@@ -256,8 +236,6 @@ def filter_target_treebank(trees: list[Tree], latin_lexicon: set[str],
     Latin lexicon, and deletes a leading leaf made of digits and periods.
     The <2-leaf criterion is this toolkit's reading of "incomplete" trees.
     """
-    from .treebank import well_formedness_problems
-
     kept: list[Tree] = []
     report: list[str] = []
     for index, tree in enumerate(trees):

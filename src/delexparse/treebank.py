@@ -16,16 +16,20 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 TAG_SEPARATOR = "."
 
 _ESCAPES = (("(", "-LRB-"), (")", "-RRB-"))
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _SPACE = re.compile(r"\s").search  # a match iff some char.isspace()
+_CHILDREN = attrgetter("children")
 
 
 class TreebankFormatError(ValueError):
@@ -57,13 +61,15 @@ def unescape_atom(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
     """Rooted ordered tree; internal nodes carry labels, leaves carry tokens.
 
     A node is a leaf iff ``children`` is empty iff ``token`` is present.  For
     leaves, ``label`` equals the token.  A preterminal is an internal node
-    all of whose children are leaves.
+    all of whose children are leaves.  Every walk over a tree goes through
+    :meth:`subtrees` or :meth:`fold`, which keep their own stack, so trees
+    may nest to any depth.
     """
 
     label: str
@@ -84,35 +90,60 @@ class Tree:
 
     @property
     def is_preterminal(self) -> bool:
-        return bool(self.children) and all(c.is_leaf for c in self.children)
+        return bool(self.children) and not any(map(_CHILDREN, self.children))
 
-    def leaf_tokens(self) -> list[str]:
-        if self.is_leaf:
-            return [self.token]
-        out: list[str] = []
+    def subtrees(self) -> Iterator["Tree"]:
+        """Every node of the tree in preorder, this one first."""
         stack = [self]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                out.append(node.token)
+            yield node
+            stack.extend(reversed(node.children))
+
+    def fold(self, leaf: Callable[["Tree"], T], node: Callable[["Tree", list[T]], T]) -> T:
+        """The root's value, computed bottom-up: ``leaf(t)`` for each leaf and
+        ``node(t, values)`` for each internal node with its children's
+        values.  Calls follow document order, children before their parent.
+        """
+        # preorder with the children taken right to left: read backwards,
+        # that is document order with children before their parent
+        order: list[Tree] = []
+        stack = [self]
+        visit, pop, push = order.append, stack.pop, stack.extend
+        while stack:
+            t = pop()
+            visit(t)
+            push(t.children)
+        values: list[T] = []
+        append = values.append
+        for t in reversed(order):
+            if t.children:
+                k = -len(t.children)
+                values[k:] = [node(t, values[k:])]
             else:
-                stack.extend(reversed(node.children))
-        return out
+                append(leaf(t))
+        return values[0]
+
+    def leaf_tokens(self) -> list[str]:
+        return [t.token for t in self.subtrees() if not t.children]
 
     def preterminals(self) -> list["Tree"]:
-        if self.is_leaf:
-            return []
-        if self.is_preterminal:
-            return [self]
-        out: list[Tree] = []
-        for child in self.children:
-            out.extend(child.preterminals())
-        return out
+        return [t for t in self.subtrees() if t.is_preterminal]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Tree:
+            return NotImplemented
+        return all(a.label == b.label and a.token == b.token
+                   and len(a.children) == len(b.children)
+                   for a, b in zip(self.subtrees(), other.subtrees()))
+
+    def __hash__(self) -> int:
+        return self.fold(lambda t: hash((t.label, t.token)),
+                         lambda t, hashes: hash((t.label, *hashes)))
 
     def __repr__(self) -> str:  # compact form, easier to read in test output
-        if self.is_leaf:
-            return self.token
-        return "({} {})".format(self.label, " ".join(repr(c) for c in self.children))
+        return self.fold(lambda t: t.token,
+                         lambda t, parts: f"({t.label} {' '.join(parts)})")
 
 
 def well_formedness_problems(tree: Tree) -> list[str]:
@@ -120,30 +151,23 @@ def well_formedness_problems(tree: Tree) -> list[str]:
 
     Well-formed means every leaf hangs under a preterminal with exactly one
     child.  Flat preterminals and bare leaves under phrase nodes are legal
-    input (they occur in converted treebanks) but are reported here.
+    input (they occur in converted treebanks) but are reported here, in
+    document order.
     """
-    problems: list[str] = []
-
-    def walk(node: Tree) -> None:
-        if node.is_leaf:
-            return
-        if node.is_preterminal:
-            if len(node.children) != 1:
-                problems.append(
-                    f"preterminal {node.label!r} has {len(node.children)} leaves")
-            return
-        for child in node.children:
-            if child.is_leaf:
-                problems.append(
-                    f"leaf {child.token!r} has non-preterminal parent {node.label!r}")
-            else:
-                walk(child)
-
     if tree.is_leaf:
-        problems.append("bare leaf as root")
-    else:
-        walk(tree)
-    return problems
+        return ["bare leaf as root"]
+
+    def node(t: Tree, found: list[list[str] | None]) -> list[str]:
+        if t.is_preterminal:
+            n = len(t.children)
+            return [] if n == 1 else [f"preterminal {t.label!r} has {n} leaves"]
+        problems: list[str] = []
+        for child, below in zip(t.children, found):  # a leaf's is None
+            problems += below if below is not None else [
+                f"leaf {child.token!r} has non-preterminal parent {t.label!r}"]
+        return problems
+
+    return tree.fold(lambda t: None, node)
 
 
 def scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
@@ -230,14 +254,9 @@ def parse_bracketed(text: str) -> list[Tree]:
 
 def serialize_tree(tree: Tree) -> str:
     """Render a tree as a single bracketed line; inverse of parse_bracketed."""
-
-    def render(node: Tree) -> str:
-        if node.is_leaf:
-            return escape_atom(_checked_atom(node.token, "token"))
-        inner = " ".join(render(c) for c in node.children)
-        return f"({escape_atom(_checked_atom(node.label, 'label'))} {inner})"
-
-    return render(tree)
+    return tree.fold(lambda t: escape_atom(_checked_atom(t.token, "token")),
+                     lambda t, parts: "({} {})".format(
+                         escape_atom(_checked_atom(t.label, "label")), " ".join(parts)))
 
 
 def _checked_atom(text: str | None, kind: str) -> str:

@@ -7,8 +7,9 @@ span-by-span label MLP and a span-by-span CKY loop for the vectorized
 scorer and chart, a scorer backward over every span for the row-only
 one, a dense cost tensor for the in-place loss augmentation, a
 recursive-descent bracket reader over per-token (token, offset) pairs
-for the one-pass reader, and a ground-truth HMM with Viterbi decoding
-for the tagger.  None of it shares code paths with the implementations
+for the one-pass reader, plain recursion for every tree walk that the
+library folds over an explicit stack, and a ground-truth HMM with
+Viterbi decoding for the tagger.  None of it shares code paths with the implementations
 under test.
 """
 
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from delexparse.chart import SpanTables
+from delexparse.evalb import EvalConfig, LabeledSpan
+from delexparse.transform import CHAIN_SEPARATOR, EMPTY_LABEL, TransformConfig
 from delexparse.treebank import (ExtendedTag, TaggedSentence, Tree, TreebankFormatError,
                                  unescape_atom)
 
@@ -339,6 +342,303 @@ def naive_score(gold: list[Tree], pred: list[Tree], punctuation=DEFAULT_PUNCT):
     return {"recall": recall, "precision": precision, "fscore": fscore,
             "complete_match": cm, "matched": matched, "gold_total": gold_total,
             "pred_total": pred_total, "exact": exact, "scored": scored}
+
+
+# ---------------------------------------------------------- tree walk oracles
+#
+# Each walk over a tree, written as plain recursion, one Python frame per
+# tree level.  The library folds over an explicit stack instead; these
+# give the results and the first error it must match.
+
+def recursive_leaf_tokens(tree: Tree) -> list[str]:
+    if tree.is_leaf:
+        return [tree.token]
+    return [token for child in tree.children for token in recursive_leaf_tokens(child)]
+
+
+def recursive_preterminals(tree: Tree) -> list[Tree]:
+    if tree.is_leaf:
+        return []
+    if tree.is_preterminal:
+        return [tree]
+    return [p for child in tree.children for p in recursive_preterminals(child)]
+
+
+def recursive_repr(tree: Tree) -> str:
+    if tree.is_leaf:
+        return tree.token
+    return "({} {})".format(tree.label, " ".join(recursive_repr(c) for c in tree.children))
+
+
+def recursive_eq(a: Tree, b: Tree) -> bool:
+    """The field-by-field equality a frozen dataclass generates."""
+    return (a.label == b.label and a.token == b.token
+            and len(a.children) == len(b.children)
+            and all(recursive_eq(x, y) for x, y in zip(a.children, b.children)))
+
+
+def recursive_well_formedness_problems(tree: Tree) -> list[str]:
+    problems: list[str] = []
+
+    def walk(node: Tree) -> None:
+        if node.is_leaf:
+            return
+        if node.is_preterminal:
+            if len(node.children) != 1:
+                problems.append(
+                    f"preterminal {node.label!r} has {len(node.children)} leaves")
+            return
+        for child in node.children:
+            if child.is_leaf:
+                problems.append(
+                    f"leaf {child.token!r} has non-preterminal parent {node.label!r}")
+            else:
+                walk(child)
+
+    if tree.is_leaf:
+        problems.append("bare leaf as root")
+    else:
+        walk(tree)
+    return problems
+
+
+def _checked_atom(text: str | None, kind: str) -> str:
+    if not text:
+        raise ValueError(f"empty {kind} is not serializable")
+    if any(char.isspace() for char in text):
+        raise ValueError(f"{kind} {text!r} contains whitespace")
+    return text
+
+
+def _escape_atom(text: str) -> str:
+    return text.replace("(", "-LRB-").replace(")", "-RRB-")
+
+
+def recursive_serialize_tree(tree: Tree) -> str:
+    if tree.is_leaf:
+        return _escape_atom(_checked_atom(tree.token, "token"))
+    inner = " ".join(recursive_serialize_tree(c) for c in tree.children)
+    return f"({_escape_atom(_checked_atom(tree.label, 'label'))} {inner})"
+
+
+def recursive_strip_annotations(tree: Tree, cfg: TransformConfig = TransformConfig()) -> Tree:
+    def clean(label: str) -> str:
+        cut = label.find(cfg.edge_separator)
+        if cut > 0:
+            label = label[:cut]
+        stripped = re.sub(r"=\d+$", "", label)
+        return stripped if stripped else label
+
+    def is_trace(node: Tree) -> bool:
+        if node.label == cfg.trace_label:
+            return True
+        return len(node.children) == 1 and any(
+            node.children[0].token.startswith(p) for p in cfg.trace_token_patterns)
+
+    def walk(node: Tree) -> Tree | None:
+        if node.is_leaf:
+            return node
+        if node.is_preterminal:
+            return None if is_trace(node) else node
+        children = [c for c in (walk(child) for child in node.children) if c is not None]
+        if not children:
+            return None
+        return Tree.node(clean(node.label), children)
+
+    result = walk(tree)
+    if result is None:
+        raise ValueError("empty after stripping")
+    return result
+
+
+def recursive_delexicalize_tree(tree: Tree,
+                                cfg: TransformConfig = TransformConfig()) -> Tree:
+    def walk(node: Tree) -> Tree:
+        if node.is_leaf:
+            raise ValueError(f"leaf {node.token!r} has no preterminal parent")
+        if node.is_preterminal:
+            if len(node.children) != 1:
+                raise ValueError(
+                    f"preterminal {node.label!r} has {len(node.children)} children")
+            try:
+                tag = ExtendedTag.parse(node.label, cfg.morph_separator)
+            except ValueError as exc:
+                raise ValueError(
+                    f"preterminal label {node.label!r} is not an extended tag") from exc
+            token = tag.serialized(cfg.morph_separator) if cfg.keep_morphology else tag.pos
+            return Tree.node(tag.pos, [Tree.leaf(token)])
+        return Tree.node(node.label, [walk(c) for c in node.children])
+
+    return walk(tree)
+
+
+def _check_reserved(tree: Tree) -> None:
+    if tree.is_leaf or tree.is_preterminal:
+        return
+    if EMPTY_LABEL in tree.label or CHAIN_SEPARATOR in tree.label:
+        raise ValueError(f"label {tree.label!r} uses a reserved character")
+    for child in tree.children:
+        _check_reserved(child)
+
+
+def _fold_right(children: list[Tree]) -> list[Tree]:
+    if len(children) <= 2:
+        return children
+    return [children[0], Tree.node(EMPTY_LABEL, _fold_right(children[1:]))]
+
+
+def recursive_binarize(tree: Tree) -> Tree:
+    _check_reserved(tree)
+
+    def walk(node: Tree) -> Tree:
+        if node.is_leaf or node.is_preterminal:
+            return node
+        label = node.label
+        while (len(node.children) == 1
+               and not node.children[0].is_leaf
+               and not node.children[0].is_preterminal):
+            node = node.children[0]
+            label = label + CHAIN_SEPARATOR + node.label
+        return Tree.node(label, _fold_right([walk(c) for c in node.children]))
+
+    return walk(tree)
+
+
+def recursive_debinarize(tree: Tree) -> Tree:
+    if not tree.is_leaf and not tree.is_preterminal and tree.label == EMPTY_LABEL:
+        raise ValueError("cannot splice an empty-label node at the root")
+
+    def walk(node: Tree) -> Tree:
+        if node.is_leaf or node.is_preterminal:
+            return node
+        children: list[Tree] = []
+        for child in node.children:
+            done = walk(child)
+            if not done.is_leaf and not done.is_preterminal and done.label == EMPTY_LABEL:
+                children.extend(done.children)
+            else:
+                children.append(done)
+        parts = node.label.split(CHAIN_SEPARATOR)
+        result = Tree.node(parts[-1], children)
+        for part in reversed(parts[:-1]):
+            result = Tree.node(part, [result])
+        return result
+
+    return walk(tree)
+
+
+def recursive_relabel_preterminals(tree: Tree, labels: list[str]) -> Tree:
+    position = 0
+
+    def walk(node: Tree) -> Tree:
+        nonlocal position
+        if node.is_leaf:
+            return node
+        if node.is_preterminal:
+            if position >= len(labels):
+                raise ValueError(
+                    f"tree has more preterminals than the {len(labels)} labels given")
+            position += 1
+            return Tree.node(labels[position - 1], list(node.children))
+        return Tree.node(node.label, [walk(c) for c in node.children])
+
+    result = walk(tree)
+    if position != len(labels):
+        raise ValueError(
+            f"tree has {position} preterminals but {len(labels)} labels given")
+    return result
+
+
+def recursive_relexicalize_tree(tree: Tree, tokens: list[str]) -> Tree:
+    position = 0
+
+    def walk(node: Tree) -> Tree:
+        nonlocal position
+        if node.is_leaf:
+            if position >= len(tokens):
+                raise ValueError(
+                    f"tree has more leaves than the {len(tokens)} tokens given")
+            position += 1
+            return Tree.leaf(tokens[position - 1])
+        return Tree.node(node.label, [walk(c) for c in node.children])
+
+    result = walk(tree)
+    if position != len(tokens):
+        raise ValueError(f"tree has {position} leaves but {len(tokens)} tokens given")
+    return result
+
+
+def recursive_drop_leaf(tree: Tree, target: int) -> Tree | None:
+    position = 0
+
+    def walk(node: Tree) -> Tree | None:
+        nonlocal position
+        if node.is_leaf:
+            position += 1
+            return None if position - 1 == target else node
+        children = [c for c in (walk(child) for child in node.children) if c is not None]
+        if not children:
+            return None
+        return Tree.node(node.label, children)
+
+    return walk(tree)
+
+
+def recursive_tree_spans(tree: Tree) -> tuple[list[tuple[int, int, str]], int]:
+    spans: list[tuple[int, int, str]] = []
+
+    def walk(node: Tree, i: int) -> int:
+        if node.is_leaf:
+            return i + 1
+        if node.is_preterminal:
+            return i + len(node.children)
+        j = i
+        for child in node.children:
+            j = walk(child, j)
+        spans.append((i, j, node.label))
+        return j
+
+    n = walk(tree, 0)
+    return spans, n
+
+
+def recursive_spans_and_length(tree: Tree, cfg: EvalConfig) -> tuple[Counter, int]:
+    spans: Counter = Counter()
+
+    def walk(node: Tree, i: int, is_root: bool) -> int:
+        if node.is_leaf:
+            return i + 1
+        if node.is_preterminal:
+            if node.label in cfg.punctuation_tags:
+                return i
+            return i + len(node.children)
+        j = i
+        for child in node.children:
+            j = walk(child, j, False)
+        if j > i and (cfg.include_root or not is_root):
+            label = cfg.label_equivalences.get(node.label, node.label)
+            if label not in cfg.ignore_labels:
+                spans[LabeledSpan(i, j, label)] += 1
+        return j
+
+    length = walk(tree, 0, True)
+    return spans, length
+
+
+def recursive_label_inventory(trees: list[Tree]) -> list[str]:
+    labels: set[str] = set()
+
+    def walk(node: Tree):
+        if node.is_leaf or node.is_preterminal:
+            return
+        if node.label != EMPTY_LABEL:
+            labels.add(node.label)
+        for child in node.children:
+            walk(child)
+
+    for tree in trees:
+        walk(tree)
+    return [EMPTY_LABEL] + sorted(labels)
 
 
 # ---------------------------------------------------------------- HMM oracle

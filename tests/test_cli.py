@@ -223,6 +223,70 @@ def test_filter_command(tmp_path):
     assert manifest["outputs"] == [f"{tmp_path}/kept.brackets", f"{tmp_path}/filter.report"]
 
 
+# a command run whose second output's manifest name is taken by a
+# directory: only the anchor output gets a manifest, so the run succeeds
+SECOND_OUTPUTS = {
+    "tag": (["tag", "--train-corpus", "{corpus}", "--tagger-model", "{tmp}/tagger.txt",
+             "--tokens", "{tokens}", "--tagged-output", "{tmp}/out.tags"],
+            "{tmp}/tagger.txt", "{tmp}/out.tags"),
+    "train": (["train", "--config", "{config}", "--train-log", "{tmp}/run.log"],
+              "{tmp}/run.log", "{tmp}/out/parser.ckpt"),
+    "filter": (["filter", "--treebank", "{toy}", "--filtered-treebank", "{tmp}/kept.brackets",
+                "--filter-report", "{tmp}/filter.report"],
+               "{tmp}/filter.report", "{tmp}/kept.brackets"),
+}
+
+
+@pytest.mark.parametrize("case", SECOND_OUTPUTS)
+def test_only_the_anchor_manifest_path_is_checked(tmp_path, case):
+    argv, second, anchor = SECOND_OUTPUTS[case]
+    corpus = tmp_path / "train.tags"
+    corpus.write_text("der\tART.Nom\nMann\tNN.Nom\n\n", encoding="utf-8")
+    tokens = tmp_path / "raw.txt"
+    tokens.write_text("der Mann\n", encoding="utf-8")
+    slots = {"tmp": tmp_path, "corpus": corpus, "tokens": tokens,
+             "config": write_config(tmp_path), "toy": data.toy_treebank_path()}
+    blocked = Path(second.format(**slots) + ".manifest")
+    blocked.mkdir()
+    assert cli.main([arg.format(**slots) for arg in argv]) == 0
+    assert Path(second.format(**slots)).is_file() and blocked.is_dir()
+    assert Path(anchor.format(**slots) + ".manifest").is_file()
+
+
+def test_parse_writes_a_fallback_tree_for_each_sentence_it_cannot_parse(tmp_path, capsys):
+    # the checkpoint's max_len is 32: the 40-token sentence cannot be parsed
+    long_tokens = [f"w{k}" for k in range(40)]
+    corpus = tmp_path / "in.tags"
+    corpus.write_text("a\tNN\nb\tNN\n\n" + "".join(f"{w}\tNN\n" for w in long_tokens),
+                      encoding="utf-8")
+    gold = tmp_path / "gold.brackets"
+    gold.write_text("(S (NN a) (NN b))\n(S " + " ".join(f"(NN {w})" for w in long_tokens)
+                    + ")\n", encoding="utf-8")
+    pred = tmp_path / "pred.brackets"
+    assert cli.main(["parse", "--no-mapping", "--tagged-corpus", str(corpus),
+                     "--checkpoint", str(tiny_checkpoint(tmp_path / "ok.ckpt")),
+                     "--parse-output", str(pred)]) == 0
+    assert f"parsed 1/2 sentences (1 failures) -> {pred}" in capsys.readouterr().out
+    lines = pred.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert lines[1] == "(FAILED " + " ".join(f"(NN {w})" for w in long_tokens) + ")"
+    # aligned with its input, so eval scores it: one bracket, none correct
+    assert cli.main(["eval", "--gold-treebank", str(gold), "--pred-treebank", str(pred),
+                     "--report", f"{tmp_path}/eval.report"]) == 0
+    assert (tmp_path / "eval.report").read_text().splitlines()[-1] == "1\t1\t1\t0\t0"
+
+
+def test_gold_tags_from_an_ill_formed_tree_exit_2_at_transform(tmp_path, capsys):
+    gold = tmp_path / "gold.brackets"
+    gold.write_text("(S (NN a) (NN b))\n(S (NN a b))\n", encoding="utf-8")
+    code = cli.main(["parse", "--use-gold-tags", "--gold-treebank", str(gold),
+                     "--checkpoint", str(tiny_checkpoint(tmp_path / "ok.ckpt")),
+                     "--parse-output", f"{tmp_path}/pred.brackets"])
+    assert code == 2
+    assert ("error: stage=transform: tree 1: gold tags need one preterminal per leaf: "
+            "preterminal 'NN' has 2 leaves") in capsys.readouterr().err
+
+
 def test_manifest_contents(tmp_path):
     config = write_config(tmp_path)
     assert cli.main(["train", "--config", str(config)]) == 0

@@ -624,8 +624,13 @@ def test_checkpoint_truncated_anywhere_raises_model_error(tmp_path):
     (lambda h: h["pos_vocab"].pop(), "shape"),
     (lambda h: h["config"].update(num_layers="1"), "integers"),
     (lambda h: h["config"].update(depth=1), "config"),
+    (lambda h: h.update(format_version=2), "format_version 2"),
+    (lambda h: h.update(format_version=True), "format_version True"),
+    (lambda h: h["tensors"][-1].update(dtype="<f4"), "dtype '<f4'"),
+    (lambda h: h["tensors"][0].pop("dtype"), "entries need .*dtype"),
 ], ids=["missing-key", "renamed-tensor", "extra-label", "short-pos-vocab",
-        "string-config", "unknown-config-key"])
+        "string-config", "unknown-config-key", "format-version-2", "format-version-true",
+        "float32-dtype", "missing-dtype"])
 def test_checkpoint_header_disagreements_raise_model_error(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(tiny_params(), path)

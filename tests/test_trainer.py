@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delexparse import model, synthetic, trainer, transform
+from delexparse import evalb, model, synthetic, trainer, transform
 from delexparse.transform import binarize, delexicalize_tree, strip_annotations
 from delexparse.treebank import ExtendedTag, Tree
 
@@ -97,6 +97,22 @@ def test_parse_corpus_keeps_order_and_flags_failures():
     for tags, tree in zip(sentences, results):
         if tree is not None:
             assert tree.leaf_tokens() == [t.serialized() for t in tags]
+
+
+def test_dev_fscore_scores_a_failed_sentence_as_its_fallback_tree():
+    trees = prepared_toy(4)
+    params = trainer.train(trees, trees, SMALL, trainer.TrainConfig(epochs=1, batch_size=2))
+    tags = [trainer.tree_tag_sequence(t) for t in trees]
+    gold = [transform.debinarize(t) for t in trees]
+    too_long = [ExtendedTag("NN")] * (SMALL.max_len + 1)
+    long_gold = Tree.node("S", [Tree.node("NN", [Tree.leaf("NN")]) for _ in too_long])
+    parsed = [transform.relabel_preterminals(p, [q.label for q in g.preterminals()])
+              for p, g in zip(trainer.parse_corpus(params, tags), gold)]
+    fallback = trainer.fallback_tree(too_long)
+    assert repr(fallback) == "(FAILED " + " ".join(["(NN NN)"] * len(too_long)) + ")"
+    expected = evalb.score_corpus(gold + [long_gold], parsed + [fallback]).fscore
+    assert trainer._dev_fscore(params, tags + [too_long], gold + [long_gold]) == expected
+    assert trainer._dev_fscore(params, [too_long], [long_gold]) == 0.0
 
 
 def test_dev_label_unseen_in_train_is_allowed():
