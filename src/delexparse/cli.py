@@ -52,8 +52,7 @@ class _Run:
             if not path.exists():
                 raise CliError("load", f"input {key}={value} does not exist")
             result = reader(path, *args)
-            self.inputs[key] = {"path": str(path),
-                                "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            self.inputs[key] = {"path": str(path), "sha256": _sha256(path)}
         except (TreebankFormatError, model.ModelError) as exc:
             raise CliError("load", f"{path}: {exc}") from exc
         except OSError as exc:
@@ -83,6 +82,16 @@ class _Run:
         if anchor:
             self.anchor = path
         return path
+
+
+def _sha256(path: Path) -> str:
+    """The file's SHA-256, read in blocks of 64 KiB, small enough to come
+    from the heap rather than a fresh mapping each."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _manifest_path(output: Path) -> Path:

@@ -12,6 +12,7 @@ are recombined across adjacent positions into fencepost vectors; a span
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -166,65 +167,119 @@ def _ln_backward(dy, cache, gain):
     return dx, dgain, dbias
 
 
-def _embed_forward(params: ModelParams, tags: list[ExtendedTag]):
+def _embed_forward(params: ModelParams, sentences: list[list[ExtendedTag]]):
+    """Embeddings of the sentences' tokens stacked in one ``(sum n, d)``
+    array, with one backward cache per sentence."""
     cfg = params.config
-    n = len(tags)
-    if n == 0:
-        raise ModelError("cannot embed an empty sentence")
-    if n > cfg.max_len:
-        raise ModelError(f"sentence length {n} exceeds max_len {cfg.max_len}")
+    for tags in sentences:
+        if not tags:
+            raise ModelError("cannot embed an empty sentence")
+        if len(tags) > cfg.max_len:
+            raise ModelError(f"sentence length {len(tags)} exceeds max_len {cfg.max_len}")
     t = params.tensors
-    pos_idx = np.array([params.pos_index.get(tag.pos, 0) for tag in tags])
-    feat_idx = [[params.feature_index.get(f, 0) for f in tag.features]
-                for tag in tags]
-    x = t["pos_embedding"][pos_idx] + t["position_encoding"][:n]
-    for i, ids in enumerate(feat_idx):
-        if ids:
-            x[i] += t["feature_embedding"][ids].sum(axis=0)
-    return x, (pos_idx, feat_idx, n)
+    tokens = [tag for tags in sentences for tag in tags]
+    pos_idx = np.array([params.pos_index.get(tag.pos, 0) for tag in tokens])
+    feat_idx = [[params.feature_index.get(f, 0) for f in tag.features] for tag in tokens]
+    positions = np.concatenate([np.arange(len(tags)) for tags in sentences])
+    x = t["pos_embedding"][pos_idx] + t["position_encoding"][positions]
+    counts = np.array([len(ids) for ids in feat_idx])
+    if counts.any():
+        # each token's feature rows summed in order, then added to its row
+        width = counts.max()
+        ids = np.array([ids + [0] * (width - len(ids)) for ids in feat_idx])
+        sums = t["feature_embedding"][ids[:, 0]]
+        for k in range(1, width):
+            more = counts > k
+            sums[more] += t["feature_embedding"][ids[more, k]]
+        x[counts > 0] += sums[counts > 0]
+    caches, lo = [], 0
+    for tags in sentences:
+        hi = lo + len(tags)
+        caches.append((pos_idx[lo:hi], feat_idx[lo:hi], len(tags)))
+        lo = hi
+    return x, caches
+
+
+def _add_rows(target: np.ndarray, index: list[int], rows: np.ndarray) -> None:
+    """``target[index[k]] += rows[k]`` for every k, the rows of a repeated
+    index summed first from zero in order, as in a zero-filled gradient
+    that is then added to ``target``."""
+    slot: dict[int, int] = {}
+    slots = [slot.setdefault(i, len(slot)) for i in index]
+    sums = np.zeros((len(slot), rows.shape[1]))
+    for k, s in enumerate(slots):
+        sums[s] += rows[k]
+    target[list(slot)] += sums
 
 
 def _embed_backward(params, grads, cache, dx):
     pos_idx, feat_idx, n = cache
-    np.add.at(grads["pos_embedding"], pos_idx, dx)
+    _add_rows(grads["pos_embedding"], pos_idx.tolist(), dx)
     grads["position_encoding"][:n] += dx
-    for i, ids in enumerate(feat_idx):
-        if ids:
-            np.add.at(grads["feature_embedding"], ids, dx[i])
+    counts = [len(ids) for ids in feat_idx]
+    if any(counts):
+        _add_rows(grads["feature_embedding"], [k for ids in feat_idx for k in ids],
+                  dx[np.repeat(np.arange(n), counts)])
 
 
-def _encode_forward(params: ModelParams, x: np.ndarray):
+def _encode_forward(params: ModelParams, x: np.ndarray, lengths: list[int],
+                    keep_caches: bool = True):
+    """Encode sentences of the given lengths whose token rows are stacked
+    in ``x``: the row-wise work (layer norms, projections, feedforward)
+    runs once on all rows, attention per sentence on its own rows.
+
+    Returns the sentences' fenceposts stacked, n+1 rows each, and one
+    backward cache per sentence (``None`` without ``keep_caches``).
+    """
     cfg = params.config
     t = params.tensors
-    n, d = x.shape
+    d = x.shape[1]
     heads, dk = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dk)
+    bounds = np.cumsum([0] + lengths).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
     h = x
-    layer_caches = []
+    layer_caches: list[list] = [[] for _ in lengths]
     for i in range(cfg.num_layers):
         p = f"layer_{i}/"
-        u, ln1c = _ln_forward(h, t[p + "ln1_gain"], t[p + "ln1_bias"])
-        q = (u @ t[p + "wq"]).reshape(n, heads, dk).transpose(1, 0, 2)
-        k = (u @ t[p + "wk"]).reshape(n, heads, dk).transpose(1, 0, 2)
-        v = (u @ t[p + "wv"]).reshape(n, heads, dk).transpose(1, 0, 2)
-        logits = q @ k.transpose(0, 2, 1) * scale
-        logits -= logits.max(axis=-1, keepdims=True)
-        weights = np.exp(logits)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        heads_out = weights @ v                       # (H, n, dk)
-        att_in = heads_out.transpose(1, 0, 2).reshape(n, heads * dk)
+        u, (xhat1, inv1) = _ln_forward(h, t[p + "ln1_gain"], t[p + "ln1_bias"])
+        q_rows, k_rows, v_rows = u @ t[p + "wq"], u @ t[p + "wk"], u @ t[p + "wv"]
+        att_in = np.empty_like(q_rows)
+        attention = []
+        for lo, hi in spans:
+            n = hi - lo
+            q, k, v = (rows[lo:hi].reshape(n, heads, dk).transpose(1, 0, 2)
+                       for rows in (q_rows, k_rows, v_rows))
+            logits = q @ k.transpose(0, 2, 1) * scale
+            logits -= logits.max(axis=-1, keepdims=True)
+            weights = np.exp(logits)
+            weights /= weights.sum(axis=-1, keepdims=True)
+            att_in[lo:hi] = (weights @ v).transpose(1, 0, 2).reshape(n, heads * dk)
+            if keep_caches:
+                attention.append((q, k, v, weights))
         a = h + att_in @ t[p + "wo"]
-        v2, ln2c = _ln_forward(a, t[p + "ln2_gain"], t[p + "ln2_bias"])
+        v2, (xhat2, inv2) = _ln_forward(a, t[p + "ln2_gain"], t[p + "ln2_bias"])
         z = v2 @ t[p + "ff_w1"] + t[p + "ff_b1"]
         r = np.maximum(z, 0.0)
         h = a + r @ t[p + "ff_w2"] + t[p + "ff_b2"]
         if not np.all(np.isfinite(h)):
             raise ModelError(f"non-finite values after encoder layer {i}")
-        layer_caches.append((u, ln1c, q, k, v, weights, att_in, v2, ln2c, z, r))
+        if keep_caches:
+            for (lo, hi), att, caches in zip(spans, attention, layer_caches):
+                rows = slice(lo, hi)
+                caches.append((u[rows], (xhat1[rows], inv1[rows]), *att, att_in[rows],
+                               v2[rows], (xhat2[rows], inv2[rows]), z[rows], r[rows]))
     half = d // 2
-    ext = np.concatenate([t["boundary"][0:1], h, t["boundary"][1:2]], axis=0)
-    fenceposts = np.concatenate([ext[:-1, :half], ext[1:, half:]], axis=1)
-    return fenceposts, (layer_caches, n, d)
+    fenceposts = np.empty((len(h) + len(lengths), d))
+    for s, (lo, hi) in enumerate(spans):
+        f = fenceposts[lo + s:hi + s + 1]
+        f[0, :half] = t["boundary"][0, :half]
+        f[1:, :half] = h[lo:hi, :half]
+        f[:-1, half:] = h[lo:hi, half:]
+        f[-1, half:] = t["boundary"][1, half:]
+    caches = [(layer, n, d) if keep_caches else None
+              for layer, n in zip(layer_caches, lengths)]
+    return fenceposts, caches
 
 
 def _encode_backward(params, grads, cache, dfence):
@@ -283,6 +338,29 @@ def _encode_backward(params, grads, cache, dfence):
 # Span rows per block of the scorer's hidden layer: about 1 MB at h = 250,
 # so a block stays in L2 cache through its elementwise passes.
 _CHUNK_ROWS = 512
+# Tokens per packed chunk of sentences (see :func:`_pack_chunks`).  On one
+# OpenBLAS thread the encoder's throughput is flat from 128 to 1024 tokens
+# at both presets' widths, and 512 was 8% slower than 256 on 200 sentences
+# of 5-40 tokens at the desk preset; a smaller chunk also holds fewer
+# backward caches at once in training.
+_PACK_TOKENS = 256
+
+
+def _pack_chunks(lengths: list[int]):
+    """Runs ``range(lo, hi)`` of consecutive sentences, of the given
+    lengths, whose forward passes are packed into one: together they have
+    at most ``_PACK_TOKENS`` tokens, or the run is one sentence.  A
+    one-token sentence is always alone, because numpy computes a one-row
+    product with gemv, whose bits differ from gemm's."""
+    lo = 0
+    while lo < len(lengths):
+        hi, tokens = lo + 1, lengths[lo]
+        while (tokens != 1 and hi < len(lengths) and lengths[hi] != 1
+               and tokens + lengths[hi] <= _PACK_TOKENS):
+            tokens += lengths[hi]
+            hi += 1
+        yield range(lo, hi)
+        lo = hi
 
 
 def _start_chunks(n: int):
@@ -430,22 +508,68 @@ def _scores_backward(params, grads, cache, starts, ends, dout):
     return dproj @ t["label_w1"].T
 
 
+def _forward_chunk(params: ModelParams, sentences: list[list[ExtendedTag]], golds: list,
+                   keep_caches: bool = True):
+    """Forward passes of several sentences, their tokens packed into one
+    matrix for the embedding and the encoder's row-wise work; attention
+    and the span scorer run per sentence.  Returns one ``(tables,
+    gold_scores, caches)`` per sentence, as :func:`forward_tables` does
+    for its gold entries in ``golds``; ``caches`` is ``None`` without
+    ``keep_caches``.
+
+    The scorer's ``label_w1`` projection stays per sentence: at its width
+    of 250 columns, OpenBLAS gives a row of a product bits that depend on
+    how many rows the product has.
+    """
+    x, embed_caches = _embed_forward(params, sentences)
+    lengths = [len(tags) for tags in sentences]
+    fenceposts, encode_caches = _encode_forward(params, x, lengths, keep_caches)
+    results, lo = [], 0
+    for n, gold, embed_cache, encode_cache in zip(lengths, golds, embed_caches,
+                                                  encode_caches):
+        tables, gold_scores, scores_cache = _scores_forward(
+            params, fenceposts[lo:lo + n + 1], gold)
+        lo += n + 1
+        caches = (embed_cache, encode_cache, scores_cache) if keep_caches else None
+        results.append((tables, gold_scores, caches))
+    return results
+
+
+def forward_packed(params: ModelParams, sentences: list[list[ExtendedTag]], golds=None,
+                   keep_caches: bool = True):
+    """:func:`_forward_chunk` over the :func:`_pack_chunks` chunks of
+    ``sentences``, one result per sentence in order.  A chunk is computed
+    once the previous one's results have all been taken.  A chunk that
+    raises :class:`ModelError` is run again one sentence at a time, and a
+    sentence that fails alone yields its ``ModelError`` instead."""
+    golds = [None] * len(sentences) if golds is None else golds
+    for chunk in _pack_chunks([len(tags) for tags in sentences]):
+        try:
+            results = _forward_chunk(params, [sentences[k] for k in chunk],
+                                     [golds[k] for k in chunk], keep_caches)
+        except ModelError:
+            results = []
+            for k in chunk:
+                try:
+                    results += _forward_chunk(params, [sentences[k]], [golds[k]], keep_caches)
+                except ModelError as exc:
+                    results.append(exc)
+        while results:  # popped, so a result taken is no longer held here
+            yield results.pop(0)
+
+
 def forward_tables(params: ModelParams, tags: list[ExtendedTag], gold=None):
-    """Full forward pass tags -> span tables, keeping backprop caches;
-    ``gold`` and the returned ``gold_scores`` are :func:`_scores_forward`'s."""
-    x, embed_cache = _embed_forward(params, tags)
-    fenceposts, encode_cache = _encode_forward(params, x)
-    tables, gold_scores, scores_cache = _scores_forward(params, fenceposts, gold)
-    return tables, gold_scores, (embed_cache, encode_cache, scores_cache)
+    """Full forward pass of one sentence, tags -> span tables, keeping
+    backprop caches; ``gold`` and the returned ``gold_scores`` are
+    :func:`_scores_forward`'s."""
+    return _forward_chunk(params, [tags], [gold])[0]
 
 
 def forward_scores(params: ModelParams, tags: list[ExtendedTag]):
     """Full forward pass tags -> dense (n, n+1, L) score tensor, keeping
     backprop caches; cells with j <= i and the empty label's are zero."""
-    x, embed_cache = _embed_forward(params, tags)
-    fenceposts, encode_cache = _encode_forward(params, x)
-    scores_cache = _label_projection(params, fenceposts)
-    return _dense_scores(params, scores_cache), (embed_cache, encode_cache, scores_cache)
+    _, _, caches = forward_tables(params, tags)
+    return _dense_scores(params, caches[2]), caches
 
 
 def _dense_scores(params: ModelParams, cache) -> np.ndarray:
@@ -467,12 +591,15 @@ def backward_scores(params: ModelParams, caches, dscores) -> dict[str, np.ndarra
     return backward_span_rows(params, caches, starts[keep], ends[keep], dout[keep])
 
 
-def backward_span_rows(params: ModelParams, caches, starts, ends,
-                       dout) -> dict[str, np.ndarray]:
-    """Backpropagate label gradient rows to all parameters: ``dout[k]``
-    holds the non-empty labels' gradient of span ``(starts[k], ends[k])``."""
+def backward_span_rows(params: ModelParams, caches, starts, ends, dout,
+                       grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Backpropagate label gradient rows to all parameters, adding into
+    ``grads`` (a new zero-filled dict if None), which is returned:
+    ``dout[k]`` holds the non-empty labels' gradient of span
+    ``(starts[k], ends[k])``."""
     embed_cache, encode_cache, scores_cache = caches
-    grads = params.zero_grads()
+    if grads is None:
+        grads = params.zero_grads()
     dfence = _scores_backward(params, grads, scores_cache, starts, ends, dout)
     dx = _encode_backward(params, grads, encode_cache, dfence)
     _embed_backward(params, grads, embed_cache, dx)
@@ -484,32 +611,49 @@ def sentence_scores(params: ModelParams, tags: list[ExtendedTag]) -> np.ndarray:
     return scores
 
 
-def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag],
-                       gold: Tree) -> tuple[float, dict[str, np.ndarray]]:
+def gold_indices(params: ModelParams, tags: list[ExtendedTag],
+                 gold: Tree) -> list[tuple[int, int, int]]:
+    """The labeled spans of the binarized tree ``gold`` over ``tags`` as
+    ``(i, j, label index)``; a tree over another number of leaves raises
+    :class:`ModelError`."""
+    gold_spans, leaves = _chart.tree_spans(gold)
+    if leaves != len(tags):
+        raise ModelError(f"gold tree covers {leaves} leaves, got {len(tags)} tags")
+    return _chart.spans_to_indices(gold_spans, params.labels)
+
+
+def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag], gold,
+                       grads: dict[str, np.ndarray] | None = None,
+                       forward=None) -> tuple[float, dict[str, np.ndarray]]:
     """Structured hinge loss and exact subgradients for one sentence.
 
     The loss is the margin violation of the gold tree against the
     loss-augmented best decode, where the augmentation adds 1 for every
     span labeling disagreeing with gold.  A tree's score is the sum of its
     non-empty span scores, so shared spans cancel in the subgradient.
-    Where the subgradient is zero, the returned dict is empty: at zero
-    loss, and where the decode has gold's labeled spans and the loss is
-    only the rounding residue of summing them in another order.
+
+    ``gold`` is the binarized gold tree or its :func:`gold_indices`;
+    ``forward`` is the sentence's :func:`forward_tables` result with those
+    gold entries, computed here if None.  The subgradient is added into
+    ``grads`` (a new zero-filled dict if None), which is returned.  Where
+    the subgradient is zero nothing is added, and without ``grads`` the
+    returned dict is empty: at zero loss, and where the decode has gold's
+    labeled spans and the loss is only the rounding residue of summing
+    them in another order.
     """
-    gold_spans, leaves = _chart.tree_spans(gold)
-    if leaves != len(tags):
-        raise ModelError(f"gold tree covers {leaves} leaves, got {len(tags)} tags")
-    gold_idx = _chart.spans_to_indices(gold_spans, params.labels)
-    tables, gold_scores, caches = forward_tables(params, tags, gold_idx)
+    gold_idx = gold_indices(params, tags, gold) if isinstance(gold, Tree) else gold
+    tables, gold_scores, caches = (forward if forward is not None
+                                   else forward_tables(params, tags, gold_idx))
     gold_total = sum(score for score, (_, _, l) in zip(gold_scores, gold_idx) if l != 0)
     augmented_total, pred_spans = _chart.decode_spans(tables)
     loss = augmented_total - gold_total
+    unchanged = {} if grads is None else grads
     if loss <= 0.0:
-        return 0.0, {}
+        return 0.0, unchanged
     starts, ends, dout = _subgradient_rows(pred_spans, gold_idx, len(params.labels))
     if not len(dout):
-        return float(loss), {}
-    return float(loss), backward_span_rows(params, caches, starts, ends, dout)
+        return float(loss), unchanged
+    return float(loss), backward_span_rows(params, caches, starts, ends, dout, grads)
 
 
 def _subgradient_rows(pred_spans, gold_spans, num_labels):
@@ -563,7 +707,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
     directory = []
     offset = 0
     for name in tensor_names(params.config):
-        data = np.ascontiguousarray(params.tensors[name], dtype="<f8").tobytes()
+        # a byte view of the tensor's data, copied only if not contiguous
+        data = np.ascontiguousarray(params.tensors[name], dtype="<f8").reshape(-1).view(np.uint8)
         directory.append({
             "name": name,
             "shape": list(params.tensors[name].shape),
@@ -603,18 +748,25 @@ _ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes", "crc32")
 
 def load_checkpoint(path) -> ModelParams:
     """Read a :func:`save_checkpoint` file; a malformed or truncated one
-    raises :class:`ModelError`."""
+    raises :class:`ModelError`.  The tensors are writable views of one
+    buffer holding everything after the header."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    magic = data[:4]
-    if magic != CHECKPOINT_MAGIC:
-        raise ModelError(f"not a model checkpoint: bad magic {magic!r}")
-    version = int.from_bytes(data[4:8], "little")
-    if version != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {version}")
-    header_len = int.from_bytes(data[8:16], "little")
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        magic = prefix[:4]
+        if magic != CHECKPOINT_MAGIC:
+            raise ModelError(f"not a model checkpoint: bad magic {magic!r}")
+        version = int.from_bytes(prefix[4:8], "little")
+        if version != CHECKPOINT_VERSION:
+            raise ModelError(f"unsupported checkpoint version {version}")
+        header_len = int.from_bytes(prefix[8:16], "little")
+        header_bytes = fh.read(min(header_len, size))
+        # a buffer of its own, so the tensors' views are aligned as numpy's
+        # own arrays are, whatever the header's length
+        blob = np.empty(max(size - fh.tell(), 0), dtype=np.uint8)
+        blob = blob[:fh.readinto(blob)]
     try:
-        header = json.loads(data[16:16 + header_len].decode("ascii"))
+        header = json.loads(header_bytes.decode("ascii"))
     except ValueError as exc:
         raise ModelError(f"checkpoint header is not ASCII JSON: {exc}") from None
     if not isinstance(header, dict):
@@ -650,7 +802,6 @@ def load_checkpoint(path) -> ModelParams:
                               len(header["feature_vocab"]), len(header["labels"]))
     if [entry["name"] for entry in entries] != list(expected):
         raise ModelError("checkpoint tensor names do not match its config")
-    blob = memoryview(data)[16 + header_len:]
     tensors: dict[str, np.ndarray] = {}
     for entry in entries:
         name, shape = entry["name"], expected[entry["name"]]
@@ -668,6 +819,6 @@ def load_checkpoint(path) -> ModelParams:
         chunk = blob[start:start + nbytes]
         if zlib.crc32(chunk) != entry["crc32"]:
             raise ModelError(f"checksum mismatch for tensor {name!r}")
-        tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        tensors[name] = chunk.view("<f8").reshape(shape)
     return ModelParams(config, header["pos_vocab"], header["feature_vocab"],
                        header["labels"], tensors)

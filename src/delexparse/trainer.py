@@ -129,6 +129,7 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
     if len(labels) < 2:
         raise ValueError("training trees contain no phrase labels")
     params = model.init_params(mconfig, pos_names, feature_names, labels)
+    golds = [model.gold_indices(params, tags, tree) for tags, tree in zip(train_tags, train_trees)]
     optimizer = _Optimizer(params, tconfig)
     rng = np.random.default_rng(tconfig.seed)
     dev_gold = [debinarize(t) for t in dev_trees]
@@ -143,18 +144,9 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
             order = rng.permutation(len(train_trees))
         losses: list[float] = []
         for start in range(0, len(order), tconfig.batch_size):
-            batch = order[start:start + tconfig.batch_size]
-            grads = params.zero_grads()
-            for index in batch:
-                loss, g = model.loss_and_gradients(
-                    params, train_tags[index], train_trees[index])
-                losses.append(loss)
-                for name, value in g.items():
-                    grads[name] += value
-            scale = 1.0 / len(batch)
-            for name in grads:
-                grads[name] *= scale
-            optimizer.step(params, grads)
+            batch = order[start:start + tconfig.batch_size].tolist()
+            optimizer.step(params, _batch_gradients(
+                params, [train_tags[k] for k in batch], [golds[k] for k in batch], losses))
         mean_loss = float(np.mean(losses)) if losses else 0.0
         dev_f1 = _dev_fscore(params, dev_tags, dev_gold)
         log_lines.append(f"{epoch}\t{mean_loss:.6f}\t{dev_f1:.4f}")
@@ -174,25 +166,42 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
                              params.labels, best_tensors)
 
 
+def _batch_gradients(params: model.ModelParams, tags: list[list[ExtendedTag]],
+                     golds: list, losses: list[float]) -> dict[str, np.ndarray]:
+    """The mean subgradient of one minibatch, whose forward passes are
+    packed; each sentence's backward adds into one buffer.  Appends each
+    sentence's loss to ``losses``."""
+    grads = params.zero_grads()
+    for sentence, gold, forward in zip(tags, golds, model.forward_packed(params, tags, golds)):
+        if isinstance(forward, model.ModelError):
+            raise forward
+        loss, _ = model.loss_and_gradients(params, sentence, gold, grads, forward)
+        losses.append(loss)
+    scale = 1.0 / len(tags)
+    for name in grads:
+        grads[name] *= scale
+    return grads
+
+
 def _dev_fscore(params: model.ModelParams, dev_tags: list[list[ExtendedTag]],
                 dev_gold: list[Tree]) -> float:
-    """Dev F1; a sentence that fails to parse is scored as its
+    """Dev F1 over every sentence; one that fails to parse is scored as its
     :func:`fallback_tree`."""
-    predictions = parse_corpus(params, dev_tags)
-    gold_kept, pred_kept = [], []
-    for gold, tags, pred in zip(dev_gold, dev_tags, predictions):
+    predictions = []
+    for gold, tags, pred in zip(dev_gold, dev_tags, parse_corpus(params, dev_tags)):
         if pred is None:
             pred = fallback_tree(tags)
         # predictions carry embedded symbols at the preterminals; restore
         # the reference tags so punctuation handling matches (a no-op in
-        # delexicalized mode, where both sides already agree)
+        # delexicalized mode, where both sides already agree).  A gold tree
+        # whose preterminals do not cover its leaves (lexicalized mode)
+        # has no tag per token, and its prediction is scored as parsed.
         try:
             pred = relabel_preterminals(pred, [p.label for p in gold.preterminals()])
         except ValueError:
-            continue
-        gold_kept.append(gold)
-        pred_kept.append(pred)
-    return evalb.score_corpus(gold_kept, pred_kept, evalb.EvalConfig()).fscore
+            pass
+        predictions.append(pred)
+    return evalb.score_corpus(dev_gold, predictions, evalb.EvalConfig()).fscore
 
 
 def fallback_tree(tags: list[ExtendedTag]) -> Tree:
@@ -207,14 +216,18 @@ def parse_corpus(params: model.ModelParams,
                  sentences: list[list[ExtendedTag]]) -> list[Tree | None]:
     """Parse tag sequences into debinarized trees, one entry per input.
 
-    Failures (empty or over-length sentences) are logged and yield None so
-    that a long run never stops on one bad sentence.
+    Sentences are encoded in packed chunks, each decoded before the next
+    is encoded, and no backward caches are kept.  Failures (empty,
+    over-length or non-finite sentences) are logged and yield None so that
+    a long run never stops on one bad sentence.
     """
     results: list[Tree | None] = []
-    for index, tags in enumerate(sentences):
+    forwards = model.forward_packed(params, sentences, keep_caches=False)
+    for index, (tags, forward) in enumerate(zip(sentences, forwards)):
         try:
-            tables, _, _ = model.forward_tables(params, tags)
-            tree = chart.cky_decode(tables, params.labels, tags)
+            if isinstance(forward, model.ModelError):
+                raise forward
+            tree = chart.cky_decode(forward[0], params.labels, tags)
             results.append(debinarize(tree))
         except (model.ModelError, ValueError) as exc:
             log.warning("sentence %d failed: %s", index, exc)

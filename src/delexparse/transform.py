@@ -145,16 +145,28 @@ def binarize(tree: Tree) -> Tree:
 
 
 def debinarize(tree: Tree) -> Tree:
-    """Invert :func:`binarize`: splice empty nodes, expand ``+`` chains."""
+    """Invert :func:`binarize`: splice empty nodes, expand ``+`` chains.
+
+    An empty-label node folds to the list of its children's values rather
+    than to a node, and its parent splices each such list, nested ones
+    included, once: a chain of k empty levels costs O(k), not O(k^2).
+    """
     if not tree.is_leaf and not tree.is_preterminal and tree.label == EMPTY_LABEL:
         raise ValueError("cannot splice an empty-label node at the root")
 
-    def node(t: Tree, done: list[Tree]) -> Tree:
+    def node(t: Tree, done: list) -> Tree | list:
         if t.is_preterminal:
             return t
+        if t.label == EMPTY_LABEL:
+            return done
         children: list[Tree] = []
-        for child in done:
-            if child.label == EMPTY_LABEL and not child.is_leaf and not child.is_preterminal:
+        pending = done[::-1]
+        while pending:
+            child = pending.pop()
+            if isinstance(child, list):
+                pending += child[::-1]
+            elif (child.label == EMPTY_LABEL and not child.is_leaf
+                  and not child.is_preterminal):
                 children.extend(child.children)
             else:
                 children.append(child)

@@ -8,9 +8,11 @@ scorer and chart, a scorer backward over every span for the row-only
 one, a dense cost tensor for the in-place loss augmentation, a
 recursive-descent bracket reader over per-token (token, offset) pairs
 for the one-pass reader, plain recursion for every tree walk that the
-library folds over an explicit stack, and a ground-truth HMM with
-Viterbi decoding for the tagger.  None of it shares code paths with the implementations
-under test.
+library folds over an explicit stack, a one-sentence-at-a-time encoder
+and training loop for the packed ones, and a ground-truth HMM with
+Viterbi decoding for the tagger.  None of it shares code paths with the
+implementations under test, except that the training loop takes each
+sentence's loss and gradients from the library, one sentence at a time.
 """
 
 from __future__ import annotations
@@ -104,6 +106,91 @@ def per_span_chart(scores: np.ndarray):
             best[i, j] = scores[i, j].max() + totals[k]
             split[i, j] = i + 1 + k
     return best, split, labels
+
+
+# ------------------------------------------ one sentence at a time, unpacked
+
+def per_sentence_fenceposts(params, tags: list[ExtendedTag]) -> np.ndarray:
+    """One sentence's fenceposts, embedded and encoded on its own rows
+    only, the way the encoder ran before sentences were packed."""
+    t, cfg = params.tensors, params.config
+    n, d = len(tags), cfg.model_dim
+    heads, dk = cfg.num_heads, cfg.head_dim
+    x = (t["pos_embedding"][[params.pos_index.get(tag.pos, 0) for tag in tags]]
+         + t["position_encoding"][:n])
+    for i, tag in enumerate(tags):
+        ids = [params.feature_index.get(f, 0) for f in tag.features]
+        if ids:
+            x[i] += t["feature_embedding"][ids].sum(axis=0)
+
+    def norm(v, gain, bias):
+        centered = v - v.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        return gain * (centered * (1.0 / np.sqrt(var + 1e-5))) + bias
+
+    h = x
+    for i in range(cfg.num_layers):
+        p = f"layer_{i}/"
+        u = norm(h, t[p + "ln1_gain"], t[p + "ln1_bias"])
+        q, k, v = ((u @ t[p + w]).reshape(n, heads, dk).transpose(1, 0, 2)
+                   for w in ("wq", "wk", "wv"))
+        logits = q @ k.transpose(0, 2, 1) * (1.0 / np.sqrt(dk))
+        logits -= logits.max(axis=-1, keepdims=True)
+        weights = np.exp(logits)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        a = h + (weights @ v).transpose(1, 0, 2).reshape(n, heads * dk) @ t[p + "wo"]
+        z = norm(a, t[p + "ln2_gain"], t[p + "ln2_bias"]) @ t[p + "ff_w1"] + t[p + "ff_b1"]
+        h = a + np.maximum(z, 0.0) @ t[p + "ff_w2"] + t[p + "ff_b2"]
+    half = d // 2
+    ext = np.concatenate([t["boundary"][0:1], h, t["boundary"][1:2]], axis=0)
+    return np.concatenate([ext[:-1, :half], ext[1:, half:]], axis=1)
+
+
+def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, tconfig):
+    """The training loop one sentence at a time: each sentence's forward
+    on its own, its subgradient in a fresh zero-filled dict that is then
+    added into the minibatch's, and dev F1 from one-sentence parses.
+    Returns the dev-best parameters and the log lines."""
+    from delexparse import chart, evalb, model, trainer
+    from delexparse.transform import debinarize, relabel_preterminals
+
+    train_tags = [trainer.tree_tag_sequence(t) for t in train_trees]
+    dev_tags = [trainer.tree_tag_sequence(t) for t in dev_trees]
+    params = model.init_params(mconfig, *model.build_vocabularies(train_tags),
+                               model.build_label_inventory(train_trees))
+    optimizer = trainer._Optimizer(params, tconfig)
+    rng = np.random.default_rng(tconfig.seed)
+    dev_gold = [debinarize(t) for t in dev_trees]
+    best_f1, best_tensors, log_lines = -1.0, params.copy_tensors(), []
+    order = np.arange(len(train_trees))
+    for epoch in range(1, tconfig.epochs + 1):
+        if tconfig.shuffle:
+            order = rng.permutation(len(train_trees))
+        losses = []
+        for start in range(0, len(order), tconfig.batch_size):
+            batch = order[start:start + tconfig.batch_size]
+            grads = params.zero_grads()
+            for index in batch:
+                loss, g = model.loss_and_gradients(params, train_tags[index],
+                                                   train_trees[index])
+                losses.append(loss)
+                for name, value in g.items():
+                    grads[name] += value
+            for name in grads:
+                grads[name] *= 1.0 / len(batch)
+            optimizer.step(params, grads)
+        predictions = []
+        for tags, gold in zip(dev_tags, dev_gold):
+            tables, _, _ = model.forward_tables(params, tags)
+            pred = debinarize(chart.cky_decode(tables, params.labels, tags))
+            predictions.append(relabel_preterminals(pred, [p.label
+                                                           for p in gold.preterminals()]))
+        dev_f1 = evalb.score_corpus(dev_gold, predictions).fscore
+        log_lines.append(f"{epoch}\t{float(np.mean(losses)):.6f}\t{dev_f1:.4f}")
+        if dev_f1 > best_f1:
+            best_f1, best_tensors = dev_f1, params.copy_tensors()
+    return model.ModelParams(mconfig, params.pos_names, params.feature_names,
+                             params.labels, best_tensors), log_lines
 
 
 # ------------------------------------------------------- span scorer oracle

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from delexparse import chart, model
@@ -28,11 +30,11 @@ def tags(*specs):
 
 
 def embed_sequence(params, tag_list):
-    return model._embed_forward(params, tag_list)[0]
+    return model._embed_forward(params, [tag_list])[0]
 
 
 def encode(params, x):
-    return model._encode_forward(params, x)[0]
+    return model._encode_forward(params, x, [len(x)])[0]
 
 
 def span_scores(params, fenceposts):
@@ -364,6 +366,75 @@ def test_start_chunks_cover_every_start_once_within_the_row_budget():
         assert covered == list(range(n))
 
 
+def test_pack_chunks_cover_every_sentence_once_within_the_token_budget():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        lengths = rng.integers(0, 300, size=int(rng.integers(0, 12))).tolist()
+        lengths = [1 if rng.random() < 0.2 else n for n in lengths]
+        covered = []
+        for chunk in model._pack_chunks(lengths):
+            sizes = [lengths[k] for k in chunk]
+            assert len(sizes) == 1 or (sum(sizes) <= model._PACK_TOKENS and 1 not in sizes)
+            covered.extend(chunk)
+        assert covered == list(range(len(lengths)))
+
+
+def random_feature_tags(rng, n):
+    """Tags with zero to three features, unknown POS and features included."""
+    pos = POS + ["XY"]
+    feats = FEATS + ["Zz"]
+    return [ExtendedTag(pos[int(rng.integers(len(pos)))],
+                        tuple(feats[k] for k in rng.integers(0, len(feats), int(rng.integers(4)))))
+            for _ in range(n)]
+
+
+def packed_and_reference(params, lengths, seed):
+    """Each sentence's (fenceposts, tables, gold scores) from the packed
+    forward and from the one-sentence-at-a-time reference."""
+    rng = np.random.default_rng(seed)
+    num_labels = len(params.labels)
+    sentences = [random_feature_tags(rng, n) for n in lengths]
+    golds = [random_labeled_tree(rng, n, num_labels) for n in lengths]
+    for sentence, gold, (tables, gold_scores, caches) in zip(
+            sentences, golds, model.forward_packed(params, sentences, golds)):
+        fenceposts = oracles.per_sentence_fenceposts(params, sentence)
+        expected, expected_gold, _ = model._scores_forward(params, fenceposts, gold)
+        yield (caches[2][0], tables, gold_scores), (fenceposts, expected, expected_gold)
+
+
+# lengths 1..max_len, up to eight sentences: mixes below, at and over the
+# token budget, and one-token sentences, which stay on their own
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(lengths=st.lists(st.integers(1, model.DESK_MODEL.max_len), min_size=1, max_size=8),
+       seed=st.integers(0, 2**16))
+def test_packed_forward_is_the_one_sentence_forward_bit_for_bit(lengths, seed):
+    # at the desk preset's widths, which the paper preset's share as
+    # multiples of 8, the BLAS computes a product's row the same whatever
+    # rows come with it
+    params = desk_scorer_params(5, np.random.default_rng(seed), model.DESK_MODEL.max_len)
+    for (fenceposts, tables, gold_scores), (want_fenceposts, want_tables, want_gold) in \
+            packed_and_reference(params, lengths, seed):
+        context = f"lengths={lengths}"
+        np.testing.assert_array_equal(fenceposts, want_fenceposts, err_msg=context)
+        assert_tables_equal(tables, want_tables, context)
+        np.testing.assert_array_equal(gold_scores, want_gold, err_msg=context)
+
+
+def test_packed_forward_agrees_to_rounding_at_any_width():
+    # attention and feedforward widths of 9 and 17: on OpenBLAS the bits of
+    # a product's row then depend on how many rows come with it
+    cfg = model.ModelConfig(model_dim=16, num_layers=2, num_heads=3, head_dim=3, ff_dim=17,
+                            label_hidden_dim=9, max_len=40, seed=4)
+    params = model.init_params(cfg, POS, FEATS, LABELS)
+    rng = np.random.default_rng(6)
+    for trial in range(10):
+        lengths = rng.integers(1, cfg.max_len + 1, size=8).tolist()
+        for got, want in packed_and_reference(params, lengths, trial):
+            np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got[1].score, want[1].score, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-12)
+
+
 def test_init_determinism():
     a = tiny_params(seed=5)
     b = tiny_params(seed=5)
@@ -560,6 +631,18 @@ def test_checkpoint_round_trip(tmp_path):
     again = tmp_path / "model2.ckpt"
     model.save_checkpoint(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_loaded_tensors_are_aligned_writable_views_of_one_buffer(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(tiny_params(seed=21), path)
+    loaded = model.load_checkpoint(path)
+    tensors = list(loaded.tensors.values())
+    assert all(t.flags.writeable and t.flags.aligned and t.dtype == "<f8" for t in tensors)
+    assert len({id(t.base.base) for t in tensors}) == 1
+    loaded.tensors["label_b2"] += 1.0
+    np.testing.assert_array_equal(loaded.tensors["label_b2"],
+                                  tiny_params(seed=21).tensors["label_b2"] + 1.0)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -1,6 +1,10 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from delexparse import evalb, model, synthetic, trainer, transform
 from delexparse.transform import binarize, delexicalize_tree, strip_annotations
 from delexparse.treebank import ExtendedTag, Tree
@@ -132,33 +136,91 @@ def test_checkpoint_every_writes_intermediates(tmp_path):
     assert names == ["epoch_0002.ckpt", "epoch_0004.ckpt"]
 
 
-def test_skipping_zero_loss_sentences_keeps_batch_gradients_bit_identical(monkeypatch):
-    # a zero-loss sentence used to add a full dict of +0.0 gradients; the
-    # accumulator starts at +0.0, so leaving them out changes no bit
+@pytest.mark.parametrize("optimizer, batch_size, pack_tokens", [
+    ("adam", 4, model._PACK_TOKENS), ("sgd", 5, model._PACK_TOKENS), ("adam", 3, 20),
+    ("sgd", 12, 30)], ids=["adam", "sgd", "adam-small-chunks", "sgd-small-chunks"])
+def test_packed_training_matches_the_per_sentence_loop(tmp_path, monkeypatch, optimizer,
+                                                       batch_size, pack_tokens):
+    # with a budget of 20 or 30 tokens a minibatch spans several chunks
+    monkeypatch.setattr(model, "_PACK_TOKENS", pack_tokens)
+    trees = prepared_toy(12)
+    tcfg = trainer.TrainConfig(epochs=5, batch_size=batch_size, optimizer=optimizer,
+                               learning_rate=3e-3)
+    got = trainer.train(trees, trees[:8], SMALL, tcfg, log_path=tmp_path / "train.log")
+    want, want_log = oracles.per_sentence_train(trees, trees[:8], SMALL, tcfg)
+    model.save_checkpoint(got, tmp_path / "got.ckpt")
+    model.save_checkpoint(want, tmp_path / "want.ckpt")
+    assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+    assert (tmp_path / "train.log").read_text().splitlines() == want_log
+
+
+def test_parse_corpus_isolates_failures_inside_a_chunk(caplog):
     trees = prepared_toy(6)
-    tcfg = trainer.TrainConfig(epochs=2, batch_size=3)
-    real_loss = model.loss_and_gradients
-    real_step = trainer._Optimizer.step
+    tags = [trainer.tree_tag_sequence(t) for t in trees]
+    pos, feats = model.build_vocabularies(tags + [[ExtendedTag("BAD")]])
+    params = model.init_params(SMALL, pos, feats, model.build_label_inventory(trees))
+    params.tensors["pos_embedding"][pos.index("BAD")] = np.nan
+    sentences = list(tags)
+    sentences.insert(1, [])
+    sentences.insert(3, [ExtendedTag("NN")] * (SMALL.max_len + 1))
+    sentences.insert(4, tags[0][:2] + [ExtendedTag("BAD")] + tags[0][2:])
+    assert len(list(model._pack_chunks([len(s) for s in sentences]))) == 1
+    with caplog.at_level(logging.WARNING, logger="delexparse.trainer"):
+        results = trainer.parse_corpus(params, sentences)
+    assert [k for k, tree in enumerate(results) if tree is None] == [1, 3, 4]
+    for sentence, tree in zip(sentences, results):
+        if tree is not None:
+            assert tree == trainer.parse_corpus(params, [sentence])[0]
+    assert [record.getMessage() for record in caplog.records] == [
+        "sentence 1 failed: cannot embed an empty sentence",
+        f"sentence 3 failed: sentence length {SMALL.max_len + 1} exceeds max_len "
+        f"{SMALL.max_len}",
+        "sentence 4 failed: non-finite values after encoder layer 0"]
 
-    def run(zero_dict):
-        calls, steps = [], []
 
-        def loss_and_gradients(params, tags, gold):
-            calls.append(None)
-            if len(calls) % 2:
-                return 0.0, params.zero_grads() if zero_dict else {}
-            return real_loss(params, tags, gold)
+def test_parse_corpus_keeps_no_caches_once_a_chunk_is_decoded(monkeypatch):
+    params = model.init_params(model.DESK_MODEL, [model.UNK, "NN"], [model.UNK],
+                               [transform.EMPTY_LABEL, "S"])
+    per_chunk = model._PACK_TOKENS // 32
+    sentences = [[ExtendedTag("NN")] * 32] * (6 * per_chunk)
+    real_chunk = model._forward_chunk
+    entry_memory, held = [], []
 
-        def step(self, params, grads):
-            steps.append({name: g.tobytes() for name, g in grads.items()})
-            real_step(self, params, grads)
+    def forward_chunk(params, sentences, golds, keep_caches=True):
+        entry_memory.append(tracemalloc.get_traced_memory()[0])
+        results = real_chunk(params, sentences, golds, keep_caches)
+        held.extend(caches for _, _, caches in results)
+        return results
 
-        monkeypatch.setattr(model, "loss_and_gradients", loss_and_gradients)
-        monkeypatch.setattr(trainer._Optimizer, "step", step)
-        trainer.train(trees, trees, SMALL, tcfg)
-        return steps
+    monkeypatch.setattr(model, "_forward_chunk", forward_chunk)
+    tracemalloc.start()
+    try:
+        trainer.parse_corpus(params, sentences)
+        before = tracemalloc.get_traced_memory()[0]
+        kept = real_chunk(params, sentences[:per_chunk], [None] * per_chunk)
+        one_chunk = tracemalloc.get_traced_memory()[0] - before  # the caches in kept
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == per_chunk and len(entry_memory) == 6
+    assert all(caches is None for caches in held)
+    # held when each later chunk starts: the trees parsed so far, no caches
+    assert entry_memory[-1] - entry_memory[1] < 0.1 * one_chunk, (entry_memory, one_chunk)
 
-    assert run(zero_dict=True) == run(zero_dict=False)
+
+def test_dev_fscore_scores_a_tree_whose_preterminals_do_not_cover_its_leaves(tmp_path):
+    # lexicalized mode: the NN preterminal spans two leaves, so the gold
+    # tree gives no tag per token, and the parse is scored as it is
+    tree = Tree.node("S", [Tree.node("NN", [Tree.leaf("NN"), Tree.leaf("NN")]),
+                           Tree.node("VVFIN", [Tree.leaf("VVFIN")])])
+    tags = [trainer.tree_tag_sequence(tree, atomic=True)]
+    log_path = tmp_path / "train.log"
+    params = trainer.train([tree], [tree], SMALL, trainer.TrainConfig(epochs=1),
+                           log_path=log_path, atomic_tags=True)
+    predictions = trainer.parse_corpus(params, tags)
+    expected = evalb.score_corpus([tree], predictions).fscore
+    assert expected > 0.0
+    assert trainer._dev_fscore(params, tags, [tree]) == expected
+    assert log_path.read_text().split("\t")[-1].strip() == f"{expected:.4f}"
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

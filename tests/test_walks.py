@@ -1,5 +1,8 @@
 """Every tree walk against its recursive oracle, and on trees of any depth."""
 
+import gc
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +24,7 @@ FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None
 # labels and tokens that reach every branch: traces, edge labels and
 # coindexation, reserved characters, atoms that cannot be written, and
 # preterminal labels that are or are not extended tags
-LABELS = ("S", "NP", "NN.Nom", "$.", "-NONE-", "NP-SB", "VP=1", "=2", "∅", "A+B", "∅+S",
+LABELS = ("S", "NP", "NN.Nom", "$.", "-NONE-", "NP-SB", "VP=1", "=2", "∅", "A+B", "∅+S", "∅+∅",
           "", "a b", "X(", "NN..x")
 TOKENS = ("w", "*T*1", "*", "1.", "x)", "", "a b")
 NO_MORPH = TransformConfig(keep_morphology=False)
@@ -166,6 +169,27 @@ def test_every_walk_gets_through_deep_chains_and_wide_nodes():
         gold = evalb.extract_eval_spans(tree)
         assert sum(gold.values()) == len(list(tree.subtrees())) - 2 * n
         assert evalb.score_corpus([tree], [copy]).fscore == 100.0
+
+
+def test_debinarize_round_trips_a_20000_child_node_in_linear_time():
+    def seconds(width: int) -> float:
+        tree = flat(width)
+        binarized = transform.binarize(tree)
+        best = float("inf")
+        gc.disable()
+        try:
+            for _ in range(5):
+                start = time.perf_counter()
+                result = transform.debinarize(binarized)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        assert result == tree
+        return best
+
+    # two doublings of the width, each less than tripling the time; the
+    # quadratic splicing took 16 times as long at 4 times the width
+    assert seconds(20000) < 9 * seconds(5000)
 
 
 def test_delex_filter_and_eval_run_on_a_1200_deep_treebank(tmp_path, capsys):
