@@ -58,8 +58,8 @@ class ModelConfig:
         for name in ("num_heads", "head_dim", "ff_dim", "label_hidden_dim", "max_len"):
             if getattr(self, name) <= 0:
                 raise ModelError(f"{name} must be positive")
-        if self.num_layers < 0:
-            raise ModelError("num_layers must be >= 0")
+        if self.num_layers < 0 or self.seed < 0:
+            raise ModelError("num_layers and seed must be >= 0")
 
 
 # Paper-scale preset; the default ModelConfig above is the desk-scale preset
@@ -169,13 +169,8 @@ def _ln_backward(dy, cache, gain):
 
 def _embed_forward(params: ModelParams, sentences: list[list[ExtendedTag]]):
     """Embeddings of the sentences' tokens stacked in one ``(sum n, d)``
-    array, with one backward cache per sentence."""
-    cfg = params.config
-    for tags in sentences:
-        if not tags:
-            raise ModelError("cannot embed an empty sentence")
-        if len(tags) > cfg.max_len:
-            raise ModelError(f"sentence length {len(tags)} exceeds max_len {cfg.max_len}")
+    array, with one backward cache per sentence; each has 1 to ``max_len``
+    tokens (:func:`forward_packed` checks)."""
     t = params.tensors
     tokens = [tag for tags in sentences for tag in tags]
     pos_idx = np.array([params.pos_index.get(tag.pos, 0) for tag in tokens])
@@ -223,13 +218,16 @@ def _embed_backward(params, grads, cache, dx):
 
 
 def _encode_forward(params: ModelParams, x: np.ndarray, lengths: list[int],
-                    keep_caches: bool = True):
+                    keep_caches: bool):
     """Encode sentences of the given lengths whose token rows are stacked
     in ``x``: the row-wise work (layer norms, projections, feedforward)
     runs once on all rows, attention per sentence on its own rows.
 
-    Returns the sentences' fenceposts stacked, n+1 rows each, and one
-    backward cache per sentence (``None`` without ``keep_caches``).
+    Returns the sentences' fenceposts stacked, n+1 rows each, one backward
+    cache per sentence (``None`` without ``keep_caches``), and per sentence
+    the first layer after which its rows are not finite, or ``None``.
+    Rows of different sentences never mix, and a non-finite residual row
+    stays non-finite, so one sentence's failure leaves the others' bits.
     """
     cfg = params.config
     t = params.tensors
@@ -240,6 +238,7 @@ def _encode_forward(params: ModelParams, x: np.ndarray, lengths: list[int],
     spans = list(zip(bounds[:-1], bounds[1:]))
     h = x
     layer_caches: list[list] = [[] for _ in lengths]
+    first_bad: list[int | None] = [None] * len(lengths)
     for i in range(cfg.num_layers):
         p = f"layer_{i}/"
         u, (xhat1, inv1) = _ln_forward(h, t[p + "ln1_gain"], t[p + "ln1_bias"])
@@ -262,8 +261,10 @@ def _encode_forward(params: ModelParams, x: np.ndarray, lengths: list[int],
         z = v2 @ t[p + "ff_w1"] + t[p + "ff_b1"]
         r = np.maximum(z, 0.0)
         h = a + r @ t[p + "ff_w2"] + t[p + "ff_b2"]
-        if not np.all(np.isfinite(h)):
-            raise ModelError(f"non-finite values after encoder layer {i}")
+        finite = np.isfinite(h).all(axis=1)
+        for s, (lo, hi) in enumerate(spans):
+            if first_bad[s] is None and not finite[lo:hi].all():
+                first_bad[s] = i
         if keep_caches:
             for (lo, hi), att, caches in zip(spans, attention, layer_caches):
                 rows = slice(lo, hi)
@@ -279,7 +280,7 @@ def _encode_forward(params: ModelParams, x: np.ndarray, lengths: list[int],
         f[-1, half:] = t["boundary"][1, half:]
     caches = [(layer, n, d) if keep_caches else None
               for layer, n in zip(layer_caches, lengths)]
-    return fenceposts, caches
+    return fenceposts, caches, first_bad
 
 
 def _encode_backward(params, grads, cache, dfence):
@@ -338,42 +339,24 @@ def _encode_backward(params, grads, cache, dfence):
 # Span rows per block of the scorer's hidden layer: about 1 MB at h = 250,
 # so a block stays in L2 cache through its elementwise passes.
 _CHUNK_ROWS = 512
-# Tokens per packed chunk of sentences (see :func:`_pack_chunks`).  On one
-# OpenBLAS thread the encoder's throughput is flat from 128 to 1024 tokens
-# at both presets' widths, and 512 was 8% slower than 256 on 200 sentences
-# of 5-40 tokens at the desk preset; a smaller chunk also holds fewer
-# backward caches at once in training.
+# Tokens per packed run of sentences (see :func:`forward_packed`).  On
+# one OpenBLAS thread the encoder's throughput is flat from 128 to 1024
+# tokens at both presets' widths, and 512 was 8% slower than 256 on 200
+# sentences of 5-40 tokens at the desk preset; a smaller run also holds
+# fewer backward caches at once in training.
 _PACK_TOKENS = 256
 
 
-def _pack_chunks(lengths: list[int]):
-    """Runs ``range(lo, hi)`` of consecutive sentences, of the given
-    lengths, whose forward passes are packed into one: together they have
-    at most ``_PACK_TOKENS`` tokens, or the run is one sentence.  A
-    one-token sentence is always alone, because numpy computes a one-row
-    product with gemv, whose bits differ from gemm's."""
+def _runs(sizes, budget: int):
+    """Greedy runs ``(range(lo, hi), total)`` of consecutive items, their
+    sizes' ``total`` at most ``budget`` unless one item is larger."""
     lo = 0
-    while lo < len(lengths):
-        hi, tokens = lo + 1, lengths[lo]
-        while (tokens != 1 and hi < len(lengths) and lengths[hi] != 1
-               and tokens + lengths[hi] <= _PACK_TOKENS):
-            tokens += lengths[hi]
+    while lo < len(sizes):
+        hi, total = lo + 1, sizes[lo]
+        while hi < len(sizes) and total + sizes[hi] <= budget:
+            total += sizes[hi]
             hi += 1
-        yield range(lo, hi)
-        lo = hi
-
-
-def _start_chunks(n: int):
-    """Runs ``(lo, hi, rows)`` of consecutive start points ``lo..hi-1``
-    whose spans, in triu order, number ``rows <= _CHUNK_ROWS``; a run holds
-    at least one start point, so one with more spans than that is alone."""
-    lo = 0
-    while lo < n:
-        hi, rows = lo + 1, n - lo
-        while hi < n and rows + n - hi <= _CHUNK_ROWS:
-            rows += n - hi
-            hi += 1
-        yield lo, hi, rows
+        yield range(lo, hi), total
         lo = hi
 
 
@@ -401,8 +384,9 @@ def _span_cells(n: int) -> np.ndarray:
 
 
 def _score_blocks(params: ModelParams, cache):
-    """Label scores of every span, one :func:`_start_chunks` run of start
-    points at a time, with ``label_w1`` factored through the fenceposts:
+    """Label scores of every span, one :func:`_runs` run of start points
+    at a time (start point i has n - i spans, a run at most ``_CHUNK_ROWS``
+    together), with ``label_w1`` factored through the fenceposts:
     ``(f_j - f_i) @ W1 = P[j] - P[i]``.
 
     Yields ``(rows, block)``: ``block`` holds span rows ``rows`` (a slice
@@ -419,10 +403,10 @@ def _score_blocks(params: ModelParams, cache):
     hidden_buffer = np.empty((size, proj.shape[1]))
     block_buffer = np.empty((size, len(params.labels)))
     first = 0
-    for lo, hi, rows in _start_chunks(n):
+    for run, rows in _runs(range(n, 0, -1), _CHUNK_ROWS):
         hidden, block = hidden_buffer[:rows], block_buffer[:rows]
         offset = 0
-        for i in range(lo, hi):
+        for i in run:
             np.subtract(shifted[i + 1:], proj[i], out=hidden[offset:offset + n - i])
             offset += n - i
         _normalize_rows(hidden)
@@ -508,14 +492,11 @@ def _scores_backward(params, grads, cache, starts, ends, dout):
     return dproj @ t["label_w1"].T
 
 
-def _forward_chunk(params: ModelParams, sentences: list[list[ExtendedTag]], golds: list,
-                   keep_caches: bool = True):
-    """Forward passes of several sentences, their tokens packed into one
+def _forward_run(params: ModelParams, sentences: list[list[ExtendedTag]], golds):
+    """Forward passes of a run of sentences, their tokens packed into one
     matrix for the embedding and the encoder's row-wise work; attention
-    and the span scorer run per sentence.  Returns one ``(tables,
-    gold_scores, caches)`` per sentence, as :func:`forward_tables` does
-    for its gold entries in ``golds``; ``caches`` is ``None`` without
-    ``keep_caches``.
+    and the span scorer run per sentence.  Returns, per sentence, the
+    :func:`forward_packed` result for its entry of ``golds``.
 
     The scorer's ``label_w1`` projection stays per sentence: at its width
     of 250 columns, OpenBLAS gives a row of a product bits that depend on
@@ -523,53 +504,54 @@ def _forward_chunk(params: ModelParams, sentences: list[list[ExtendedTag]], gold
     """
     x, embed_caches = _embed_forward(params, sentences)
     lengths = [len(tags) for tags in sentences]
-    fenceposts, encode_caches = _encode_forward(params, x, lengths, keep_caches)
+    fenceposts, encode_caches, first_bad = _encode_forward(params, x, lengths,
+                                                           golds is not None)
     results, lo = [], 0
-    for n, gold, embed_cache, encode_cache in zip(lengths, golds, embed_caches,
-                                                  encode_caches):
-        tables, gold_scores, scores_cache = _scores_forward(
-            params, fenceposts[lo:lo + n + 1], gold)
+    for s, n in enumerate(lengths):
+        rows = slice(lo, lo + n + 1)
         lo += n + 1
-        caches = (embed_cache, encode_cache, scores_cache) if keep_caches else None
+        if first_bad[s] is not None:
+            results.append(ModelError(f"non-finite values after encoder layer {first_bad[s]}"))
+            continue
+        gold = None if golds is None else golds[s]
+        tables, gold_scores, scores_cache = _scores_forward(params, fenceposts[rows], gold)
+        caches = None if golds is None else (embed_caches[s], encode_caches[s], scores_cache)
         results.append((tables, gold_scores, caches))
     return results
 
 
-def forward_packed(params: ModelParams, sentences: list[list[ExtendedTag]], golds=None,
-                   keep_caches: bool = True):
-    """:func:`_forward_chunk` over the :func:`_pack_chunks` chunks of
-    ``sentences``, one result per sentence in order.  A chunk is computed
-    once the previous one's results have all been taken.  A chunk that
-    raises :class:`ModelError` is run again one sentence at a time, and a
-    sentence that fails alone yields its ``ModelError`` instead."""
-    golds = [None] * len(sentences) if golds is None else golds
-    for chunk in _pack_chunks([len(tags) for tags in sentences]):
-        try:
-            results = _forward_chunk(params, [sentences[k] for k in chunk],
-                                     [golds[k] for k in chunk], keep_caches)
-        except ModelError:
-            results = []
-            for k in chunk:
-                try:
-                    results += _forward_chunk(params, [sentences[k]], [golds[k]], keep_caches)
-                except ModelError as exc:
-                    results.append(exc)
+def forward_packed(params: ModelParams, sentences: list[list[ExtendedTag]], golds=None):
+    """The forward pass, tags -> span tables, of each sentence, packed in
+    runs of at most ``_PACK_TOKENS`` tokens, a run computed once the
+    previous one's results have all been taken.  Yields per sentence
+    ``(tables, gold_scores, caches)``, with :func:`_scores_forward`'s gold
+    scores for its entry of ``golds`` and backward caches only with
+    ``golds``, or the :class:`ModelError` of an empty, over-long or
+    non-finite sentence.  A one-token sentence is a run of its own (numpy
+    sends a one-row product to gemv, whose bits differ from gemm's), and
+    so is an empty or over-long one, which does not run."""
+    max_len = params.config.max_len
+    sizes = [len(tags) if 1 < len(tags) <= max_len else _PACK_TOKENS + 1
+             for tags in sentences]
+    for run, _ in _runs(sizes, _PACK_TOKENS):
+        n = len(sentences[run.start])
+        if n == 0 or n > max_len:
+            yield ModelError("cannot embed an empty sentence" if n == 0 else
+                             f"sentence length {n} exceeds max_len {max_len}")
+            continue
+        results = _forward_run(params, [sentences[k] for k in run],
+                               None if golds is None else [golds[k] for k in run])
         while results:  # popped, so a result taken is no longer held here
             yield results.pop(0)
-
-
-def forward_tables(params: ModelParams, tags: list[ExtendedTag], gold=None):
-    """Full forward pass of one sentence, tags -> span tables, keeping
-    backprop caches; ``gold`` and the returned ``gold_scores`` are
-    :func:`_scores_forward`'s."""
-    return _forward_chunk(params, [tags], [gold])[0]
 
 
 def forward_scores(params: ModelParams, tags: list[ExtendedTag]):
     """Full forward pass tags -> dense (n, n+1, L) score tensor, keeping
     backprop caches; cells with j <= i and the empty label's are zero."""
-    _, _, caches = forward_tables(params, tags)
-    return _dense_scores(params, caches[2]), caches
+    forward = next(forward_packed(params, [tags], [None]))
+    if isinstance(forward, ModelError):
+        raise forward
+    return _dense_scores(params, forward[2][2]), forward[2]
 
 
 def _dense_scores(params: ModelParams, cache) -> np.ndarray:
@@ -588,18 +570,16 @@ def backward_scores(params: ModelParams, caches, dscores) -> dict[str, np.ndarra
     starts, ends = np.triu_indices(dscores.shape[0] + 1, k=1)
     dout = dscores[starts, ends, 1:]
     keep = dout.any(axis=1)
-    return backward_span_rows(params, caches, starts[keep], ends[keep], dout[keep])
+    return backward_span_rows(params, caches, starts[keep], ends[keep], dout[keep],
+                              params.zero_grads())
 
 
 def backward_span_rows(params: ModelParams, caches, starts, ends, dout,
-                       grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+                       grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Backpropagate label gradient rows to all parameters, adding into
-    ``grads`` (a new zero-filled dict if None), which is returned:
-    ``dout[k]`` holds the non-empty labels' gradient of span
-    ``(starts[k], ends[k])``."""
+    ``grads``, which is returned: ``dout[k]`` holds the non-empty labels'
+    gradient of span ``(starts[k], ends[k])``."""
     embed_cache, encode_cache, scores_cache = caches
-    if grads is None:
-        grads = params.zero_grads()
     dfence = _scores_backward(params, grads, scores_cache, starts, ends, dout)
     dx = _encode_backward(params, grads, encode_cache, dfence)
     _embed_backward(params, grads, embed_cache, dx)
@@ -622,9 +602,8 @@ def gold_indices(params: ModelParams, tags: list[ExtendedTag],
     return _chart.spans_to_indices(gold_spans, params.labels)
 
 
-def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag], gold,
-                       grads: dict[str, np.ndarray] | None = None,
-                       forward=None) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_gradients(params: ModelParams, forward, gold_idx: list[tuple[int, int, int]],
+                       grads: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
     """Structured hinge loss and exact subgradients for one sentence.
 
     The loss is the margin violation of the gold tree against the
@@ -632,28 +611,22 @@ def loss_and_gradients(params: ModelParams, tags: list[ExtendedTag], gold,
     span labeling disagreeing with gold.  A tree's score is the sum of its
     non-empty span scores, so shared spans cancel in the subgradient.
 
-    ``gold`` is the binarized gold tree or its :func:`gold_indices`;
-    ``forward`` is the sentence's :func:`forward_tables` result with those
-    gold entries, computed here if None.  The subgradient is added into
-    ``grads`` (a new zero-filled dict if None), which is returned.  Where
-    the subgradient is zero nothing is added, and without ``grads`` the
-    returned dict is empty: at zero loss, and where the decode has gold's
-    labeled spans and the loss is only the rounding residue of summing
-    them in another order.
+    ``forward`` is the sentence's :func:`forward_packed` result for its
+    :func:`gold_indices` ``gold_idx``.  The subgradient is added into
+    ``grads``, which is returned.  Where it is zero nothing is added: at
+    zero loss, and where the decode has gold's labeled spans and the loss
+    is only the rounding residue of summing them in another order.
     """
-    gold_idx = gold_indices(params, tags, gold) if isinstance(gold, Tree) else gold
-    tables, gold_scores, caches = (forward if forward is not None
-                                   else forward_tables(params, tags, gold_idx))
+    tables, gold_scores, caches = forward
     gold_total = sum(score for score, (_, _, l) in zip(gold_scores, gold_idx) if l != 0)
     augmented_total, pred_spans = _chart.decode_spans(tables)
     loss = augmented_total - gold_total
-    unchanged = {} if grads is None else grads
     if loss <= 0.0:
-        return 0.0, unchanged
+        return 0.0, grads
     starts, ends, dout = _subgradient_rows(pred_spans, gold_idx, len(params.labels))
-    if not len(dout):
-        return float(loss), unchanged
-    return float(loss), backward_span_rows(params, caches, starts, ends, dout, grads)
+    if len(dout):
+        backward_span_rows(params, caches, starts, ends, dout, grads)
+    return float(loss), grads
 
 
 def _subgradient_rows(pred_spans, gold_spans, num_labels):

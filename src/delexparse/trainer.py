@@ -42,6 +42,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not np.isfinite(self.eps) or self.eps <= 0:
+            raise ValueError("eps must be positive and finite")
+        if self.checkpoint_every < 0 or self.seed < 0:
+            raise ValueError("checkpoint_every and seed must be >= 0")
 
 
 DESK_TRAIN = TrainConfig()
@@ -118,6 +124,8 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
     """
     if not train_trees:
         raise ValueError("empty training set")
+    if not dev_trees:
+        raise ValueError("empty dev set")
     train_tags = [tree_tag_sequence(t, morph_separator, atomic_tags) for t in train_trees]
     dev_tags = [tree_tag_sequence(t, morph_separator, atomic_tags) for t in dev_trees]
     longest = max(len(tags) for tags in train_tags)
@@ -172,10 +180,10 @@ def _batch_gradients(params: model.ModelParams, tags: list[list[ExtendedTag]],
     packed; each sentence's backward adds into one buffer.  Appends each
     sentence's loss to ``losses``."""
     grads = params.zero_grads()
-    for sentence, gold, forward in zip(tags, golds, model.forward_packed(params, tags, golds)):
+    for gold, forward in zip(golds, model.forward_packed(params, tags, golds)):
         if isinstance(forward, model.ModelError):
             raise forward
-        loss, _ = model.loss_and_gradients(params, sentence, gold, grads, forward)
+        loss, _ = model.loss_and_gradients(params, forward, gold, grads)
         losses.append(loss)
     scale = 1.0 / len(tags)
     for name in grads:
@@ -216,20 +224,20 @@ def parse_corpus(params: model.ModelParams,
                  sentences: list[list[ExtendedTag]]) -> list[Tree | None]:
     """Parse tag sequences into debinarized trees, one entry per input.
 
-    Sentences are encoded in packed chunks, each decoded before the next
+    Sentences are encoded in packed runs, each decoded before the next
     is encoded, and no backward caches are kept.  Failures (empty,
     over-length or non-finite sentences) are logged and yield None so that
     a long run never stops on one bad sentence.
     """
     results: list[Tree | None] = []
-    forwards = model.forward_packed(params, sentences, keep_caches=False)
+    forwards = model.forward_packed(params, sentences)
     for index, (tags, forward) in enumerate(zip(sentences, forwards)):
         try:
             if isinstance(forward, model.ModelError):
                 raise forward
             tree = chart.cky_decode(forward[0], params.labels, tags)
             results.append(debinarize(tree))
-        except (model.ModelError, ValueError) as exc:
+        except ValueError as exc:
             log.warning("sentence %d failed: %s", index, exc)
             results.append(None)
     return results

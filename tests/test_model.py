@@ -34,7 +34,7 @@ def embed_sequence(params, tag_list):
 
 
 def encode(params, x):
-    return model._encode_forward(params, x, [len(x)])[0]
+    return model._encode_forward(params, x, [len(x)], False)[0]
 
 
 def span_scores(params, fenceposts):
@@ -74,8 +74,8 @@ def test_embed_unknown_pos_uses_unk_row():
 
 def test_embed_rejects_overlong():
     params = tiny_params()
-    with pytest.raises(model.ModelError):
-        embed_sequence(params, [ExtendedTag("NN")] * 17)
+    with pytest.raises(model.ModelError, match="sentence length 17 exceeds max_len 16"):
+        oracles.sentence_forward(params, [ExtendedTag("NN")] * 17)
 
 
 def test_encode_shapes_and_determinism():
@@ -282,7 +282,7 @@ def test_span_tables_are_the_reduced_dense_scores(monkeypatch, chunk_rows):
         params = desk_scorer_params(num_labels, rng, 300)
         for n in (1, 2, 31, 32, 33, 100, 257, 300):
             sentence = random_tags(rng, n)
-            tables, gold_scores, _ = model.forward_tables(params, sentence)
+            tables, gold_scores, _ = oracles.sentence_forward(params, sentence)
             expected = oracles.dense_tables(model.sentence_scores(params, sentence))
             assert_tables_equal(tables, expected, f"n={n} labels={num_labels}")
             assert gold_scores.shape == (0,)
@@ -290,8 +290,8 @@ def test_span_tables_are_the_reduced_dense_scores(monkeypatch, chunk_rows):
 
 def block_boundary_spans(n):
     """The first and the last span of every other scorer block."""
-    chunks = list(model._start_chunks(n))[::2]
-    return [span for lo, hi, _ in chunks for span in ((lo, lo + 1), (hi - 1, n))]
+    runs = list(model._runs(range(n, 0, -1), model._CHUNK_ROWS))[::2]
+    return [span for run, _ in runs for span in ((run.start, run.start + 1), (run.stop - 1, n))]
 
 
 @pytest.mark.parametrize("chunk_rows", [model._CHUNK_ROWS, 20], ids=["default", "20-rows"])
@@ -313,7 +313,7 @@ def test_augmented_span_tables_are_the_reduced_dense_augmented_scores(monkeypatc
                 gold += [(i, j, label) for label in labels]
             order = rng.permutation(len(gold))
             gold = [gold[k] for k in order]
-            tables, gold_scores, _ = model.forward_tables(params, sentence, gold)
+            tables, gold_scores, _ = oracles.sentence_forward(params, sentence, gold)
             scores = model.sentence_scores(params, sentence)
             augment = oracles.dense_hamming_augment(n, num_labels, gold)
             context = f"n={n} labels={num_labels}"
@@ -343,10 +343,10 @@ def test_loss_peak_memory_is_independent_of_the_label_count():
         rng = np.random.default_rng(7)
         params = desk_scorer_params(num_labels, rng, n)
         gold = balanced_tree(rng, sentence, params.labels)
-        model.loss_and_gradients(params, sentence, gold)  # warm-up
+        oracles.sentence_loss(params, sentence, gold)  # warm-up
         tracemalloc.start()
         try:
-            loss, _ = model.loss_and_gradients(params, sentence, gold)
+            loss, _ = oracles.sentence_loss(params, sentence, gold)
             peaks[num_labels] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,28 +355,51 @@ def test_loss_peak_memory_is_independent_of_the_label_count():
     assert peaks[100] - peaks[2] < 0.1 * score_tensor, (peaks, score_tensor)
 
 
+def assert_greedy_runs(runs, sizes, budget):
+    """``runs`` cover every item once, in order; each holds one item or
+    items of at most ``budget`` together, and the next item would not fit."""
+    assert [k for run in runs for k in run] == list(range(len(sizes)))
+    for run in runs:
+        total = sum(sizes[k] for k in run)
+        assert len(run) == 1 or total <= budget, (sizes, run)
+        assert run.stop == len(sizes) or total + sizes[run.stop] > budget, (sizes, run)
+
+
 def test_start_chunks_cover_every_start_once_within_the_row_budget():
     for n in range(1, 601):
-        covered = []
-        for lo, hi, rows in model._start_chunks(n):
-            assert lo < hi
-            assert rows == sum(n - i for i in range(lo, hi))
-            assert rows <= model._CHUNK_ROWS or hi - lo == 1, (n, lo, hi, rows)
-            covered.extend(range(lo, hi))
-        assert covered == list(range(n))
+        sizes = range(n, 0, -1)
+        runs = list(model._runs(sizes, model._CHUNK_ROWS))
+        assert all(rows == sum(sizes[k] for k in run) for run, rows in runs), n
+        assert_greedy_runs([run for run, _ in runs], sizes, model._CHUNK_ROWS)
 
 
-def test_pack_chunks_cover_every_sentence_once_within_the_token_budget():
+def test_pack_chunks_cover_every_sentence_once_within_the_token_budget(monkeypatch):
+    # a one-token, empty or over-long sentence is a run of its own; the
+    # last two yield their error without running
+    monkeypatch.setattr(model, "_PACK_TOKENS", 40)
+    params = tiny_params()
+    real_run, runs = model._forward_run, []
+
+    def forward_run(params, run_sentences, golds):
+        first = index[id(run_sentences[0])]
+        runs.append(range(first, first + len(run_sentences)))
+        assert [index[id(tags)] for tags in run_sentences] == list(runs[-1])
+        return real_run(params, run_sentences, golds)
+
+    monkeypatch.setattr(model, "_forward_run", forward_run)
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        lengths = rng.integers(0, 300, size=int(rng.integers(0, 12))).tolist()
+    for _ in range(100):
+        lengths = rng.integers(0, 20, size=int(rng.integers(0, 12))).tolist()
         lengths = [1 if rng.random() < 0.2 else n for n in lengths]
-        covered = []
-        for chunk in model._pack_chunks(lengths):
-            sizes = [lengths[k] for k in chunk]
-            assert len(sizes) == 1 or (sum(sizes) <= model._PACK_TOKENS and 1 not in sizes)
-            covered.extend(chunk)
-        assert covered == list(range(len(lengths)))
+        sentences = [random_tags(rng, n) for n in lengths]
+        index = {id(tags): k for k, tags in enumerate(sentences)}
+        runs.clear()
+        results = list(model.forward_packed(params, sentences))
+        bad = [not 0 < n <= params.config.max_len for n in lengths]
+        assert [isinstance(result, model.ModelError) for result in results] == bad
+        runs += [range(k, k + 1) for k in range(len(lengths)) if bad[k]]
+        sizes = [41 if bad[k] or n == 1 else n for k, n in enumerate(lengths)]
+        assert_greedy_runs(sorted(runs, key=lambda run: run.start), sizes, 40)
 
 
 def random_feature_tags(rng, n):
@@ -435,6 +458,40 @@ def test_packed_forward_agrees_to_rounding_at_any_width():
             np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_a_non_finite_sentence_leaves_the_rest_of_its_packed_run_bit_for_bit(
+        monkeypatch, bad):
+    # the run with sentence ``bad`` swapped for one of the same length whose
+    # embedding is NaN: it alone fails, and the others' bits do not change
+    cfg = model.ModelConfig(model_dim=8, num_layers=2, num_heads=2, head_dim=3, ff_dim=10,
+                            label_hidden_dim=6, max_len=16, seed=3)
+    params = model.init_params(cfg, POS + ["BAD"], FEATS, LABELS)
+    params.tensors["pos_embedding"][-1] = np.nan
+    rng = np.random.default_rng(bad)
+    lengths = [5, 2, 9, 3, 7]
+    sentences = [random_feature_tags(rng, n) for n in lengths]
+    golds = [random_labeled_tree(rng, n, len(LABELS)) for n in lengths]
+    broken = list(sentences)
+    broken[bad] = sentences[bad][:1] + [ExtendedTag("BAD")] + sentences[bad][2:]
+    real_run, run_sizes = model._forward_run, []
+
+    def forward_run(params, run_sentences, golds):
+        run_sizes.append(len(run_sentences))
+        return real_run(params, run_sentences, golds)
+
+    monkeypatch.setattr(model, "_forward_run", forward_run)
+    finite = list(model.forward_packed(params, sentences, golds))
+    results = list(model.forward_packed(params, broken, golds))
+    assert run_sizes == [len(lengths)] * 2
+    assert isinstance(results[bad], model.ModelError)
+    assert str(results[bad]) == "non-finite values after encoder layer 0"
+    for k, (got, want) in enumerate(zip(results, finite)):
+        if k != bad:
+            np.testing.assert_array_equal(got[2][2][0], want[2][2][0], err_msg=f"{k}")
+            assert_tables_equal(got[0], want[0], f"sentence {k}")
+            np.testing.assert_array_equal(got[1], want[1], err_msg=f"{k}")
+
+
 def test_init_determinism():
     a = tiny_params(seed=5)
     b = tiny_params(seed=5)
@@ -484,7 +541,7 @@ def test_loss_nonnegative_and_zero_grads_at_zero_loss():
     gold = gold_tree()
     for seed in range(5):
         p = tiny_params(seed=seed)
-        loss, grads = model.loss_and_gradients(p, sentence, gold)
+        loss, grads = oracles.sentence_loss(p, sentence, gold)
         assert loss >= 0.0
         if loss == 0.0:
             assert all(not g.any() for g in grads.values())
@@ -511,12 +568,11 @@ def test_zero_subgradient_sentence_allocates_and_adds_no_gradients(monkeypatch, 
     else:
         scores, gold = rounding_residue_case()
 
-    def forward_tables(p, sentence, gold_idx):
-        augment = oracles.dense_hamming_augment(len(sentence), len(LABELS), gold_idx)
-        gold_scores = np.array([scores[i, j, l] for i, j, l in gold_idx])
-        return oracles.dense_tables(scores + augment), gold_scores, None
-
-    monkeypatch.setattr(model, "forward_tables", forward_tables)
+    gold_idx = chart.spans_to_indices(chart.tree_spans(gold)[0], LABELS)
+    augment = oracles.dense_hamming_augment(len(gold.leaf_tokens()), len(LABELS), gold_idx)
+    gold_scores = np.array([scores[i, j, l] for i, j, l in gold_idx])
+    forward = oracles.dense_tables(scores + augment), gold_scores, None
+    buffer = params.zero_grads()
 
     def forbidden(*args):
         raise AssertionError("gradient work on a zero-subgradient sentence")
@@ -525,16 +581,15 @@ def test_zero_subgradient_sentence_allocates_and_adds_no_gradients(monkeypatch, 
     monkeypatch.setattr(model, "backward_span_rows", forbidden)
     monkeypatch.setattr(model, "_scores_backward", forbidden)
     monkeypatch.setattr(model.ModelParams, "zero_grads", forbidden)
-    sentence = [ExtendedTag("NN")] * len(gold.leaf_tokens())
-    loss, grads = model.loss_and_gradients(params, sentence, gold)
-    assert grads == {}
+    loss, grads = model.loss_and_gradients(params, forward, gold_idx, buffer)
+    assert grads is buffer and not any(g.any() for g in grads.values())
     assert loss == 0.0 if case == "zero-loss" else 0.0 < loss < 1e-12
 
 
 def test_loss_leaf_count_mismatch():
     params = tiny_params()
     with pytest.raises(model.ModelError):
-        model.loss_and_gradients(params, tags("NN"), gold_tree())
+        model.gold_indices(params, tags("NN"), gold_tree())
 
 
 def test_score_invariant_to_span_order():
@@ -578,7 +633,7 @@ def test_total_loss_gradient_finite_differences():
     params = tiny_params(seed=12)
     sentence = tags("ART.Nom", "NN.Nom.Sg", "VVFIN")
     gold = gold_tree()
-    loss, grads = model.loss_and_gradients(params, sentence, gold)
+    loss, grads = oracles.sentence_loss(params, sentence, gold)
     assert loss > 0.0
     rng = np.random.default_rng(3)
     names = [n for n in params.tensors if params.tensors[n].size > 0]
@@ -597,7 +652,7 @@ def test_total_loss_gradient_finite_differences():
             tensor[index] = original + delta
             if _augmented_spans(params, sentence, gold) != base_spans:
                 stable = False
-            values.append(model.loss_and_gradients(params, sentence, gold)[0])
+            values.append(oracles.sentence_loss(params, sentence, gold)[0])
         tensor[index] = original
         if not stable:
             continue

@@ -57,3 +57,6 @@ def test_traced_train_and_parse_time_the_scorer_cky_and_augmentation(tmp_path):
     # each epoch decodes every training sentence for the loss and again for
     # the dev score (the training set is the dev set); parse decodes each
     assert metrics["chart.decodes"] == epochs * 2 * sentences + sentences
+    # the training counters read loss_and_gradients' result, once per sentence
+    assert tracer.counts["trainer.updates"] == epochs * sentences
+    assert 0.0 <= metrics["trainer.zero_loss_share"] <= 1.0

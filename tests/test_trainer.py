@@ -34,6 +34,11 @@ def test_empty_training_set_rejected():
         trainer.train([], [], SMALL, trainer.TrainConfig(epochs=1))
 
 
+def test_empty_dev_set_rejected():
+    with pytest.raises(ValueError, match="empty dev set"):
+        trainer.train(prepared_toy(2), [], SMALL, trainer.TrainConfig(epochs=1))
+
+
 def test_overlong_training_sentence_rejected():
     cfg = model.ModelConfig(model_dim=8, num_layers=0, num_heads=1, head_dim=4,
                             ff_dim=8, label_hidden_dim=8, max_len=2, seed=1)
@@ -164,7 +169,9 @@ def test_parse_corpus_isolates_failures_inside_a_chunk(caplog):
     sentences.insert(1, [])
     sentences.insert(3, [ExtendedTag("NN")] * (SMALL.max_len + 1))
     sentences.insert(4, tags[0][:2] + [ExtendedTag("BAD")] + tags[0][2:])
-    assert len(list(model._pack_chunks([len(s) for s in sentences]))) == 1
+    # the empty and the over-long sentence are runs of their own; the
+    # non-finite one is packed with the four after it
+    assert sum(len(s) for s in sentences[4:]) <= model._PACK_TOKENS
     with caplog.at_level(logging.WARNING, logger="delexparse.trainer"):
         results = trainer.parse_corpus(params, sentences)
     assert [k for k, tree in enumerate(results) if tree is None] == [1, 3, 4]
@@ -183,21 +190,21 @@ def test_parse_corpus_keeps_no_caches_once_a_chunk_is_decoded(monkeypatch):
                                [transform.EMPTY_LABEL, "S"])
     per_chunk = model._PACK_TOKENS // 32
     sentences = [[ExtendedTag("NN")] * 32] * (6 * per_chunk)
-    real_chunk = model._forward_chunk
+    real_run = model._forward_run
     entry_memory, held = [], []
 
-    def forward_chunk(params, sentences, golds, keep_caches=True):
+    def forward_run(params, sentences, golds):
         entry_memory.append(tracemalloc.get_traced_memory()[0])
-        results = real_chunk(params, sentences, golds, keep_caches)
+        results = real_run(params, sentences, golds)
         held.extend(caches for _, _, caches in results)
         return results
 
-    monkeypatch.setattr(model, "_forward_chunk", forward_chunk)
+    monkeypatch.setattr(model, "_forward_run", forward_run)
     tracemalloc.start()
     try:
         trainer.parse_corpus(params, sentences)
         before = tracemalloc.get_traced_memory()[0]
-        kept = real_chunk(params, sentences[:per_chunk], [None] * per_chunk)
+        kept = real_run(params, sentences[:per_chunk], [None] * per_chunk)
         one_chunk = tracemalloc.get_traced_memory()[0] - before  # the caches in kept
     finally:
         tracemalloc.stop()
