@@ -148,9 +148,11 @@ def _prepare_trees(trees, cfg: PipelineConfig):
 
 def cmd_train(run: _Run) -> None:
     cfg = run.cfg
+    checkpoint_dir = cfg.paths.get("checkpoint_dir")
+    if cfg.train.checkpoint_every and not checkpoint_dir:
+        raise CliError("load", "checkpoint_every needs a checkpoint_dir path")
     checkpoint = run.output("checkpoint")
     log_path = run.output("train_log", default=str(checkpoint) + ".log", anchor=False)
-    checkpoint_dir = cfg.paths.get("checkpoint_dir")
     if checkpoint_dir:
         try:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)

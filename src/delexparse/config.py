@@ -59,6 +59,13 @@ class PipelineConfig:
     transform: TransformConfig = TransformConfig()
     eval: EvalConfig = EvalConfig()
 
+    def __post_init__(self):
+        if not self.composite_separator or any(c.isspace() for c in self.composite_separator):
+            raise ValueError("composite_separator must be non-empty and without whitespace, "
+                             f"got {self.composite_separator!r}")
+        if self.tagger_epochs < 1 or self.tagger_seed < 0:
+            raise ValueError("[tagger] epochs must be >= 1 and seed >= 0")
+
 
 def _parse_bool(text: str) -> bool:
     value = text.strip().lower()

@@ -169,8 +169,8 @@ def _ln_backward(dy, cache, gain):
 
 def _embed_forward(params: ModelParams, sentences: list[list[ExtendedTag]]):
     """Embeddings of the sentences' tokens stacked in one ``(sum n, d)``
-    array, with one backward cache per sentence; each has 1 to ``max_len``
-    tokens (:func:`forward_packed` checks)."""
+    array, and the tokens' POS and feature indices; each sentence has 1 to
+    ``max_len`` tokens (:func:`forward_packed` checks)."""
     t = params.tensors
     tokens = [tag for tags in sentences for tag in tags]
     pos_idx = np.array([params.pos_index.get(tag.pos, 0) for tag in tokens])
@@ -187,12 +187,7 @@ def _embed_forward(params: ModelParams, sentences: list[list[ExtendedTag]]):
             more = counts > k
             sums[more] += t["feature_embedding"][ids[more, k]]
         x[counts > 0] += sums[counts > 0]
-    caches, lo = [], 0
-    for tags in sentences:
-        hi = lo + len(tags)
-        caches.append((pos_idx[lo:hi], feat_idx[lo:hi], len(tags)))
-        lo = hi
-    return x, caches
+    return x, pos_idx, feat_idx
 
 
 def _add_rows(target: np.ndarray, index: list[int], rows: np.ndarray) -> None:
@@ -208,52 +203,48 @@ def _add_rows(target: np.ndarray, index: list[int], rows: np.ndarray) -> None:
 
 
 def _embed_backward(params, grads, cache, dx):
-    pos_idx, feat_idx, n = cache
+    pos_idx, feat_idx = cache
     _add_rows(grads["pos_embedding"], pos_idx.tolist(), dx)
-    grads["position_encoding"][:n] += dx
+    grads["position_encoding"][:len(dx)] += dx
     counts = [len(ids) for ids in feat_idx]
     if any(counts):
         _add_rows(grads["feature_embedding"], [k for ids in feat_idx for k in ids],
-                  dx[np.repeat(np.arange(n), counts)])
+                  dx[np.repeat(np.arange(len(dx)), counts)])
 
 
-def _encode_forward(params: ModelParams, x: np.ndarray, lengths: list[int],
+def _encode_forward(params: ModelParams, x: np.ndarray, spans: list[slice],
                     keep_caches: bool):
-    """Encode sentences of the given lengths whose token rows are stacked
-    in ``x``: the row-wise work (layer norms, projections, feedforward)
-    runs once on all rows, attention per sentence on its own rows.
+    """Encode sentences whose token rows are stacked in ``x``, sentence s
+    on rows ``spans[s]``: the row-wise work (layer norms, projections,
+    feedforward) runs once on all rows, attention per sentence.
 
-    Returns the sentences' fenceposts stacked, n+1 rows each, one backward
-    cache per sentence (``None`` without ``keep_caches``), and per sentence
-    the first layer after which its rows are not finite, or ``None``.
-    Rows of different sentences never mix, and a non-finite residual row
-    stays non-finite, so one sentence's failure leaves the others' bits.
+    Returns the encoded rows, per layer the mask of rows finite after it,
+    and with ``keep_caches`` per layer the row-wise arrays and each
+    sentence's attention ``(q, k, v, weights)``.  Rows of different
+    sentences never mix, and a non-finite residual row stays non-finite,
+    so one sentence's failure leaves the others' bits.
     """
     cfg = params.config
     t = params.tensors
-    d = x.shape[1]
     heads, dk = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dk)
-    bounds = np.cumsum([0] + lengths).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
     h = x
-    layer_caches: list[list] = [[] for _ in lengths]
-    first_bad: list[int | None] = [None] * len(lengths)
+    finite, layers = [], []
     for i in range(cfg.num_layers):
         p = f"layer_{i}/"
         u, (xhat1, inv1) = _ln_forward(h, t[p + "ln1_gain"], t[p + "ln1_bias"])
         q_rows, k_rows, v_rows = u @ t[p + "wq"], u @ t[p + "wk"], u @ t[p + "wv"]
         att_in = np.empty_like(q_rows)
         attention = []
-        for lo, hi in spans:
-            n = hi - lo
-            q, k, v = (rows[lo:hi].reshape(n, heads, dk).transpose(1, 0, 2)
-                       for rows in (q_rows, k_rows, v_rows))
+        for rows in spans:
+            n = rows.stop - rows.start
+            q, k, v = (m[rows].reshape(n, heads, dk).transpose(1, 0, 2)
+                       for m in (q_rows, k_rows, v_rows))
             logits = q @ k.transpose(0, 2, 1) * scale
             logits -= logits.max(axis=-1, keepdims=True)
             weights = np.exp(logits)
             weights /= weights.sum(axis=-1, keepdims=True)
-            att_in[lo:hi] = (weights @ v).transpose(1, 0, 2).reshape(n, heads * dk)
+            att_in[rows] = (weights @ v).transpose(1, 0, 2).reshape(n, heads * dk)
             if keep_caches:
                 attention.append((q, k, v, weights))
         a = h + att_in @ t[p + "wo"]
@@ -261,32 +252,28 @@ def _encode_forward(params: ModelParams, x: np.ndarray, lengths: list[int],
         z = v2 @ t[p + "ff_w1"] + t[p + "ff_b1"]
         r = np.maximum(z, 0.0)
         h = a + r @ t[p + "ff_w2"] + t[p + "ff_b2"]
-        finite = np.isfinite(h).all(axis=1)
-        for s, (lo, hi) in enumerate(spans):
-            if first_bad[s] is None and not finite[lo:hi].all():
-                first_bad[s] = i
+        finite.append(np.isfinite(h).all(axis=1))
         if keep_caches:
-            for (lo, hi), att, caches in zip(spans, attention, layer_caches):
-                rows = slice(lo, hi)
-                caches.append((u[rows], (xhat1[rows], inv1[rows]), *att, att_in[rows],
-                               v2[rows], (xhat2[rows], inv2[rows]), z[rows], r[rows]))
-    half = d // 2
-    fenceposts = np.empty((len(h) + len(lengths), d))
-    for s, (lo, hi) in enumerate(spans):
-        f = fenceposts[lo + s:hi + s + 1]
-        f[0, :half] = t["boundary"][0, :half]
-        f[1:, :half] = h[lo:hi, :half]
-        f[:-1, half:] = h[lo:hi, half:]
-        f[-1, half:] = t["boundary"][1, half:]
-    caches = [(layer, n, d) if keep_caches else None
-              for layer, n in zip(layer_caches, lengths)]
-    return fenceposts, caches, first_bad
+            layers.append(((u, xhat1, inv1, att_in, v2, xhat2, inv2, z, r), attention))
+    return h, finite, layers
 
 
-def _encode_backward(params, grads, cache, dfence):
+def _fenceposts(params: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """A sentence's n+1 fenceposts from its n encoded rows: fencepost k is
+    row k-1's first half and row k's second, ``boundary`` beyond the ends."""
+    half = rows.shape[1] // 2
+    f = np.empty((len(rows) + 1, rows.shape[1]))
+    f[0, :half] = params.tensors["boundary"][0, :half]
+    f[1:, :half] = rows[:, :half]
+    f[:-1, half:] = rows[:, half:]
+    f[-1, half:] = params.tensors["boundary"][1, half:]
+    return f
+
+
+def _encode_backward(params, grads, layer_caches, dfence):
     cfg = params.config
     t = params.tensors
-    layer_caches, n, d = cache
+    n, d = len(dfence) - 1, dfence.shape[1]
     heads, dk = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dk)
     half = d // 2
@@ -298,7 +285,7 @@ def _encode_backward(params, grads, cache, dfence):
     dh = dext[1:-1].copy()
     for i in reversed(range(cfg.num_layers)):
         p = f"layer_{i}/"
-        u, ln1c, q, k, v, weights, att_in, v2, ln2c, z, r = layer_caches[i]
+        u, xhat1, inv1, att_in, v2, xhat2, inv2, z, r, q, k, v, weights = layer_caches[i]
         # feedforward branch
         da = dh.copy()
         dr = dh @ t[p + "ff_w2"].T
@@ -308,7 +295,7 @@ def _encode_backward(params, grads, cache, dfence):
         dv2 = dz @ t[p + "ff_w1"].T
         grads[p + "ff_w1"] += v2.T @ dz
         grads[p + "ff_b1"] += dz.sum(axis=0)
-        da2, dg2, db2 = _ln_backward(dv2, ln2c, t[p + "ln2_gain"])
+        da2, dg2, db2 = _ln_backward(dv2, (xhat2, inv2), t[p + "ln2_gain"])
         grads[p + "ln2_gain"] += dg2
         grads[p + "ln2_bias"] += db2
         da += da2
@@ -329,7 +316,7 @@ def _encode_backward(params, grads, cache, dfence):
         grads[p + "wq"] += u.T @ dq_flat
         grads[p + "wk"] += u.T @ dk_flat
         grads[p + "wv"] += u.T @ dv_flat
-        dh_prev, dg1, db1 = _ln_backward(du, ln1c, t[p + "ln1_gain"])
+        dh_prev, dg1, db1 = _ln_backward(du, (xhat1, inv1), t[p + "ln1_gain"])
         grads[p + "ln1_gain"] += dg1
         grads[p + "ln1_bias"] += db1
         dh = da + dh_prev
@@ -494,28 +481,32 @@ def _scores_backward(params, grads, cache, starts, ends, dout):
 
 def _forward_run(params: ModelParams, sentences: list[list[ExtendedTag]], golds):
     """Forward passes of a run of sentences, their tokens packed into one
-    matrix for the embedding and the encoder's row-wise work; attention
-    and the span scorer run per sentence.  Returns, per sentence, the
-    :func:`forward_packed` result for its entry of ``golds``.
+    matrix for the embedding and the encoder's row-wise work; the rest runs
+    per sentence.  Returns, per sentence, the :func:`forward_packed` result
+    for its entry of ``golds``.
 
     The scorer's ``label_w1`` projection stays per sentence: at its width
     of 250 columns, OpenBLAS gives a row of a product bits that depend on
     how many rows the product has.
     """
-    x, embed_caches = _embed_forward(params, sentences)
-    lengths = [len(tags) for tags in sentences]
-    fenceposts, encode_caches, first_bad = _encode_forward(params, x, lengths,
-                                                           golds is not None)
-    results, lo = [], 0
-    for s, n in enumerate(lengths):
-        rows = slice(lo, lo + n + 1)
-        lo += n + 1
-        if first_bad[s] is not None:
-            results.append(ModelError(f"non-finite values after encoder layer {first_bad[s]}"))
+    bounds = np.cumsum([0] + [len(tags) for tags in sentences]).tolist()
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    x, pos_idx, feat_idx = _embed_forward(params, sentences)
+    h, finite, layers = _encode_forward(params, x, spans, golds is not None)
+    results = []
+    for s, rows in enumerate(spans):
+        fenceposts = _fenceposts(params, h[rows])
+        if not np.isfinite(fenceposts).all():
+            bad = [i for i, ok in enumerate(finite) if not ok[rows].all()]
+            results.append(ModelError(f"non-finite values after encoder layer {bad[0]}" if bad
+                                      else "non-finite embedding or boundary values"))
             continue
         gold = None if golds is None else golds[s]
-        tables, gold_scores, scores_cache = _scores_forward(params, fenceposts[rows], gold)
-        caches = None if golds is None else (embed_caches[s], encode_caches[s], scores_cache)
+        tables, gold_scores, scores_cache = _scores_forward(params, fenceposts, gold)
+        caches = None if golds is None else (
+            (pos_idx[rows], feat_idx[rows]),
+            [(*(m[rows] for m in arrays), *attention[s]) for arrays, attention in layers],
+            scores_cache)
         results.append((tables, gold_scores, caches))
     return results
 

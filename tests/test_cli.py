@@ -276,6 +276,22 @@ def test_parse_writes_a_fallback_tree_for_each_sentence_it_cannot_parse(tmp_path
     assert (tmp_path / "eval.report").read_text().splitlines()[-1] == "1\t1\t1\t0\t0"
 
 
+def test_parse_with_a_non_finite_boundary_writes_a_fallback_tree_per_line(tmp_path, capsys):
+    checkpoint = tiny_checkpoint(tmp_path / "ok.ckpt")
+    params = model.load_checkpoint(checkpoint)
+    params.tensors["boundary"][1] = float("nan")
+    model.save_checkpoint(params, checkpoint)
+    corpus = tmp_path / "in.tags"
+    corpus.write_text("a\tNN\n\nb\tNN\nc\tNN\n\nd\tNN\ne\tNN\nf\tNN\n\n",
+                      encoding="utf-8")
+    pred = tmp_path / "pred.brackets"
+    assert cli.main(["parse", "--no-mapping", "--tagged-corpus", str(corpus),
+                     "--checkpoint", str(checkpoint), "--parse-output", str(pred)]) == 0
+    assert f"parsed 0/3 sentences (3 failures) -> {pred}" in capsys.readouterr().out
+    assert pred.read_text(encoding="utf-8").splitlines() == [
+        "(FAILED (NN a))", "(FAILED (NN b) (NN c))", "(FAILED (NN d) (NN e) (NN f))"]
+
+
 def test_gold_tags_from_an_ill_formed_tree_exit_2_at_transform(tmp_path, capsys):
     gold = tmp_path / "gold.brackets"
     gold.write_text("(S (NN a) (NN b))\n(S (NN a b))\n", encoding="utf-8")
@@ -319,6 +335,50 @@ def test_out_of_range_setting_exits_2_at_load_writing_no_checkpoint(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: stage=load: ") and key in err, err
     assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_checkpoint_every_without_a_checkpoint_dir_exits_2_at_load(tmp_path, capsys):
+    config = write_config(tmp_path)
+    config.write_text(config.read_text().replace("[train]\n", "[train]\ncheckpoint_every = 1\n"))
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == ("error: stage=load: checkpoint_every needs a "
+                                       "checkpoint_dir path\n")
+    assert not (tmp_path / "out").exists()
+    # other commands sharing the config are unaffected
+    assert cli.main(["eval", "--config", str(config), "--pred-treebank",
+                     str(data.toy_treebank_path())]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("epochs", "0"), ("epochs", "-3"), ("seed", "-1")])
+def test_out_of_range_tagger_setting_exits_2_at_load_writing_no_tagger(tmp_path, capsys,
+                                                                       key, value):
+    corpus = tmp_path / "train.tags"
+    corpus.write_text("der\tART.Nom\nMann\tNN.Nom\n\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(f"[tagger]\n{key} = {value}\n", encoding="utf-8")
+    assert cli.main(["tag", "--config", str(config), "--train-corpus", str(corpus),
+                     "--tagger-model", f"{tmp_path}/tagger.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage=load: [tagger] ") and key in err, err
+    assert not (tmp_path / "tagger.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["", "a b"])
+@pytest.mark.parametrize("command", ["map-tags", "parse"])
+def test_bad_composite_separator_exits_2_at_load(tmp_path, capsys, command, value):
+    corpus = tmp_path / "hist.tags"
+    corpus.write_text("diu\tDDART.Nom\nfrouwe\tNA|NE.Nom\n\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(f"[mode]\ncomposite_separator = {value}\n", encoding="utf-8")
+    output = tmp_path / "out.txt"
+    argv = {"map-tags": ["--tagged-output", str(output)],
+            "parse": ["--checkpoint", str(tiny_checkpoint(tmp_path / "ok.ckpt")),
+                      "--parse-output", str(output)]}[command]
+    assert cli.main([command, "--config", str(config), "--tagged-corpus", str(corpus)]
+                    + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage=load: composite_separator ") and repr(value) in err
+    assert not output.exists()
 
 
 def test_empty_dev_treebank_exits_2_at_train(tmp_path, capsys):
@@ -676,9 +736,11 @@ def test_unwritable_output_exits_2_at_load_before_any_work(tmp_path, capsys, mon
 # directory
 FAILED_WRITES = {
     "train-checkpoint": (["train", "--config", "{ini}", "--checkpoint", "{full}",
-                          "--train-log", "{out}/p.log"], "{full}", errno.ENOSPC),
+                          "--train-log", "{out}/p.log", "--checkpoint-dir", "{out}/every"],
+                         "{full}", errno.ENOSPC),
     "train-log": (["train", "--config", "{ini}", "--checkpoint", "{out}/p.ckpt",
-                   "--train-log", "{full}"], "{full}", errno.ENOSPC),
+                   "--train-log", "{full}", "--checkpoint-dir", "{out}/every"],
+                  "{full}", errno.ENOSPC),
     "train-intermediate-checkpoint": (["train", "--config", "{ini}", "--checkpoint",
                                        "{out}/p.ckpt", "--checkpoint-dir", "{out}/ck"],
                                       "{out}/ck/epoch_0002.ckpt", errno.EISDIR),

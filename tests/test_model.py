@@ -34,7 +34,8 @@ def embed_sequence(params, tag_list):
 
 
 def encode(params, x):
-    return model._encode_forward(params, x, [len(x)], False)[0]
+    rows = model._encode_forward(params, x, [slice(0, len(x))], False)[0]
+    return model._fenceposts(params, rows)
 
 
 def span_scores(params, fenceposts):
@@ -458,13 +459,16 @@ def test_packed_forward_agrees_to_rounding_at_any_width():
             np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0, 2, 4])
+@pytest.mark.parametrize("bad, layers, message", [
+    pytest.param(k, 2, "non-finite values after encoder layer 0", id=str(k)) for k in (0, 2, 4)
+] + [pytest.param(2, 0, "non-finite embedding or boundary values", id="2-no-layers")])
 def test_a_non_finite_sentence_leaves_the_rest_of_its_packed_run_bit_for_bit(
-        monkeypatch, bad):
+        monkeypatch, bad, layers, message):
     # the run with sentence ``bad`` swapped for one of the same length whose
-    # embedding is NaN: it alone fails, and the others' bits do not change
-    cfg = model.ModelConfig(model_dim=8, num_layers=2, num_heads=2, head_dim=3, ff_dim=10,
-                            label_hidden_dim=6, max_len=16, seed=3)
+    # embedding is NaN: it alone fails, and the others' bits do not change;
+    # without layers the NaN reaches the fenceposts straight from the embedding
+    cfg = model.ModelConfig(model_dim=8, num_layers=layers, num_heads=2, head_dim=3,
+                            ff_dim=10, label_hidden_dim=6, max_len=16, seed=3)
     params = model.init_params(cfg, POS + ["BAD"], FEATS, LABELS)
     params.tensors["pos_embedding"][-1] = np.nan
     rng = np.random.default_rng(bad)
@@ -484,12 +488,28 @@ def test_a_non_finite_sentence_leaves_the_rest_of_its_packed_run_bit_for_bit(
     results = list(model.forward_packed(params, broken, golds))
     assert run_sizes == [len(lengths)] * 2
     assert isinstance(results[bad], model.ModelError)
-    assert str(results[bad]) == "non-finite values after encoder layer 0"
+    assert str(results[bad]) == message
     for k, (got, want) in enumerate(zip(results, finite)):
         if k != bad:
             np.testing.assert_array_equal(got[2][2][0], want[2][2][0], err_msg=f"{k}")
             assert_tables_equal(got[0], want[0], f"sentence {k}")
             np.testing.assert_array_equal(got[1], want[1], err_msg=f"{k}")
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("row", [0, 1])
+def test_a_non_finite_boundary_row_fails_every_sentence(layers, row):
+    # the boundary rows reach the fenceposts without passing through a layer
+    params = tiny_params(layers=layers)
+    params.tensors["boundary"][row] = np.nan
+    rng = np.random.default_rng(row)
+    lengths = [1, 4, 7, 2]
+    sentences = [random_feature_tags(rng, n) for n in lengths]
+    golds = [random_labeled_tree(rng, n, len(LABELS)) for n in lengths]
+    for results in (model.forward_packed(params, sentences),
+                    model.forward_packed(params, sentences, golds)):
+        assert [str(result) if isinstance(result, model.ModelError) else result
+                for result in results] == ["non-finite embedding or boundary values"] * 4
 
 
 def test_init_determinism():

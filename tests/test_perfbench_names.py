@@ -52,7 +52,10 @@ def test_traced_train_and_parse_time_the_scorer_cky_and_augmentation(tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(1)
-    for name in ("model.scores_fwd_s", "chart.cky_s", "chart.augment_s"):
+    # the packed forward and the backward reach these under their traced names
+    for name in ("model.embed_fwd_s", "model.encode_fwd_s", "model.scores_fwd_s",
+                 "model.scores_bwd_s", "model.encode_bwd_s", "model.embed_bwd_s",
+                 "chart.cky_s", "chart.augment_s"):
         assert metrics[name] > 0.0, name
     # each epoch decodes every training sentence for the loss and again for
     # the dev score (the training set is the dev set); parse decodes each
