@@ -5,7 +5,7 @@ treebank and applies it zero-shot to a related low-resource language via
 POS tagging and tag-set mapping, with bracket-scoring evaluation.
 """
 
-from .chart import Chart, SpanTables, cky_decode
+from .chart import SpanTables, cky_decode
 from .evalb import EvalConfig, EvalResult, LabeledSpan, extract_eval_spans, score_corpus
 from .model import (ModelConfig, ModelParams, init_params, load_checkpoint,
                     loss_and_gradients, save_checkpoint)
@@ -22,7 +22,7 @@ from .treebank import (ExtendedTag, TaggedSentence, TagMapTable, Tree,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart", "EvalConfig", "EvalResult", "ExtendedTag", "LabeledSpan",
+    "EvalConfig", "EvalResult", "ExtendedTag", "LabeledSpan",
     "ModelConfig", "ModelParams", "SpanTables", "TagMapTable", "TaggedSentence",
     "TaggerModel", "TrainConfig", "TransformConfig", "Tree",
     "TreebankFormatError", "binarize", "cky_decode", "debinarize",

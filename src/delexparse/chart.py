@@ -5,8 +5,8 @@ fenceposts 0..n.  Every span picks its best label independently of the
 split decision; label index 0 is the reserved empty label, which the root
 span is never allowed to take.  Ties break toward the lowest label index
 and then the smallest split point, so decoding is fully deterministic.
-The decoder reads no score tensor, only :class:`SpanTables`: each span's
-best label and its score, and the root's best non-empty label.
+The decoder reads no score tensor, only the two tables of
+:class:`SpanTables`: each span's best label and that label's score.
 """
 
 from __future__ import annotations
@@ -22,29 +22,20 @@ from .treebank import ExtendedTag, Tree
 @dataclass
 class SpanTables:
     """What CKY reads of a sentence's span label scores: per span (i, j),
-    0 <= i < j <= n, the argmax label and its score, plus the root span's
-    best non-empty label.  Cells with j <= i are not spans and stay unused.
+    0 <= i < j <= n, the argmax label and its score, except that the root
+    cell (0, n) holds the best non-empty label and that label's score.
+    Cells with j <= i are not spans and stay unused.
     """
 
     score: np.ndarray   # (n, n+1) float, the argmax label's score per span
     label: np.ndarray   # (n, n+1) int, argmax label per span
-    root_label: int     # best non-empty label of the root span (0, n)
-    root_score: float   # its score
     num_labels: int     # labels the scores range over, the empty one included
 
 
-@dataclass
-class Chart:
-    """Dynamic-program tables; entries are valid for 0 <= i < j <= n."""
-
-    best_score: np.ndarray  # (n, n+1) float
-    best_label: np.ndarray  # (n, n+1) int, argmax label per span
-    best_split: np.ndarray  # (n, n+1) int, valid for j - i >= 2
-
-
-def build_chart(label_score: np.ndarray, label: np.ndarray) -> Chart:
-    """Fill the chart bottom-up from the per-span tables of
-    :class:`SpanTables`; label and split choices are independent.
+def build_chart(label_score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the chart bottom-up from :class:`SpanTables`' score table;
+    returns ``(best, split)``, the best subtree score of each span and,
+    for spans of width 2 or more, its best split point.
 
     The best scores are also held by (width, start) and by (width, end),
     so all spans of one width are split in one array operation: row
@@ -52,9 +43,8 @@ def build_chart(label_score: np.ndarray, label: np.ndarray) -> Chart:
     right part of width ``width - s``, and ``argmax`` keeps the first,
     that is the smallest, best split.
     """
-    if (label_score.ndim != 2 or label_score.shape[0] + 1 != label_score.shape[1]
-            or label.shape != label_score.shape):
-        raise ValueError(f"bad span table shapes {label_score.shape} and {label.shape}")
+    if label_score.ndim != 2 or label_score.shape[0] + 1 != label_score.shape[1]:
+        raise ValueError(f"bad span table shape {label_score.shape}")
     n = label_score.shape[0]
     if n < 1:
         raise ValueError("cannot decode an empty sentence")
@@ -74,31 +64,28 @@ def build_chart(label_score: np.ndarray, label: np.ndarray) -> Chart:
         best[i, i + width] = value
         by_start[width, :count] = value
         by_end[width, width:] = value
-    return Chart(best_score=best, best_label=label, best_split=split)
+    return best, split
 
 
 def decode_spans(tables: SpanTables) -> tuple[float, list[tuple[int, int, int]]]:
     """Best tree as (total score, all bracketing spans with label indices).
 
     The span list covers every span of the decoded binary bracketing in
-    preorder, including those assigned the empty label.  The root takes
-    the best non-empty label, whatever the empty label scores there.
+    preorder, including those assigned the empty label.  The total is the
+    chart's best score of the root span.
     """
-    chart = build_chart(tables.score, tables.label)
+    best, split = build_chart(tables.score)
     n = tables.score.shape[0]
-    total = float(tables.root_score + (chart.best_score[0, n] - tables.score[0, n]))
     spans: list[tuple[int, int, int]] = []
-    stack: list[tuple[int, int, int]] = [(0, n, tables.root_label)]
+    stack: list[tuple[int, int, int]] = [(0, n, int(tables.label[0, n]))]
     while stack:
         i, j, label = stack.pop()
         spans.append((i, j, label))
         if j - i >= 2:
-            k = int(chart.best_split[i, j])
-            right = (k, j, int(chart.best_label[k, j]))
-            left = (i, k, int(chart.best_label[i, k]))
-            stack.append(right)
-            stack.append(left)
-    return total, spans
+            k = int(split[i, j])
+            stack.append((k, j, int(tables.label[k, j])))
+            stack.append((i, k, int(tables.label[i, k])))
+    return float(best[0, n]), spans
 
 
 def cky_decode(tables: SpanTables, label_inventory: list[str],

@@ -116,9 +116,14 @@ def _token_lines(path: Path) -> list[list[str]]:
 
 def _tag_map(run: _Run):
     """The configured tag map table, or the bundled default."""
-    if run.cfg.paths.get("tag_map"):
-        return run.read("tag_map", read_tag_map_file, run.cfg.transform.morph_separator)
-    return tagmap.default_table()
+    cfg = run.cfg
+    if cfg.paths.get("tag_map"):
+        return run.read("tag_map", read_tag_map_file, cfg.transform.morph_separator,
+                        cfg.composite_separator)
+    try:
+        return tagmap.default_table(cfg.composite_separator)
+    except TreebankFormatError as exc:
+        raise CliError("load", f"bundled tag map: {exc}") from exc
 
 
 def _each_tree(trees, step) -> list:
@@ -153,7 +158,7 @@ def cmd_train(run: _Run) -> None:
         raise CliError("load", "checkpoint_every needs a checkpoint_dir path")
     checkpoint = run.output("checkpoint")
     log_path = run.output("train_log", default=str(checkpoint) + ".log", anchor=False)
-    if checkpoint_dir:
+    if cfg.train.checkpoint_every:
         try:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -18,7 +18,7 @@ from .evalb import EvalConfig
 from .model import DESK_MODEL, PAPER_MODEL, ModelConfig
 from .trainer import DESK_TRAIN, PAPER_TRAIN, TrainConfig
 from .transform import TransformConfig
-from .treebank import TreebankFormatError, _read_utf8, write_lines
+from .treebank import COMPOSITE_SEPARATOR, TreebankFormatError, _read_utf8, write_lines
 
 # Path keys each command takes from a config file or its command line.
 # Inputs are validated for existence by the commands that consume them.
@@ -50,7 +50,7 @@ class PipelineConfig:
     use_gold_tags: bool = False
     apply_mapping: bool = True
     preset: str = "desk"
-    composite_separator: str = "|"
+    composite_separator: str = COMPOSITE_SEPARATOR
     strip_only: bool = False
     tagger_epochs: int = 5
     tagger_seed: int = 10

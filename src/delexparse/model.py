@@ -190,21 +190,19 @@ def _embed_forward(params: ModelParams, sentences: list[list[ExtendedTag]]):
     return x, pos_idx, feat_idx
 
 
-def _add_rows(target: np.ndarray, index: list[int], rows: np.ndarray) -> None:
+def _add_rows(target: np.ndarray, index: np.ndarray | list[int], rows: np.ndarray) -> None:
     """``target[index[k]] += rows[k]`` for every k, the rows of a repeated
     index summed first from zero in order, as in a zero-filled gradient
     that is then added to ``target``."""
-    slot: dict[int, int] = {}
-    slots = [slot.setdefault(i, len(slot)) for i in index]
-    sums = np.zeros((len(slot), rows.shape[1]))
-    for k, s in enumerate(slots):
-        sums[s] += rows[k]
-    target[list(slot)] += sums
+    unique, inverse = np.unique(index, return_inverse=True)
+    sums = np.zeros((len(unique), rows.shape[1]))
+    np.add.at(sums, inverse, rows)
+    target[unique] += sums
 
 
 def _embed_backward(params, grads, cache, dx):
     pos_idx, feat_idx = cache
-    _add_rows(grads["pos_embedding"], pos_idx.tolist(), dx)
+    _add_rows(grads["pos_embedding"], pos_idx, dx)
     grads["position_encoding"][:len(dx)] += dx
     counts = [len(ids) for ids in feat_idx]
     if any(counts):
@@ -435,12 +433,11 @@ def _scores_forward(params: ModelParams, fenceposts: np.ndarray, gold=None):
             gold_scores[k] = block[local, local_labels]
             _chart.hamming_augment(block, list(zip(local.tolist(), local_labels.tolist())))
         best = block.argmax(axis=1)
+        if rows.start == 0:  # the root span (0, n) takes a non-empty label
+            best[n - 1] = 1 + block[n - 1, 1:].argmax()
         label.reshape(-1)[cells[rows]] = best
         score.reshape(-1)[cells[rows]] = block[np.arange(len(best)), best]
-        if rows.start == 0:
-            root_label = 1 + int(block[n - 1, 1:].argmax())
-            root_score = block[n - 1, root_label]
-    tables = _chart.SpanTables(score, label, root_label, root_score, len(params.labels))
+    tables = _chart.SpanTables(score, label, len(params.labels))
     return tables, gold_scores, cache
 
 

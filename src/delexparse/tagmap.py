@@ -10,17 +10,16 @@ from __future__ import annotations
 import logging
 
 from .data import default_tagmap_path
-from .treebank import ExtendedTag, TaggedSentence, TagMapTable, read_tag_map_file
+from .treebank import (COMPOSITE_SEPARATOR, ExtendedTag, TaggedSentence, TagMapTable,
+                       read_tag_map_file)
 
 log = logging.getLogger(__name__)
 
-COMPOSITE_SEPARATOR = "|"
 
-
-def default_table() -> TagMapTable:
+def default_table(composite_separator: str = COMPOSITE_SEPARATOR) -> TagMapTable:
     """The bundled table, ``data/default.tagmap``: known HiTS -> STTS POS
     pairs, identity on features."""
-    return read_tag_map_file(default_tagmap_path())
+    return read_tag_map_file(default_tagmap_path(), composite=composite_separator)
 
 
 def map_extended_tag(tag: ExtendedTag, table: TagMapTable,

@@ -145,6 +145,7 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
     best_f1 = -1.0
     best_epoch = 0
     best_tensors = params.copy_tensors()
+    grads = params.zero_grads()
     log_lines: list[str] = []
     order = np.arange(len(train_trees))
     for epoch in range(1, tconfig.epochs + 1):
@@ -154,7 +155,8 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
         for start in range(0, len(order), tconfig.batch_size):
             batch = order[start:start + tconfig.batch_size].tolist()
             optimizer.step(params, _batch_gradients(
-                params, [train_tags[k] for k in batch], [golds[k] for k in batch], losses))
+                params, grads, [train_tags[k] for k in batch], [golds[k] for k in batch],
+                losses))
         mean_loss = float(np.mean(losses)) if losses else 0.0
         dev_f1 = _dev_fscore(params, dev_tags, dev_gold)
         log_lines.append(f"{epoch}\t{mean_loss:.6f}\t{dev_f1:.4f}")
@@ -162,7 +164,8 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             best_epoch = epoch
-            best_tensors = params.copy_tensors()
+            for name, tensor in params.tensors.items():
+                np.copyto(best_tensors[name], tensor)
         if (checkpoint_dir is not None and tconfig.checkpoint_every
                 and epoch % tconfig.checkpoint_every == 0):
             model.save_checkpoint(params, Path(checkpoint_dir) / f"epoch_{epoch:04d}.ckpt")
@@ -174,12 +177,14 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
                              params.labels, best_tensors)
 
 
-def _batch_gradients(params: model.ModelParams, tags: list[list[ExtendedTag]],
-                     golds: list, losses: list[float]) -> dict[str, np.ndarray]:
-    """The mean subgradient of one minibatch, whose forward passes are
-    packed; each sentence's backward adds into one buffer.  Appends each
-    sentence's loss to ``losses``."""
-    grads = params.zero_grads()
+def _batch_gradients(params: model.ModelParams, grads: dict[str, np.ndarray],
+                     tags: list[list[ExtendedTag]], golds: list,
+                     losses: list[float]) -> dict[str, np.ndarray]:
+    """The mean subgradient of one minibatch in ``grads``, which is zeroed
+    first; the forward passes are packed and each sentence's backward adds
+    into ``grads``.  Appends each sentence's loss to ``losses``."""
+    for buffer in grads.values():
+        buffer.fill(0.0)
     for gold, forward in zip(golds, model.forward_packed(params, tags, golds)):
         if isinstance(forward, model.ModelError):
             raise forward

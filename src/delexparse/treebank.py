@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 TAG_SEPARATOR = "."
+COMPOSITE_SEPARATOR = "|"  # joins the parts of a composite POS such as APPR|NA
 
 _ESCAPES = (("(", "-LRB-"), (")", "-RRB-"))
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
@@ -412,8 +413,10 @@ def read_tagged_corpus_file(path: str | Path, sep: str = TAG_SEPARATOR) -> list[
 _SECTIONS = ("pos", "features")
 
 
-def read_tag_map(text: str, sep: str = TAG_SEPARATOR) -> TagMapTable:
-    """Read a sectioned ``[pos]`` / ``[features]`` tag map table."""
+def read_tag_map(text: str, sep: str = TAG_SEPARATOR,
+                 composite: str = COMPOSITE_SEPARATOR) -> TagMapTable:
+    """Read a sectioned ``[pos]`` / ``[features]`` tag map table; no part of
+    a target may hold the ``composite`` separator, so none reads as a composite."""
     pos_map: dict[str, ExtendedTag] = {}
     feature_map: dict[str, str] = {}
     section: str | None = None
@@ -442,20 +445,21 @@ def read_tag_map(text: str, sep: str = TAG_SEPARATOR) -> TagMapTable:
                 tag = ExtendedTag.parse(target, sep)
             except ValueError as exc:
                 raise TreebankFormatError(str(exc), line=lineno) from exc
-            if "|" in target:
+            if any(composite in part for part in (tag.pos,) + tag.features):
                 raise TreebankFormatError(
-                    f"target tag {target!r} contains '|'", line=lineno)
+                    f"target tag {target!r} contains {composite!r}", line=lineno)
             pos_map[source] = tag
         else:
             if source in feature_map:
                 raise TreebankFormatError(
                     f"duplicate source feature {source!r}", line=lineno)
-            if sep in target or "|" in target:
+            if sep in target or composite in target:
                 raise TreebankFormatError(
                     f"invalid target feature {target!r}", line=lineno)
             feature_map[source] = target
     return TagMapTable(pos_map, feature_map)
 
 
-def read_tag_map_file(path: str | Path, sep: str = TAG_SEPARATOR) -> TagMapTable:
-    return read_tag_map(_read_utf8(path), sep)
+def read_tag_map_file(path: str | Path, sep: str = TAG_SEPARATOR,
+                      composite: str = COMPOSITE_SEPARATOR) -> TagMapTable:
+    return read_tag_map(_read_utf8(path), sep, composite)

@@ -81,30 +81,34 @@ def best_tree_score_full_enumeration(scores: np.ndarray) -> float:
 
 def dense_tables(scores: np.ndarray) -> SpanTables:
     """The per-span tables CKY reads, reduced from a dense (n, n+1, L)
-    score tensor: each cell's argmax label and max score, and the root
-    span's best non-empty label and its score."""
+    score tensor: each cell's argmax label and max score, except that the
+    root span (0, n) holds its best non-empty label and that label's
+    score."""
     n, _, num_labels = scores.shape
-    root_label = 1 + int(scores[0, n, 1:].argmax())
-    return SpanTables(scores.max(axis=2), scores.argmax(axis=2), root_label,
-                      scores[0, n, root_label], num_labels)
+    score, label = scores.max(axis=2), scores.argmax(axis=2)
+    label[0, n] = 1 + int(scores[0, n, 1:].argmax())
+    score[0, n] = scores[0, n, label[0, n]]
+    return SpanTables(score, label, num_labels)
 
 
 def per_span_chart(scores: np.ndarray):
     """CKY filled one span at a time, each span's splits scanned left to
-    right; returns (best_score, best_split, best_label) as the chart does."""
+    right, the root span restricted to non-empty labels; returns
+    (best_score, best_split, best_label) as the chart and its tables do."""
     n = scores.shape[0]
     best = np.zeros((n, n + 1))
     split = np.full((n, n + 1), -1, dtype=np.int64)
     labels = scores.argmax(axis=2)
+    labels[0, n] = 1 + int(scores[0, n, 1:].argmax())
     for i in range(n):
-        best[i, i + 1] = scores[i, i + 1].max()
+        best[i, i + 1] = scores[i, i + 1, labels[i, i + 1]]
     for width in range(2, n + 1):
         for i in range(n - width + 1):
             j = i + width
             inner = np.arange(i + 1, j)
             totals = best[i, inner] + best[inner, j]
             k = int(totals.argmax())
-            best[i, j] = scores[i, j].max() + totals[k]
+            best[i, j] = scores[i, j, labels[i, j]] + totals[k]
             split[i, j] = i + 1 + k
     return best, split, labels
 

@@ -129,11 +129,11 @@ def test_build_chart_is_the_per_span_loop_bit_for_bit():
         elif trial % 10 == 0:
             scores = np.zeros_like(scores)
         tables = oracles.dense_tables(scores)
-        got = chart.build_chart(tables.score, tables.label)
+        got_best, got_split = chart.build_chart(tables.score)
         best, split, labels = oracles.per_span_chart(scores)
-        np.testing.assert_array_equal(got.best_score, best)
-        np.testing.assert_array_equal(got.best_split, split)
-        np.testing.assert_array_equal(got.best_label, labels)
+        np.testing.assert_array_equal(got_best, best)
+        np.testing.assert_array_equal(got_split, split)
+        np.testing.assert_array_equal(tables.label, labels)
 
 
 def test_tie_breaking_lowest_label_then_smallest_split():
@@ -160,7 +160,7 @@ def test_preterminals_attached_from_tags():
 def test_decode_errors():
     with pytest.raises(ValueError):
         chart.decode_spans(chart.SpanTables(np.zeros((0, 1)), np.zeros((0, 1), dtype=np.int64),
-                                            1, 0.0, 3))
+                                            3))
     with pytest.raises(ValueError):
         chart.cky_decode(oracles.dense_tables(np.zeros((2, 3, 4))), LABELS, tags(3))
     with pytest.raises(ValueError):

@@ -381,6 +381,55 @@ def test_bad_composite_separator_exits_2_at_load(tmp_path, capsys, command, valu
     assert not output.exists()
 
 
+@pytest.mark.parametrize("separator", ["|", "+"])
+@pytest.mark.parametrize("target", ["NN|Y", "NN+Y"])
+def test_tag_map_targets_may_not_hold_the_configured_composite_separator(tmp_path, capsys,
+                                                                          separator, target):
+    corpus = tmp_path / "hist.tags"
+    corpus.write_text("frouwe\tNA\n\n", encoding="utf-8")
+    table = tmp_path / "hist.tagmap"
+    table.write_text(f"[pos]\nNA\t{target}\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(f"[mode]\ncomposite_separator = {separator}\n", encoding="utf-8")
+    output = tmp_path / "mapped.tags"
+    code = cli.main(["map-tags", "--config", str(config), "--tagged-corpus", str(corpus),
+                     "--tag-map", str(table), "--tagged-output", str(output)])
+    if separator in target:
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: stage=load: {table}: target tag "
+                                           f"{target!r} contains {separator!r} (line 2)\n")
+        assert not output.exists()
+    else:
+        assert code == 0
+        assert output.read_text(encoding="utf-8") == f"frouwe\t{target}\n\n"
+
+
+def test_bundled_tag_map_holding_the_composite_separator_exits_2_at_load(tmp_path, capsys):
+    corpus = tmp_path / "hist.tags"
+    corpus.write_text("frouwe\tNA\n\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text("[mode]\ncomposite_separator = A\n", encoding="utf-8")
+    output = tmp_path / "mapped.tags"
+    assert cli.main(["map-tags", "--config", str(config), "--tagged-corpus", str(corpus),
+                     "--tagged-output", str(output)]) == 2
+    assert capsys.readouterr().err == ("error: stage=load: bundled tag map: target tag "
+                                       "'CARD' contains 'A' (line 4)\n")
+    assert not output.exists()
+
+
+def test_train_makes_no_checkpoint_dir_without_checkpoint_every(tmp_path):
+    config = write_config(tmp_path)
+    checkpoints = tmp_path / "ckpts"
+    assert cli.main(["train", "--config", str(config),
+                     "--checkpoint-dir", str(checkpoints)]) == 0
+    assert (tmp_path / "out/parser.ckpt").exists() and not checkpoints.exists()
+    empty = tmp_path / "empty.brackets"
+    empty.write_text("")
+    assert cli.main(["train", "--config", str(config), "--checkpoint-dir", str(checkpoints),
+                     "--dev-treebank", str(empty)]) == 2
+    assert not checkpoints.exists()
+
+
 def test_empty_dev_treebank_exits_2_at_train(tmp_path, capsys):
     config = write_config(tmp_path)
     empty = tmp_path / "empty.brackets"

@@ -271,8 +271,7 @@ def assert_tables_equal(got, expected, context):
     assert got.score.shape == expected.score.shape == got.label.shape, context
     np.testing.assert_array_equal(got.label[spans], expected.label[spans], err_msg=context)
     np.testing.assert_array_equal(got.score[spans], expected.score[spans], err_msg=context)
-    assert (got.root_label, got.root_score, got.num_labels) == \
-        (expected.root_label, expected.root_score, expected.num_labels), context
+    assert got.num_labels == expected.num_labels, context
 
 
 @pytest.mark.parametrize("chunk_rows", [model._CHUNK_ROWS, 20], ids=["default", "20-rows"])
@@ -287,6 +286,25 @@ def test_span_tables_are_the_reduced_dense_scores(monkeypatch, chunk_rows):
             expected = oracles.dense_tables(model.sentence_scores(params, sentence))
             assert_tables_equal(tables, expected, f"n={n} labels={num_labels}")
             assert gold_scores.shape == (0,)
+
+
+def test_root_cell_holds_a_non_empty_label_where_the_empty_label_scores_highest():
+    rng = np.random.default_rng(59)
+    params = desk_scorer_params(5, rng)
+    params.tensors["label_b2"] -= 100.0  # every span's best label is the empty one
+    for n in (1, 2, 5, 40):
+        sentence = random_tags(rng, n)
+        tables, _, _ = oracles.sentence_forward(params, sentence)
+        scores = model.sentence_scores(params, sentence)
+        assert scores[0, n].argmax() == 0
+        root = int(tables.label[0, n])
+        assert root == 1 + scores[0, n, 1:].argmax()
+        assert tables.score[0, n] == scores[0, n, root]
+        total, spans = chart.decode_spans(tables)
+        assert spans[0] == (0, n, root)
+        assert total == chart.build_chart(tables.score)[0][0, n]
+        if n <= 5:
+            assert total == pytest.approx(oracles.best_tree_score(scores), abs=1e-9)
 
 
 def block_boundary_spans(n):

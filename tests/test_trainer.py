@@ -141,6 +141,19 @@ def test_checkpoint_every_writes_intermediates(tmp_path):
     assert names == ["epoch_0002.ckpt", "epoch_0004.ckpt"]
 
 
+def test_train_allocates_its_gradient_and_dev_best_buffers_once(monkeypatch):
+    calls = {"zero_grads": 0, "copy_tensors": 0}
+    for name in calls:
+        def counted(self, original=getattr(model.ModelParams, name), name=name):
+            calls[name] += 1
+            return original(self)
+        monkeypatch.setattr(model.ModelParams, name, counted)
+    trees = prepared_toy(6)
+    tcfg = trainer.TrainConfig(epochs=4, batch_size=2, optimizer="sgd", learning_rate=3e-3)
+    trainer.train(trees, trees, SMALL, tcfg)
+    assert calls == {"zero_grads": 1, "copy_tensors": 1}
+
+
 @pytest.mark.parametrize("optimizer, batch_size, pack_tokens", [
     ("adam", 4, model._PACK_TOKENS), ("sgd", 5, model._PACK_TOKENS), ("adam", 3, 20),
     ("sgd", 12, 30)], ids=["adam", "sgd", "adam-small-chunks", "sgd-small-chunks"])

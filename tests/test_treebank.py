@@ -222,6 +222,19 @@ def test_read_tag_map_features_and_comments():
     assert table.feature_map == {"Sing": "Sg"}
 
 
+def test_read_tag_map_targets_may_not_hold_the_composite_separator():
+    for text in ("[pos]\nNA\tNN|Y\n", "[pos]\nNA\tNN.Y|Z\n", "[features]\nSing\tS|g\n"):
+        with pytest.raises(TreebankFormatError, match=r"contains '\|'|invalid target"):
+            read_tag_map(text)
+    table = read_tag_map("[pos]\nNA\tNN|Y\n[features]\nSing\tS|g\n", composite="+")
+    assert table.pos_map["NA"] == ExtendedTag("NN|Y") and table.feature_map == {"Sing": "S|g"}
+    with pytest.raises(TreebankFormatError, match=r"contains '\+'"):
+        read_tag_map("[pos]\nNA\tNN+Y\n", composite="+")
+    # a separator shared with the features' one is only looked for inside the parts
+    assert read_tag_map("[pos]\nVAPS\tADJD.Pos\n", composite=".").pos_map["VAPS"] == \
+        ExtendedTag("ADJD", ("Pos",))
+
+
 def test_read_tag_map_rejects_entry_before_section():
     with pytest.raises(TreebankFormatError):
         read_tag_map("NA\tNN\n")
