@@ -217,10 +217,12 @@ def _encode_forward(params: ModelParams, x: np.ndarray, spans: list[slice],
     feedforward) runs once on all rows, attention per sentence.
 
     Returns the encoded rows, per layer the mask of rows finite after it,
-    and with ``keep_caches`` per layer the row-wise arrays and each
-    sentence's attention ``(q, k, v, weights)``.  Rows of different
-    sentences never mix, and a non-finite residual row stays non-finite,
-    so one sentence's failure leaves the others' bits.
+    and with ``keep_caches`` per layer the row-wise arrays the backward
+    cannot rebuild, ``(xhat1, inv1, att_in, xhat2, inv2, r)``, and each
+    sentence's attention ``(q, k, v, weights)``; the layer norms' outputs
+    are rebuilt from ``xhat`` and the ReLU's mask from ``r``.  Rows of
+    different sentences never mix, and a non-finite residual row stays
+    non-finite, so one sentence's failure leaves the others' bits.
     """
     cfg = params.config
     t = params.tensors
@@ -232,6 +234,7 @@ def _encode_forward(params: ModelParams, x: np.ndarray, spans: list[slice],
         p = f"layer_{i}/"
         u, (xhat1, inv1) = _ln_forward(h, t[p + "ln1_gain"], t[p + "ln1_bias"])
         q_rows, k_rows, v_rows = u @ t[p + "wq"], u @ t[p + "wk"], u @ t[p + "wv"]
+        del u
         att_in = np.empty_like(q_rows)
         attention = []
         for rows in spans:
@@ -240,19 +243,20 @@ def _encode_forward(params: ModelParams, x: np.ndarray, spans: list[slice],
                        for m in (q_rows, k_rows, v_rows))
             logits = q @ k.transpose(0, 2, 1) * scale
             logits -= logits.max(axis=-1, keepdims=True)
-            weights = np.exp(logits)
+            weights = np.exp(logits, out=logits)
             weights /= weights.sum(axis=-1, keepdims=True)
             att_in[rows] = (weights @ v).transpose(1, 0, 2).reshape(n, heads * dk)
             if keep_caches:
                 attention.append((q, k, v, weights))
         a = h + att_in @ t[p + "wo"]
         v2, (xhat2, inv2) = _ln_forward(a, t[p + "ln2_gain"], t[p + "ln2_bias"])
-        z = v2 @ t[p + "ff_w1"] + t[p + "ff_b1"]
-        r = np.maximum(z, 0.0)
+        r = v2 @ t[p + "ff_w1"] + t[p + "ff_b1"]
+        del v2
+        np.maximum(r, 0.0, out=r)
         h = a + r @ t[p + "ff_w2"] + t[p + "ff_b2"]
         finite.append(np.isfinite(h).all(axis=1))
         if keep_caches:
-            layers.append(((u, xhat1, inv1, att_in, v2, xhat2, inv2, z, r), attention))
+            layers.append(((xhat1, inv1, att_in, xhat2, inv2, r), attention))
     return h, finite, layers
 
 
@@ -269,56 +273,72 @@ def _fenceposts(params: ModelParams, rows: np.ndarray) -> np.ndarray:
 
 
 def _encode_backward(params, grads, layer_caches, dfence):
-    cfg = params.config
-    t = params.tensors
-    n, d = len(dfence) - 1, dfence.shape[1]
-    heads, dk = cfg.num_heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dk)
+    """Backward of :func:`_encode_forward` for one sentence, one layer at a
+    time, each layer's temporaries freed before the next layer's are made."""
+    d = dfence.shape[1]
     half = d // 2
-    dext = np.zeros((n + 2, d))
+    dext = np.zeros((len(dfence) + 1, d))
     dext[:-1, :half] += dfence[:, :half]
     dext[1:, half:] += dfence[:, half:]
     grads["boundary"][0] += dext[0]
     grads["boundary"][1] += dext[-1]
     dh = dext[1:-1].copy()
-    for i in reversed(range(cfg.num_layers)):
-        p = f"layer_{i}/"
-        u, xhat1, inv1, att_in, v2, xhat2, inv2, z, r, q, k, v, weights = layer_caches[i]
-        # feedforward branch
-        da = dh.copy()
-        dr = dh @ t[p + "ff_w2"].T
-        grads[p + "ff_w2"] += r.T @ dh
-        grads[p + "ff_b2"] += dh.sum(axis=0)
-        dz = dr * (z > 0.0)
-        dv2 = dz @ t[p + "ff_w1"].T
-        grads[p + "ff_w1"] += v2.T @ dz
-        grads[p + "ff_b1"] += dz.sum(axis=0)
-        da2, dg2, db2 = _ln_backward(dv2, (xhat2, inv2), t[p + "ln2_gain"])
-        grads[p + "ln2_gain"] += dg2
-        grads[p + "ln2_bias"] += db2
-        da += da2
-        # attention branch
-        datt = da @ t[p + "wo"].T
-        grads[p + "wo"] += att_in.T @ da
-        dheads = datt.reshape(n, heads, dk).transpose(1, 0, 2)
-        dweights = dheads @ v.transpose(0, 2, 1)
-        dv = weights.transpose(0, 2, 1) @ dheads
-        dlogits = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
-        dlogits *= scale
-        dq = dlogits @ k
-        dk_ = dlogits.transpose(0, 2, 1) @ q
-        dq_flat = dq.transpose(1, 0, 2).reshape(n, heads * dk)
-        dk_flat = dk_.transpose(1, 0, 2).reshape(n, heads * dk)
-        dv_flat = dv.transpose(1, 0, 2).reshape(n, heads * dk)
-        du = dq_flat @ t[p + "wq"].T + dk_flat @ t[p + "wk"].T + dv_flat @ t[p + "wv"].T
-        grads[p + "wq"] += u.T @ dq_flat
-        grads[p + "wk"] += u.T @ dk_flat
-        grads[p + "wv"] += u.T @ dv_flat
-        dh_prev, dg1, db1 = _ln_backward(du, (xhat1, inv1), t[p + "ln1_gain"])
-        grads[p + "ln1_gain"] += dg1
-        grads[p + "ln1_bias"] += db1
-        dh = da + dh_prev
+    for i in reversed(range(params.config.num_layers)):
+        dh = _layer_backward(params, grads, f"layer_{i}/", layer_caches[i], dh)
     return dh
+
+
+def _layer_backward(params, grads, p, cache, dh):
+    """One encoder layer's backward from the gradient ``dh`` on its output.
+
+    The layer norms' outputs are rebuilt from ``xhat`` as
+    :func:`_ln_forward` made them, ``r > 0`` is the forward's ``z > 0``
+    (also for NaN and -0.0), and the softmax backward runs in place on one
+    ``(heads, n, n)`` array: the same arithmetic as building it from
+    ``weights * (dweights - rowsum)``, so the same bits.
+    """
+    t = params.tensors
+    heads, dk = params.config.num_heads, params.config.head_dim
+    n = len(dh)
+    xhat1, inv1, att_in, xhat2, inv2, r, q, k, v, weights = cache
+    # feedforward branch
+    dz = dh @ t[p + "ff_w2"].T
+    grads[p + "ff_w2"] += r.T @ dh
+    grads[p + "ff_b2"] += dh.sum(axis=0)
+    dz *= r > 0.0
+    grads[p + "ff_w1"] += (t[p + "ln2_gain"] * xhat2 + t[p + "ln2_bias"]).T @ dz
+    grads[p + "ff_b1"] += dz.sum(axis=0)
+    da, dg2, db2 = _ln_backward(dz @ t[p + "ff_w1"].T, (xhat2, inv2), t[p + "ln2_gain"])
+    del dz
+    grads[p + "ln2_gain"] += dg2
+    grads[p + "ln2_bias"] += db2
+    da += dh
+    # attention branch
+    datt = da @ t[p + "wo"].T
+    grads[p + "wo"] += att_in.T @ da
+    dheads = datt.reshape(n, heads, dk).transpose(1, 0, 2)
+    dv = weights.transpose(0, 2, 1) @ dheads
+    dlogits = dheads @ v.transpose(0, 2, 1)
+    del datt, dheads
+    for head in range(heads):
+        dlogits[head] -= (dlogits[head] * weights[head]).sum(axis=-1, keepdims=True)
+    dlogits *= weights
+    dlogits *= 1.0 / np.sqrt(dk)
+    dq = dlogits @ k
+    dk_ = dlogits.transpose(0, 2, 1) @ q
+    del dlogits
+    dq_flat = dq.transpose(1, 0, 2).reshape(n, heads * dk)
+    dk_flat = dk_.transpose(1, 0, 2).reshape(n, heads * dk)
+    dv_flat = dv.transpose(1, 0, 2).reshape(n, heads * dk)
+    du = dq_flat @ t[p + "wq"].T + dk_flat @ t[p + "wk"].T + dv_flat @ t[p + "wv"].T
+    u = t[p + "ln1_gain"] * xhat1 + t[p + "ln1_bias"]
+    grads[p + "wq"] += u.T @ dq_flat
+    grads[p + "wk"] += u.T @ dk_flat
+    grads[p + "wv"] += u.T @ dv_flat
+    dh_prev, dg1, db1 = _ln_backward(du, (xhat1, inv1), t[p + "ln1_gain"])
+    grads[p + "ln1_gain"] += dg1
+    grads[p + "ln1_bias"] += db1
+    return da + dh_prev
 
 
 # Span rows per block of the scorer's hidden layer: about 1 MB at h = 250,
@@ -450,22 +470,25 @@ def _scores_backward(params, grads, cache, starts, ends, dout):
     """
     t = params.tensors
     fenceposts, proj, shifted = cache
-    xhat = shifted[ends] - proj[starts]
+    xhat = shifted[ends]
+    xhat -= proj[starts]
     inv = _normalize_rows(xhat)
     r = xhat * t["label_ln_gain"]
     r += t["label_ln_bias"]
     np.maximum(r, 0.0, out=r)
     grads["label_w2"] += r.T @ dout
     grads["label_b2"] += dout.sum(axis=0)
-    dz = dout @ t["label_w2"].T
-    dz *= r > 0.0
+    relu = r > 0.0
+    dz = np.matmul(dout, t["label_w2"].T, out=r)  # r's last use was the mask
+    dz *= relu
     # label layer norm backward, in place
     grads["label_ln_gain"] += np.einsum("ij,ij->j", dz, xhat)
     grads["label_ln_bias"] += dz.sum(axis=0)
     dz *= t["label_ln_gain"]
     mean_dot = np.einsum("ij,ij->i", dz, xhat)[:, None] / dz.shape[1]
     dz -= dz.mean(axis=-1, keepdims=True)
-    dz -= xhat * mean_dot
+    xhat *= mean_dot
+    dz -= xhat
     dz *= inv
     # z1[i, j] = P[j] - P[i] + b1 sends its dz to P[j] and b1, -dz to P[i]
     dproj = np.zeros_like(proj)
@@ -488,8 +511,11 @@ def _forward_run(params: ModelParams, sentences: list[list[ExtendedTag]], golds)
     """
     bounds = np.cumsum([0] + [len(tags) for tags in sentences]).tolist()
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    x, pos_idx, feat_idx = _embed_forward(params, sentences)
-    h, finite, layers = _encode_forward(params, x, spans, golds is not None)
+    # a sentence whose values overflow fails the fencepost check below,
+    # which names the layer, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        x, pos_idx, feat_idx = _embed_forward(params, sentences)
+        h, finite, layers = _encode_forward(params, x, spans, golds is not None)
     results = []
     for s, rows in enumerate(spans):
         fenceposts = _fenceposts(params, h[rows])

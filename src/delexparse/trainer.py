@@ -152,11 +152,13 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
         if tconfig.shuffle:
             order = rng.permutation(len(train_trees))
         losses: list[float] = []
-        for start in range(0, len(order), tconfig.batch_size):
+        for minibatch, start in enumerate(range(0, len(order), tconfig.batch_size), 1):
             batch = order[start:start + tconfig.batch_size].tolist()
-            optimizer.step(params, _batch_gradients(
-                params, grads, [train_tags[k] for k in batch], [golds[k] for k in batch],
-                losses))
+            try:
+                _batch_gradients(params, grads, train_tags, golds, batch, losses)
+            except model.ModelError as exc:
+                raise model.ModelError(f"epoch {epoch}, minibatch {minibatch}, {exc}") from None
+            optimizer.step(params, grads)
         mean_loss = float(np.mean(losses)) if losses else 0.0
         dev_f1 = _dev_fscore(params, dev_tags, dev_gold)
         log_lines.append(f"{epoch}\t{mean_loss:.6f}\t{dev_f1:.4f}")
@@ -178,22 +180,30 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
 
 
 def _batch_gradients(params: model.ModelParams, grads: dict[str, np.ndarray],
-                     tags: list[list[ExtendedTag]], golds: list,
-                     losses: list[float]) -> dict[str, np.ndarray]:
-    """The mean subgradient of one minibatch in ``grads``, which is zeroed
-    first; the forward passes are packed and each sentence's backward adds
-    into ``grads``.  Appends each sentence's loss to ``losses``."""
+                     tags: list[list[ExtendedTag]], golds: list, batch: list[int],
+                     losses: list[float]) -> None:
+    """The mean subgradient of the training trees ``batch`` (indices into
+    ``tags`` and ``golds``) in ``grads``, which is zeroed first; the
+    forward passes are packed and each sentence's backward adds into
+    ``grads``.  Appends each sentence's loss to ``losses``.
+
+    Each forward is released once its backward is done, so a run's
+    forward starts with no cache of the run before it held; a tree that
+    cannot be encoded raises :class:`model.ModelError` naming its index."""
     for buffer in grads.values():
         buffer.fill(0.0)
-    for gold, forward in zip(golds, model.forward_packed(params, tags, golds)):
+    forwards = model.forward_packed(params, [tags[k] for k in batch],
+                                    [golds[k] for k in batch])
+    for k in batch:
+        forward = next(forwards)
         if isinstance(forward, model.ModelError):
-            raise forward
-        loss, _ = model.loss_and_gradients(params, forward, gold, grads)
+            raise model.ModelError(f"training tree {k}: {forward}")
+        loss, _ = model.loss_and_gradients(params, forward, golds[k], grads)
+        del forward
         losses.append(loss)
-    scale = 1.0 / len(tags)
+    scale = 1.0 / len(batch)
     for name in grads:
         grads[name] *= scale
-    return grads
 
 
 def _dev_fscore(params: model.ModelParams, dev_tags: list[list[ExtendedTag]],
@@ -236,7 +246,8 @@ def parse_corpus(params: model.ModelParams,
     """
     results: list[Tree | None] = []
     forwards = model.forward_packed(params, sentences)
-    for index, (tags, forward) in enumerate(zip(sentences, forwards)):
+    for index, tags in enumerate(sentences):
+        forward = next(forwards)  # released below, before the next run is encoded
         try:
             if isinstance(forward, model.ModelError):
                 raise forward
@@ -245,4 +256,5 @@ def parse_corpus(params: model.ModelParams,
         except ValueError as exc:
             log.warning("sentence %d failed: %s", index, exc)
             results.append(None)
+        del forward
     return results

@@ -1,8 +1,10 @@
 import errno
 import json
 import os
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from delexparse import cli, data, evalb, model, trainer, transform
@@ -436,6 +438,27 @@ def test_empty_dev_treebank_exits_2_at_train(tmp_path, capsys):
     empty.write_text("")
     assert cli.main(["train", "--config", str(config), "--dev-treebank", str(empty)]) == 2
     assert capsys.readouterr().err == "error: stage=train: empty dev set\n"
+    assert not (tmp_path / "out/parser.ckpt").exists()
+
+
+def test_a_diverging_run_names_where_it_failed_without_numpy_warnings(tmp_path, capsys):
+    # the first step's update overflows the encoder, so the second
+    # minibatch's forward fails; numpy's overflow warnings are not shown
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[paths]\n"
+        f"train_treebank = {data.toy_treebank_path()}\n"
+        f"checkpoint = {tmp_path}/out/parser.ckpt\n"
+        "[train]\nepochs = 2\nbatch_size = 8\nlearning_rate = 1e300\n" + TINY_MODEL)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--config", str(config)]) == 2
+    assert [str(w.message) for w in caught] == []
+    # the first training tree of the shuffled epoch's second minibatch
+    first = int(np.random.default_rng(trainer.TrainConfig().seed).permutation(50)[8])
+    assert capsys.readouterr().err == (
+        f"error: stage=train: epoch 1, minibatch 2, training tree {first}: "
+        "non-finite values after encoder layer 0\n")
     assert not (tmp_path / "out/parser.ckpt").exists()
 
 

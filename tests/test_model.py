@@ -374,6 +374,33 @@ def test_loss_peak_memory_is_independent_of_the_label_count():
     assert peaks[100] - peaks[2] < 0.1 * score_tensor, (peaks, score_tensor)
 
 
+def test_training_step_peak_memory_is_its_caches_and_one_attention_array():
+    # the working set is the gradient buffer, the forward's result (its
+    # backward caches and span tables) and one (heads, n, n) array of the
+    # attention backward; the peak stays within 1.25 times that
+    n = 256
+    sentence = random_tags(np.random.default_rng(5), n)
+    rng = np.random.default_rng(7)
+    params = desk_scorer_params(100, rng, n)
+    gold = balanced_tree(rng, sentence, params.labels)
+    gold_idx = model.gold_indices(params, sentence, gold)
+    oracles.sentence_loss(params, sentence, gold)  # warm-up
+    tracemalloc.start()
+    try:
+        loss, _ = oracles.sentence_loss(params, sentence, gold)
+        peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        forward = oracles.sentence_forward(params, sentence, gold_idx)
+        result = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss > 0.0 and forward[2] is not None
+    grads = sum(tensor.nbytes for tensor in params.tensors.values())
+    attention = params.config.num_heads * n * n * 8
+    working = grads + result + attention
+    assert peak <= 1.25 * working, (peak, grads, result, attention)
+
+
 def assert_greedy_runs(runs, sizes, budget):
     """``runs`` cover every item once, in order; each holds one item or
     items of at most ``budget`` together, and the next item would not fit."""

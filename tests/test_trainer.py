@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +226,64 @@ def test_parse_corpus_keeps_no_caches_once_a_chunk_is_decoded(monkeypatch):
     assert all(caches is None for caches in held)
     # held when each later chunk starts: the trees parsed so far, no caches
     assert entry_memory[-1] - entry_memory[1] < 0.1 * one_chunk, (entry_memory, one_chunk)
+
+
+def test_parse_corpus_releases_each_runs_tables_before_the_next_run(monkeypatch):
+    params = model.init_params(model.DESK_MODEL, [model.UNK, "NN"], [model.UNK],
+                               [transform.EMPTY_LABEL, "S"])
+    per_run = model._PACK_TOKENS // 32
+    sentences = [[ExtendedTag("NN")] * 32] * (4 * per_run)
+    real_run = model._forward_run
+    tables, alive = [], []  # per run entry: the earlier runs' tables not yet freed
+
+    def forward_run(params, sentences, golds):
+        alive.append(sum(ref() is not None for ref in tables))
+        results = real_run(params, sentences, golds)
+        tables.extend(weakref.ref(result[0].score) for result in results)
+        return results
+
+    monkeypatch.setattr(model, "_forward_run", forward_run)
+    assert all(tree is not None for tree in trainer.parse_corpus(params, sentences))
+    assert alive == [0, 0, 0, 0]
+
+
+def right_branching(label, tags):
+    """The binarized right-branching tree over ``tags``, every phrase
+    ``label``."""
+    preterminals = [Tree.node(tag.pos, [Tree.leaf(tag.serialized())]) for tag in tags]
+    tree = Tree.node(label, preterminals[-2:])
+    for preterminal in reversed(preterminals[:-2]):
+        tree = Tree.node(label, [preterminal, tree])
+    return tree
+
+
+def test_batch_gradients_holds_one_runs_caches_at_a_time(monkeypatch):
+    params = model.init_params(model.DESK_MODEL, [model.UNK, "NN"], [model.UNK],
+                               [transform.EMPTY_LABEL, "S"])
+    per_run = model._PACK_TOKENS // 32
+    tags = [[ExtendedTag("NN")] * 32] * (4 * per_run)
+    golds = [model.gold_indices(params, tags[0], right_branching("S", tags[0]))] * len(tags)
+    real_run = model._forward_run
+    entry_memory = []
+
+    def forward_run(params, sentences, golds):
+        entry_memory.append(tracemalloc.get_traced_memory()[0])
+        return real_run(params, sentences, golds)
+
+    monkeypatch.setattr(model, "_forward_run", forward_run)
+    grads, losses = params.zero_grads(), []
+    tracemalloc.start()
+    try:
+        trainer._batch_gradients(params, grads, tags, golds, list(range(len(tags))), losses)
+        before = tracemalloc.get_traced_memory()[0]
+        kept = real_run(params, tags[:per_run], golds[:per_run])
+        one_run = tracemalloc.get_traced_memory()[0] - before  # the results in kept
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == per_run and len(entry_memory) == 4
+    assert all(loss > 0.0 for loss in losses)  # every sentence ran its backward
+    # held when each later run starts: nothing of the runs before it
+    assert max(entry_memory[1:]) - entry_memory[0] < 0.1 * one_run, (entry_memory, one_run)
 
 
 def test_dev_fscore_scores_a_tree_whose_preterminals_do_not_cover_its_leaves(tmp_path):
