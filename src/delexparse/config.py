@@ -10,7 +10,7 @@ training dimensions.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -86,33 +86,50 @@ def _section(parser: configparser.ConfigParser, name: str,
     return section
 
 
-def _typed(cls, section: dict[str, str], base) -> Any:
-    """Overlay string config values onto a dataclass, respecting field types."""
+def _typed(name: str, section: dict[str, str], base) -> dict[str, Any]:
+    """Section ``[name]``'s string values, typed as the fields of the
+    dataclass ``base`` that they set: a ``[tagger]`` key sets the field
+    ``tagger_<key>``, any other key its namesake.  Errors name the section
+    and the key."""
+    prefix = "tagger_" if name == "tagger" else ""
     kwargs = {}
-    for fld, value in section.items():
+    for key, value in section.items():
+        fld = prefix + key
         if fld not in base.__dataclass_fields__:
-            raise ValueError(f"unknown {cls.__name__} key {fld!r}")
+            raise ValueError(f"unknown [{name}] key {key!r}")
         kind = type(getattr(base, fld))
-        if kind is bool:
-            kwargs[fld] = _parse_bool(value)
-        elif kind is int:
-            kwargs[fld] = int(value)
-        elif kind is float:
-            kwargs[fld] = float(value)
-        elif kind in (tuple, frozenset):
-            kwargs[fld] = kind(value.split())
-        elif kind is dict:
-            kwargs[fld] = dict(_label_pair(item) for item in value.split())
-        else:
-            kwargs[fld] = value
-    return replace(base, **kwargs)
+        try:
+            if kind is bool:
+                kwargs[fld] = _parse_bool(value)
+            elif kind in (int, float):
+                kwargs[fld] = kind(value)
+            elif kind in (tuple, frozenset):
+                kwargs[fld] = kind(value.split())
+            elif kind is dict:
+                kwargs[fld] = dict(_label_pair(item) for item in value.split())
+            else:
+                kwargs[fld] = value
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {key}: {exc}") from None
+    return kwargs
 
 
 def _label_pair(item: str) -> tuple[str, str]:
     src, eq, tgt = item.partition("=")
     if not (src and eq and tgt):
-        raise ValueError(f"label_equivalences item {item!r} is not SOURCE=TARGET")
+        raise ValueError(f"item {item!r} is not SOURCE=TARGET")
     return src, tgt
+
+
+def _ini_value(value) -> str:
+    """A field's value as a config file writes it: :func:`_typed` reads it back."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, dict):
+        value = [f"{src}={tgt}" for src, tgt in value.items()]
+    elif isinstance(value, frozenset):
+        value = sorted(value)
+    return " ".join(value) if isinstance(value, (list, tuple)) else str(value)
 
 
 # the config sections each command-line override writes its key into
@@ -162,26 +179,27 @@ def load_pipeline_config(config_path: str | None = None,
     parser.read_dict(flags)
 
     # PipelineConfig's own fields: [mode], [tagger] as tagger_*, and strip_only
-    top = {"tagger_" + key: value
-           for key, value in _section(parser, "tagger", ("epochs", "seed")).items()}
-    top.update(_section(parser, "mode", _MODE_KEYS))
-    transform = _section(parser, "transform")
-    if "keep_morphology" in top:
-        transform["keep_morphology"] = top.pop("keep_morphology")
+    mode = _section(parser, "mode", _MODE_KEYS)
+    if "keep_morphology" in mode:
+        parser.read_dict({"transform": {"keep_morphology": mode.pop("keep_morphology")}})
+    base = PipelineConfig()
+    top = _typed("mode", mode, base) | _typed("tagger", _section(parser, "tagger"), base)
     if "strip_only" in overrides:
-        top["strip_only"] = str(overrides["strip_only"])
-    cfg = _typed(PipelineConfig, top, PipelineConfig())
+        top["strip_only"] = overrides["strip_only"]
+    cfg = replace(base, **top)  # PipelineConfig's checks name their own keys
     if cfg.preset not in _PRESETS:
         raise ValueError(f"unknown preset {cfg.preset!r}")
     if cfg.mode not in _MODES:
         raise ValueError(f"unknown mode {cfg.mode!r}")
     paper = cfg.preset == "paper"
-    cfg.model = _typed(ModelConfig, _section(parser, "model"),
-                       PAPER_MODEL if paper else DESK_MODEL)
-    cfg.train = _typed(TrainConfig, _section(parser, "train"),
-                       PAPER_TRAIN if paper else DESK_TRAIN)
-    cfg.transform = _typed(TransformConfig, transform, TransformConfig())
-    cfg.eval = _typed(EvalConfig, _section(parser, "eval"), EvalConfig())
+    for name, component in (("model", PAPER_MODEL if paper else DESK_MODEL),
+                            ("train", PAPER_TRAIN if paper else DESK_TRAIN),
+                            ("transform", TransformConfig()), ("eval", EvalConfig())):
+        values = _typed(name, _section(parser, name), component)
+        try:
+            setattr(cfg, name, replace(component, **values))
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {exc}") from None
     cfg.paths = _section(parser, "paths")
     for key in cfg.paths:
         if key not in PATH_KEYS:
@@ -191,58 +209,32 @@ def load_pipeline_config(config_path: str | None = None,
     return cfg
 
 
+# the template's example paths: a train, parse and eval run
+_EXAMPLE_PATHS = {
+    "train_treebank": "data/source.brackets", "dev_treebank": "data/source_dev.brackets",
+    "gold_treebank": "data/target.brackets", "tagged_corpus": "data/target.tags",
+    "tag_map": "data/default.tagmap", "checkpoint": "out/parser.ckpt",
+    "train_log": "out/train.log", "parse_output": "out/predicted.brackets",
+    "report": "out/eval.report",
+}
+
+
 def write_example_config(path: str | Path) -> None:
-    """Write a documented template config file."""
-    write_lines(path, EXAMPLE_CONFIG.splitlines())
-
-
-EXAMPLE_CONFIG = """\
-# delexparse pipeline configuration
-[paths]
-train_treebank = data/source.brackets
-dev_treebank = data/source_dev.brackets
-gold_treebank = data/target.brackets
-tagged_corpus = data/target.tags
-tag_map = data/default.tagmap
-checkpoint = out/parser.ckpt
-train_log = out/train.log
-parse_output = out/predicted.brackets
-report = out/eval.report
-
-[mode]
-mode = delexicalized
-use_gold_tags = false
-apply_mapping = true
-keep_morphology = true
-preset = desk
-
-[model]
-# preset values may be overridden per key
-model_dim = 128
-num_layers = 2
-num_heads = 4
-head_dim = 32
-ff_dim = 256
-max_len = 128
-seed = 10
-
-[train]
-epochs = 200
-batch_size = 8
-learning_rate = 0.001
-optimizer = adam
-shuffle = true
-seed = 10
-
-[transform]
-edge_separator = -
-trace_label = -NONE-
-morph_separator = .
-
-[eval]
-punctuation_tags = $, $. $(
-
-[tagger]
-epochs = 5
-seed = 10
-"""
+    """Write a template config file: every key of every section, at its
+    default, and example paths.  ``keep_morphology`` is written once,
+    under ``[transform]``."""
+    defaults = asdict(PipelineConfig())
+    sections = {
+        "paths": {key: _EXAMPLE_PATHS.get(key, "") for key in sorted(PATH_KEYS)},
+        "mode": {key: defaults[key] for key in _MODE_KEYS if key != "keep_morphology"},
+        **{name: defaults[name] for name in ("model", "train", "transform", "eval")},
+        "tagger": {key: defaults["tagger_" + key] for key in ("epochs", "seed")},
+    }
+    lines = ["# delexparse pipeline configuration: every key at its default.",
+             "# [model] and [train] hold the desk preset; a key left out of them",
+             "# takes its value from the preset named in [mode]."]
+    for name in _SECTIONS:
+        lines += ["", f"[{name}]"]
+        lines += [f"{key} = {_ini_value(value)}".rstrip()
+                  for key, value in sections[name].items()]
+    write_lines(path, lines)

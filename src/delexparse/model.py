@@ -65,7 +65,7 @@ class ModelConfig:
 # Paper-scale preset; the default ModelConfig above is the desk-scale preset
 # sized so that the full verification suite runs on a laptop CPU.
 PAPER_MODEL = ModelConfig(model_dim=1024, num_layers=8, num_heads=8, head_dim=64,
-                          ff_dim=2048, label_hidden_dim=250, max_len=512, seed=10)
+                          ff_dim=2048, label_hidden_dim=250, max_len=512)
 DESK_MODEL = ModelConfig()
 
 
@@ -83,6 +83,8 @@ class ModelParams:
                  tensors: dict[str, np.ndarray]):
         if labels[0] != EMPTY_LABEL:
             raise ModelError("label inventory must start with the empty label")
+        if len(labels) < 2:
+            raise ModelError("label inventory has no phrase label")
         if pos_names[0] != UNK or feature_names[0] != UNK:
             raise ModelError("vocabularies must start with the unknown symbol")
         self.config = config

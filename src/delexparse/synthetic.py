@@ -1,8 +1,9 @@
-"""Synthetic treebanks and corpora for demos, verification, and smoke runs.
+"""Synthetic treebanks for demos and verification: a morphology-dependent
+corpus and random trees.
 
-No licensed treebank material is bundled with this package; everything
-here is generated from small word lists with seeded RNGs, so corpora are
-reproducible byte for byte.
+Everything here is generated from small word lists with seeded RNGs, so
+corpora are reproducible byte for byte.  The 50-tree toy treebank is the
+bundled file :func:`delexparse.data.toy_treebank_path`.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ _NOUNS = {
     "Fem": ("Frau", "Stadt", "Katze", "Blume"),
     "Neut": ("Kind", "Haus", "Pferd", "Buch"),
 }
-_ADJ = ("alte", "kleine", "rote", "junge")
 _VERBS = ("sieht", "liebt", "kennt", "sucht", "findet", "hört")
 _DAT_VERBS = ("hilft", "folgt", "dankt")
-_PREPS = {"mit": "Dat", "auf": "Acc", "an": "Dat", "in": "Acc"}
 _ADVS = ("heute", "gern", "hier", "oft")
 
 
@@ -38,17 +37,12 @@ def _pret(label: str, token: str) -> Tree:
     return Tree.node(label, [Tree.leaf(token)])
 
 
-def _noun_phrase(rng, case: str, edge: str | None = None,
-                 with_adj: bool = False) -> Tree:
+def _noun_phrase(rng, case: str) -> Tree:
     gender = _GENDERS[rng.integers(len(_GENDERS))]
     noun = _NOUNS[gender][rng.integers(len(_NOUNS[gender]))]
     morph = f"{case}.Sg.{gender}"
-    children = [_pret(f"ART.{morph}", _ART[(case, gender)])]
-    if with_adj:
-        children.append(_pret(f"ADJA.{morph}", _ADJ[rng.integers(len(_ADJ))]))
-    children.append(_pret(f"NN.{morph}", noun))
-    label = "NP" if edge is None else f"NP-{edge}"
-    return Tree.node(label, children)
+    return Tree.node("NP", [_pret(f"ART.{morph}", _ART[(case, gender)]),
+                            _pret(f"NN.{morph}", noun)])
 
 
 def _verb(rng, dative: bool = False) -> Tree:
@@ -56,66 +50,8 @@ def _verb(rng, dative: bool = False) -> Tree:
     return _pret("VVFIN.3.Sg.Pres", pool[rng.integers(len(pool))])
 
 
-def _prep_phrase(rng, with_adj: bool = False) -> Tree:
-    prep = list(_PREPS)[rng.integers(len(_PREPS))]
-    return Tree.node("PP", [_pret("APPR", prep),
-                            _noun_phrase(rng, _PREPS[prep], with_adj=with_adj)])
-
-
 def _adverb(rng) -> Tree:
     return _pret("ADV", _ADVS[rng.integers(len(_ADVS))])
-
-
-def _full_stop() -> Tree:
-    return _pret("$.", ".")
-
-
-def toy_treebank(count: int = 50, seed: int = 20) -> list[Tree]:
-    """German-like sentences with annotated edge labels and morphology.
-
-    Every tree has a distinct delexicalized tag sequence, so a parser can
-    in principle memorize the treebank perfectly.
-    """
-    rng = np.random.default_rng(seed)
-    trees: list[Tree] = []
-    seen: set[tuple[str, ...]] = set()
-
-    def signature(tree: Tree) -> tuple[str, ...]:
-        return tuple(p.label for p in tree.preterminals())
-
-    while len(trees) < count:
-        kind = int(rng.integers(7))
-        subject = _noun_phrase(rng, "Nom", edge="SB",
-                               with_adj=bool(rng.integers(2)))
-        verb = _verb(rng)
-        if kind == 0:
-            body = [subject, verb]
-        elif kind == 1:
-            body = [subject, verb,
-                    _noun_phrase(rng, "Acc", edge="OA", with_adj=bool(rng.integers(2)))]
-        elif kind == 2:
-            body = [subject, verb, _prep_phrase(rng, with_adj=bool(rng.integers(2)))]
-        elif kind == 3:
-            body = [subject, verb, _adverb(rng),
-                    _noun_phrase(rng, "Acc", edge="OA")]
-        elif kind == 4:
-            obj = _noun_phrase(rng, "Dat", edge="DA")
-            body = [subject, Tree.node("VP", [_verb(rng, dative=True), obj])]
-        elif kind == 5:
-            body = [subject, verb,
-                    _noun_phrase(rng, "Acc", edge="OA", with_adj=True),
-                    _prep_phrase(rng)]
-        else:
-            body = [subject, Tree.node("VP", [_verb(rng, dative=True),
-                                              _adverb(rng),
-                                              _noun_phrase(rng, "Dat", edge="DA")])]
-        tree = Tree.node("S", body + [_full_stop()])
-        sig = signature(tree)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        trees.append(tree)
-    return trees
 
 
 def morph_structure_treebank(count: int, seed: int = 7) -> list[Tree]:

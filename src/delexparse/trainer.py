@@ -51,7 +51,7 @@ class TrainConfig:
 
 
 DESK_TRAIN = TrainConfig()
-PAPER_TRAIN = TrainConfig(epochs=50, batch_size=32, learning_rate=5e-5, seed=10)
+PAPER_TRAIN = TrainConfig(epochs=50, batch_size=32, learning_rate=5e-5)
 
 
 class _Optimizer:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .treebank import ExtendedTag, TaggedSentence, Tree, well_formedness_problems
+from .treebank import TAG_SEPARATOR, ExtendedTag, TaggedSentence, Tree, well_formedness_problems
 
 EMPTY_LABEL = "∅"
 CHAIN_SEPARATOR = "+"
@@ -27,7 +27,7 @@ class TransformConfig:
     edge_separator: str = "-"
     trace_label: str = "-NONE-"
     trace_token_patterns: tuple[str, ...] = ("*T*", "*")  # token prefixes
-    morph_separator: str = "."
+    morph_separator: str = TAG_SEPARATOR
     keep_morphology: bool = True
 
     def __post_init__(self):

@@ -171,31 +171,27 @@ def well_formedness_problems(tree: Tree) -> list[str]:
     return tree.fold(lambda t: None, node)
 
 
-def scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
-    """Parse all bracketed trees in ``text``; return (trees, diagnostics).
+def parse_bracketed(text: str) -> list[Tree]:
+    """Parse every top-level bracketed tree in ``text``, in order.
 
-    Diagnostics report accepted-but-irregular structure (flat preterminals,
-    leaves with non-leaf siblings).  Hard format problems raise
-    :class:`TreebankFormatError` with a character offset.  Trees may nest
-    to any depth: one pass over the tokens keeps the open nodes on a stack.
+    Irregular shapes (flat preterminals, leaves beside phrases) are
+    accepted; :func:`well_formedness_problems` reports them.  Hard format
+    problems raise :class:`TreebankFormatError` with a character offset.
+    Trees may nest to any depth: one pass over the tokens keeps the open
+    nodes on a stack.
     """
     # the tokens of _TOKEN_RE: split() and the regex's \s agree on whitespace
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    offsets: list[int] | None = None
 
     def offset(index: int) -> int:
-        """Character offset of ``tokens[index]``, from one regex scan made
-        only when an error or a diagnostic needs it."""
-        nonlocal offsets
-        if offsets is None:
-            offsets = [m.start() for m in _TOKEN_RE.finditer(text)]
-        return offsets[index]
+        """Character offset of ``tokens[index]``, from a regex scan made
+        only when an error needs it."""
+        return [m.start() for m in _TOKEN_RE.finditer(text)][index]
 
     trees: list[Tree] = []
-    diagnostics: list[str] = []
-    # the innermost open node is (label, index of its "(", children, leaf
-    # count) in locals; the nodes enclosing it wait on the stack
-    stack: list[tuple[str, int, list[Tree], int]] = []
+    # the innermost open node is (label, index of its "(", children) in
+    # locals; the nodes enclosing it wait on the stack
+    stack: list[tuple[str, int, list[Tree]]] = []
     label: str | None = None
     end = len(tokens)
     i = 0
@@ -210,9 +206,9 @@ def scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
             if head == "(":
                 raise TreebankFormatError("missing label before '('", offset=offset(i + 1))
             if label is not None:
-                stack.append((label, start, children, leaves))
+                stack.append((label, start, children))
             label = unescape_atom(head) if "-" in head else head
-            start, children, leaves = i, [], 0
+            start, children = i, []
             i += 2
             continue
         if label is None:
@@ -221,15 +217,9 @@ def scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
             if not children:
                 raise TreebankFormatError(
                     f"constituent {label!r} has no children", offset=offset(start))
-            if leaves and leaves < len(children):
-                diagnostics.append(
-                    f"leaf with non-leaf siblings under {label!r} (offset {offset(start)})")
-            elif leaves > 1:
-                diagnostics.append(
-                    f"flat preterminal {label!r} with {leaves} leaves (offset {offset(start)})")
             node = Tree(label, tuple(children), None)
             if stack:
-                label, start, children, leaves = stack.pop()
+                label, start, children = stack.pop()
                 children.append(node)
             else:
                 label = None
@@ -238,18 +228,9 @@ def scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
             if "-" in tok:
                 tok = unescape_atom(tok)
             children.append(Tree(tok, (), tok))
-            leaves += 1
         i += 1
     if label is not None:
         raise TreebankFormatError("unbalanced parentheses", offset=len(text))
-    return trees, diagnostics
-
-
-def parse_bracketed(text: str) -> list[Tree]:
-    """Parse every top-level bracketed tree in ``text``, in order."""
-    trees, diagnostics = scan_bracketed(text)
-    for message in diagnostics:
-        log.debug("treebank diagnostic: %s", message)
     return trees
 
 

@@ -323,12 +323,11 @@ def dense_hamming_augment(n: int, num_labels: int,
 _BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def recursive_scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
-    """``treebank.scan_bracketed`` by recursive descent: the same trees,
-    diagnostics, errors and offsets, one Python frame per tree level."""
+def recursive_scan_bracketed(text: str) -> list[Tree]:
+    """``treebank.parse_bracketed`` by recursive descent: the same trees,
+    errors and offsets, one Python frame per tree level."""
     tokens = [(m.group(), m.start()) for m in _BRACKET_TOKEN.finditer(text)]
     trees: list[Tree] = []
-    diagnostics: list[str] = []
     pos = 0
 
     def parse_node(i: int) -> tuple[Tree, int]:
@@ -361,15 +360,7 @@ def recursive_scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
         if not children:
             raise TreebankFormatError(
                 f"constituent {label!r} has no children", offset=open_offset)
-        node = Tree.node(label, children)
-        leaf_kids = sum(1 for c in children if c.is_leaf)
-        if leaf_kids and leaf_kids < len(children):
-            diagnostics.append(
-                f"leaf with non-leaf siblings under {label!r} (offset {open_offset})")
-        elif leaf_kids > 1:
-            diagnostics.append(
-                f"flat preterminal {label!r} with {leaf_kids} leaves (offset {open_offset})")
-        return node, i
+        return Tree.node(label, children), i
 
     while pos < len(tokens):
         tok, offset = tokens[pos]
@@ -377,7 +368,7 @@ def recursive_scan_bracketed(text: str) -> tuple[list[Tree], list[str]]:
             raise TreebankFormatError(f"unexpected {tok!r} outside tree", offset=offset)
         tree, pos = parse_node(pos)
         trees.append(tree)
-    return trees, diagnostics
+    return trees
 
 
 # -------------------------------------------------------------- evalb oracle

@@ -536,6 +536,23 @@ def tiny_checkpoint(path):
     return path
 
 
+def test_a_checkpoint_without_a_phrase_label_exits_2_at_load(tmp_path, capsys):
+    params = model.load_checkpoint(tiny_checkpoint(tmp_path / "ok.ckpt"))
+    # the header and the label output tensors of a one-label inventory
+    params.labels = [EMPTY_LABEL]
+    for name in ("label_w2", "label_b2"):
+        params.tensors[name] = params.tensors[name][..., :0]
+    empty = tmp_path / "empty.ckpt"
+    model.save_checkpoint(params, empty)
+    code = cli.main(["parse", "--use-gold-tags", "--checkpoint", str(empty),
+                     "--gold-treebank", str(data.toy_treebank_path()),
+                     "--parse-output", f"{tmp_path}/pred.brackets"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: stage=load: {empty}: label inventory has no phrase label\n")
+    assert not (tmp_path / "pred.brackets").exists()
+
+
 def test_truncated_checkpoint_exits_2_at_load(tmp_path, capsys):
     blob = tiny_checkpoint(tmp_path / "full.ckpt").read_bytes()
     cut = tmp_path / "cut.ckpt"

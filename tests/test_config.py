@@ -1,11 +1,16 @@
+import configparser
 import functools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 from delexparse import cli
-from delexparse.config import load_pipeline_config, write_example_config
+from delexparse.config import _MODE_KEYS, PATH_KEYS, load_pipeline_config, write_example_config
+from delexparse.evalb import EvalConfig
+from delexparse.model import ModelConfig
+from delexparse.trainer import TrainConfig
+from delexparse.transform import TransformConfig
 
 
 def test_defaults_are_desk_preset():
@@ -74,7 +79,7 @@ def test_seed_override_reaches_all_components(tmp_path):
 def test_unknown_keys_rejected(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("[model]\nwidth = 4\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown ModelConfig key"):
+    with pytest.raises(ValueError, match=r"unknown \[model\] key 'width'"):
         load_pipeline_config(str(config))
     config.write_text("[paths]\nbogus = x\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown path key"):
@@ -90,8 +95,15 @@ def test_unknown_keys_rejected(tmp_path):
     ("[DEFAULT]\nepochs = 1\n", "[DEFAULT]"),
     ("[train]\nepochs = 1\n[train]\nepochs = 2\n", "already exists"),
     ("epochs = 1\n", "no section headers"),
+    ("[train]\nfoo = 1\n", "unknown [train] key 'foo'"),
+    ("[train]\nepochs = abc\n", "[train] epochs: invalid literal for int() with base 10: 'abc'"),
+    ("[tagger]\nseed = 1.5\n", "[tagger] seed: invalid literal for int() with base 10: '1.5'"),
+    ("[train]\nshuffle = maybe\n", "[train] shuffle: not a boolean: 'maybe'"),
+    ("[mode]\nuse_gold_tags = sure\n", "[mode] use_gold_tags: not a boolean: 'sure'"),
+    ("[model]\nmodel_dim = 3\n", "[model] model_dim must be positive and even, got 3"),
 ], ids=["eval-key", "mode-key", "tagger-key", "label-equivalence", "section",
-        "default-section", "duplicate-section", "no-section"])
+        "default-section", "duplicate-section", "no-section", "train-key", "non-integer",
+        "non-integer-tagger", "non-boolean", "non-boolean-mode", "model-range"])
 def test_bad_section_keys_exit_2_at_load(tmp_path, capsys, section, needle):
     config = tmp_path / "run.ini"
     config.write_text(section, encoding="utf-8")
@@ -136,6 +148,24 @@ def test_example_config_loads(tmp_path):
     cfg = load_pipeline_config(str(path))
     assert cfg.paths["train_treebank"] == "data/source.brackets"
     assert cfg.train.epochs == 200
+
+
+def test_example_config_lists_every_key_and_loads_to_the_defaults(tmp_path):
+    path = tmp_path / "example.ini"
+    write_example_config(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read(path, encoding="utf-8")
+    components = {"model": ModelConfig, "train": TrainConfig, "transform": TransformConfig,
+                  "eval": EvalConfig}
+    # keep_morphology, a key of [mode] and [transform], is written once
+    assert {name: set(parser[name]) for name in parser.sections()} == {
+        "paths": PATH_KEYS, "mode": set(_MODE_KEYS) - {"keep_morphology"},
+        "tagger": {"epochs", "seed"},
+        **{name: {f.name for f in fields(cls)} for name, cls in components.items()}}
+    cfg = load_pipeline_config(str(path))
+    assert asdict(cfg) == asdict(load_pipeline_config()) | {"paths": cfg.paths}
+    assert sum(map(bool, cfg.paths.values())) == 9
 
 
 @pytest.mark.parametrize("kind", ["directory", "non-utf8", "missing"])

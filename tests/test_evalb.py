@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from delexparse import synthetic
+from delexparse import data, synthetic
 from delexparse.evalb import (EvalConfig, LabeledSpan, extract_eval_spans,
                               format_summary, score_corpus, score_corpus_detailed,
                               write_report)
-from delexparse.treebank import Tree, parse_bracketed
+from delexparse.treebank import Tree, parse_bracketed, read_treebank
 
 
 def t(text):
@@ -58,7 +58,7 @@ def test_root_exclusion_config():
 
 
 def test_self_comparison_is_perfect():
-    trees = synthetic.toy_treebank()[:20]
+    trees = read_treebank(data.toy_treebank_path())[:20]
     result = score_corpus(trees, trees)
     assert (result.recall, result.precision, result.fscore,
             result.complete_match) == (100.0, 100.0, 100.0, 100.0)

@@ -17,9 +17,8 @@ from delexparse.model import ModelConfig
 from delexparse.trainer import TrainConfig
 from delexparse.transform import EMPTY_LABEL, TransformConfig
 from delexparse.treebank import (ExtendedTag, TaggedSentence, TagMapTable, Tree,
-                                 TreebankFormatError, read_tag_map_file,
-                                 read_tagged_corpus_file, read_treebank, scan_bracketed,
-                                 write_tagged_corpus)
+                                 TreebankFormatError, parse_bracketed, read_tag_map_file,
+                                 read_tagged_corpus_file, read_treebank, write_tagged_corpus)
 from oracles import recursive_scan_bracketed
 
 # deterministic runs that leave no example database behind
@@ -106,7 +105,7 @@ def _scan_or_error(scan, text):
 @FUZZ
 @given(text=bracket_texts)
 def test_bracket_reader_is_the_recursive_oracle(text):
-    assert _scan_or_error(scan_bracketed, text) == _scan_or_error(recursive_scan_bracketed, text)
+    assert _scan_or_error(parse_bracketed, text) == _scan_or_error(recursive_scan_bracketed, text)
 
 
 @FUZZ

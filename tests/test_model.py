@@ -557,6 +557,15 @@ def test_a_non_finite_boundary_row_fails_every_sentence(layers, row):
                 for result in results] == ["non-finite embedding or boundary values"] * 4
 
 
+def test_an_inventory_without_a_phrase_label_is_rejected():
+    cfg = model.ModelConfig(model_dim=8, num_layers=1, num_heads=2, head_dim=3, ff_dim=8,
+                            label_hidden_dim=6, max_len=8)
+    with pytest.raises(model.ModelError, match="label inventory has no phrase label"):
+        model.init_params(cfg, POS, FEATS, [EMPTY_LABEL])
+    with pytest.raises(model.ModelError, match="must start with the empty label"):
+        model.init_params(cfg, POS, FEATS, ["S", EMPTY_LABEL])
+
+
 def test_init_determinism():
     a = tiny_params(seed=5)
     b = tiny_params(seed=5)

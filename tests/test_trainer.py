@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from delexparse import evalb, model, synthetic, trainer, transform
+from delexparse import data, evalb, model, trainer, transform
 from delexparse.transform import binarize, delexicalize_tree, strip_annotations
-from delexparse.treebank import ExtendedTag, Tree
+from delexparse.treebank import ExtendedTag, Tree, read_treebank
 
 SMALL = model.ModelConfig(model_dim=32, num_layers=1, num_heads=2, head_dim=8,
                           ff_dim=48, label_hidden_dim=24, max_len=32, seed=10)
@@ -16,7 +16,7 @@ SMALL = model.ModelConfig(model_dim=32, num_layers=1, num_heads=2, head_dim=8,
 
 def prepared_toy(count=12):
     cfg = transform.TransformConfig()
-    trees = synthetic.toy_treebank()[:count]
+    trees = read_treebank(data.toy_treebank_path())[:count]
     return [binarize(delexicalize_tree(strip_annotations(t, cfg), cfg))
             for t in trees]
 

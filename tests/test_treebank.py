@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from delexparse import synthetic, treebank
+from delexparse import data, synthetic, treebank
 from delexparse.treebank import (_SPACE, _TOKEN_RE, ExtendedTag, TaggedSentence, Tree,
                                  TreebankFormatError, parse_bracketed,
-                                 read_tag_map, read_tagged_corpus, scan_bracketed,
-                                 serialize_tree, split_treebank)
+                                 read_tag_map, read_tagged_corpus, serialize_tree,
+                                 split_treebank, well_formedness_problems)
 
 
 def test_parse_single_tree():
@@ -56,12 +56,18 @@ def test_empty_constituent_rejected():
 
 
 def test_flat_tree_accepted_with_diagnostic():
-    trees, diagnostics = scan_bracketed("(S (NP x) word)")
-    assert len(trees) == 1
-    assert diagnostics and "'S'" in diagnostics[0]
-    trees, diagnostics = scan_bracketed("(NN a b)")
-    assert len(trees) == 1
-    assert diagnostics and "flat preterminal" in diagnostics[0]
+    (tree,) = parse_bracketed("(S (NP x) word)")
+    assert well_formedness_problems(tree) == ["leaf 'word' has non-preterminal parent 'S'"]
+    (tree,) = parse_bracketed("(NN a b)")
+    assert well_formedness_problems(tree) == ["preterminal 'NN' has 2 leaves"]
+
+
+def test_bundled_toy_treebank_is_50_well_formed_trees_of_distinct_tag_sequences():
+    trees = treebank.read_treebank(data.toy_treebank_path())
+    assert len(trees) == 50
+    assert [well_formedness_problems(tree) for tree in trees] == [[]] * 50
+    # distinct tag sequences, so a parser can memorize the treebank
+    assert len({tuple(p.label for p in tree.preterminals()) for tree in trees}) == 50
 
 
 def test_parse_never_crashes_on_junk():
@@ -129,18 +135,25 @@ class _CountingTokenRe:
         return _TOKEN_RE.finditer(text)
 
 
-def test_thousands_of_diagnostics_carry_the_oracles_offsets_from_one_scan(monkeypatch):
+def test_thousands_of_irregular_trees_read_as_the_oracle_without_a_regex_scan(monkeypatch):
     text = "\n".join(f"(S (NN a{k} b) (NP (ART c) x) ( VP\t(V d e f)))" for k in range(2000))
     counting = _CountingTokenRe()
     monkeypatch.setattr(treebank, "_TOKEN_RE", counting)
-    trees, diagnostics = scan_bracketed(text)
-    assert (trees, diagnostics) == oracles.recursive_scan_bracketed(text)
-    assert len(diagnostics) == 3 * 2000
-    assert counting.scans == 1
-    counting.scans = 0
+    trees = parse_bracketed(text)
+    assert trees == oracles.recursive_scan_bracketed(text)
+    assert [len(well_formedness_problems(tree)) for tree in trees] == [3] * 2000
     clean = " ".join(f"(S (NN a{k}) (VP (V b)))" for k in range(2000))
-    assert scan_bracketed(clean) == oracles.recursive_scan_bracketed(clean)
+    assert parse_bracketed(clean) == oracles.recursive_scan_bracketed(clean)
     assert counting.scans == 0
+    # an error at the end of the input costs one scan, for its offset
+    bad = text + "\n(S (NN y) ())"
+    errors = []
+    for reader in (parse_bracketed, oracles.recursive_scan_bracketed):
+        with pytest.raises(TreebankFormatError) as caught:
+            reader(bad)
+        errors.append((str(caught.value), caught.value.offset))
+    assert errors[0] == errors[1] and errors[0][1] == len(bad) - 2
+    assert counting.scans == 1
 
 
 def test_space_search_and_split_agree_with_isspace_on_every_code_point():
