@@ -222,7 +222,8 @@ _EXAMPLE_PATHS = {
 def write_example_config(path: str | Path) -> None:
     """Write a template config file: every key of every section, at its
     default, and example paths.  ``keep_morphology`` is written once,
-    under ``[transform]``."""
+    under ``[transform]``.  The ``[model]`` and ``[train]`` keys, which
+    the preset governs, are written commented out."""
     defaults = asdict(PipelineConfig())
     sections = {
         "paths": {key: _EXAMPLE_PATHS.get(key, "") for key in sorted(PATH_KEYS)},
@@ -231,10 +232,11 @@ def write_example_config(path: str | Path) -> None:
         "tagger": {key: defaults["tagger_" + key] for key in ("epochs", "seed")},
     }
     lines = ["# delexparse pipeline configuration: every key at its default.",
-             "# [model] and [train] hold the desk preset; a key left out of them",
-             "# takes its value from the preset named in [mode]."]
+             "# [model] and [train] take their values from the preset named in",
+             "# [mode]; the desk preset's are shown.  Uncomment a key to set it."]
     for name in _SECTIONS:
+        comment = "# " if name in ("model", "train") else ""
         lines += ["", f"[{name}]"]
-        lines += [f"{key} = {_ini_value(value)}".rstrip()
+        lines += [f"{comment}{key} = {_ini_value(value)}".rstrip()
                   for key, value in sections[name].items()]
     write_lines(path, lines)

@@ -45,7 +45,7 @@ class EvalResult:
     total_trees: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceScore:
     index: int
     gold_spans: int

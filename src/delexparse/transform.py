@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .treebank import TAG_SEPARATOR, ExtendedTag, TaggedSentence, Tree, well_formedness_problems
+from .treebank import (TAG_SEPARATOR, ExtendedTag, TaggedSentence, Tree, _Memo,
+                       well_formedness_problems)
 
 EMPTY_LABEL = "∅"
 CHAIN_SEPARATOR = "+"
@@ -83,8 +84,18 @@ def delexicalize_tree(tree: Tree, cfg: TransformConfig = TransformConfig()) -> T
     The preterminal keeps only the POS part of its label; the leaf token
     becomes the full serialized tag, or just the POS when morphology is
     dropped.  Tree shape is unchanged.  The first problem in document order
-    raises ValueError.
+    raises ValueError.  Preterminals of one label share one new subtree.
     """
+    def delexed(label: str) -> Tree:
+        try:
+            tag = ExtendedTag.parse(label, cfg.morph_separator)
+        except ValueError as exc:
+            raise ValueError(
+                f"preterminal label {label!r} is not an extended tag") from exc
+        token = tag.serialized(cfg.morph_separator) if cfg.keep_morphology else tag.pos
+        return Tree.node(tag.pos, [Tree.leaf(token)])
+
+    by_label = _Memo(delexed)
     preterminals: list[Tree] = []
     under_preterminal = False  # preorder puts a preterminal's leaf right after it
     for node in tree.subtrees():
@@ -96,13 +107,7 @@ def delexicalize_tree(tree: Tree, cfg: TransformConfig = TransformConfig()) -> T
             if len(node.children) != 1:
                 raise ValueError(
                     f"preterminal {node.label!r} has {len(node.children)} children")
-            try:
-                tag = ExtendedTag.parse(node.label, cfg.morph_separator)
-            except ValueError as exc:
-                raise ValueError(
-                    f"preterminal label {node.label!r} is not an extended tag") from exc
-            token = tag.serialized(cfg.morph_separator) if cfg.keep_morphology else tag.pos
-            preterminals.append(Tree.node(tag.pos, [Tree.leaf(token)]))
+            preterminals.append(by_label[node.label])
             under_preterminal = True
     preterminals.reverse()
     return tree.fold(lambda t: t, lambda t, done: (

@@ -62,7 +62,21 @@ def unescape_atom(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True, eq=False)
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``; a ``make`` that
+    raises stores nothing.  Readers keep one per call, so a repeated atom
+    is one object and no table outlives its read."""
+
+    def __init__(self, make: Callable[[str], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: str) -> object:
+        value = self[key] = self.make(key)
+        return value
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Tree:
     """Rooted ordered tree; internal nodes carry labels, leaves carry tokens.
 
@@ -70,7 +84,8 @@ class Tree:
     leaves, ``label`` equals the token.  A preterminal is an internal node
     all of whose children are leaves.  Every walk over a tree goes through
     :meth:`subtrees` or :meth:`fold`, which keep their own stack, so trees
-    may nest to any depth.
+    may nest to any depth.  Trees are immutable, so one node may sit at
+    several places; nothing tells a shared node from a copy but ``is``.
     """
 
     label: str
@@ -178,14 +193,16 @@ def parse_bracketed(text: str) -> list[Tree]:
     accepted; :func:`well_formedness_problems` reports them.  Hard format
     problems raise :class:`TreebankFormatError` with a character offset.
     Trees may nest to any depth: one pass over the tokens keeps the open
-    nodes on a stack.
+    nodes on a stack.  The trees of one call share one ``str`` per distinct
+    label or token and one leaf per distinct token.
     """
-    # the tokens of _TOKEN_RE: split() and the regex's \s agree on whitespace
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    # each distinct raw atom's decoded str, and each distinct token's leaf
+    atoms = _Memo(lambda raw: unescape_atom(raw) if "-" in raw else raw)
+    leaves = _Memo(lambda raw: Tree.leaf(atoms[raw]))
 
     def offset(index: int) -> int:
-        """Character offset of ``tokens[index]``, from a regex scan made
-        only when an error needs it."""
+        """Character offset of the input's token ``index``, from a regex
+        scan made only when an error needs it."""
         return [m.start() for m in _TOKEN_RE.finditer(text)][index]
 
     trees: list[Tree] = []
@@ -193,43 +210,39 @@ def parse_bracketed(text: str) -> list[Tree]:
     # locals; the nodes enclosing it wait on the stack
     stack: list[tuple[str, int, list[Tree]]] = []
     label: str | None = None
-    end = len(tokens)
-    i = 0
-    while i < end:
-        tok = tokens[i]
-        if tok == "(":
-            if i + 1 == end:
-                raise TreebankFormatError("unbalanced parentheses", offset=len(text))
-            head = tokens[i + 1]
-            if head == ")":
-                raise TreebankFormatError("empty label", offset=offset(i + 1))
-            if head == "(":
-                raise TreebankFormatError("missing label before '('", offset=offset(i + 1))
-            if label is not None:
-                stack.append((label, start, children))
-            label = unescape_atom(head) if "-" in head else head
-            start, children = i, []
-            i += 2
-            continue
-        if label is None:
-            raise TreebankFormatError(f"unexpected {tok!r} outside tree", offset=offset(i))
-        if tok == ")":
-            if not children:
-                raise TreebankFormatError(
-                    f"constituent {label!r} has no children", offset=offset(start))
-            node = Tree(label, tuple(children), None)
-            if stack:
-                label, start, children = stack.pop()
-                children.append(node)
+    opened: int | None = None  # index of a "(" whose label comes next
+    i = -1  # index of ``tok`` among the input's tokens
+    # the tokens of _TOKEN_RE, a line at a time so that no list holds them
+    # all: split() and the regex's \s agree on whitespace, "\n" among it
+    for line in text.split("\n"):
+        for tok in line.replace("(", " ( ").replace(")", " ) ").split():
+            i += 1
+            if opened is not None:
+                if tok == ")":
+                    raise TreebankFormatError("empty label", offset=offset(i))
+                if tok == "(":
+                    raise TreebankFormatError("missing label before '('", offset=offset(i))
+                if label is not None:
+                    stack.append((label, start, children))
+                label, start, children, opened = atoms[tok], opened, [], None
+            elif tok == "(":
+                opened = i
+            elif label is None:
+                raise TreebankFormatError(f"unexpected {tok!r} outside tree", offset=offset(i))
+            elif tok == ")":
+                if not children:
+                    raise TreebankFormatError(
+                        f"constituent {label!r} has no children", offset=offset(start))
+                node = Tree(label, tuple(children), None)
+                if stack:
+                    label, start, children = stack.pop()
+                    children.append(node)
+                else:
+                    label = None
+                    trees.append(node)
             else:
-                label = None
-                trees.append(node)
-        else:
-            if "-" in tok:
-                tok = unescape_atom(tok)
-            children.append(Tree(tok, (), tok))
-        i += 1
-    if label is not None:
+                children.append(leaves[tok])
+    if label is not None or opened is not None:
         raise TreebankFormatError("unbalanced parentheses", offset=len(text))
     return trees
 
@@ -289,7 +302,7 @@ def split_treebank(trees: list[Tree], train_count: int) -> tuple[list[Tree], lis
     return trees[:train_count], trees[train_count:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtendedTag:
     """A POS tag plus an ordered tuple of morphological feature values."""
 
@@ -315,7 +328,7 @@ class ExtendedTag:
         return ExtendedTag(parts[0], tuple(parts[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedSentence:
     """Parallel token and tag sequences of equal, nonzero length."""
 
@@ -340,8 +353,12 @@ class TagMapTable:
 
 
 def read_tagged_corpus(text: str, sep: str = TAG_SEPARATOR) -> list[TaggedSentence]:
-    """Read a tab-separated tagged corpus; blank lines separate sentences."""
+    """Read a tab-separated tagged corpus; blank lines separate sentences.
+    The sentences share one ``str`` per distinct token and one
+    :class:`ExtendedTag` per distinct tag text."""
     sentences: list[TaggedSentence] = []
+    atoms: dict[str, str] = {}
+    parsed = _Memo(lambda text: ExtendedTag.parse(text, sep))
     tokens: list[str] = []
     tags: list[ExtendedTag] = []
     prev_blank = False
@@ -364,15 +381,11 @@ def read_tagged_corpus(text: str, sep: str = TAG_SEPARATOR) -> list[TaggedSenten
         if "\t" not in line:
             raise TreebankFormatError("expected token<TAB>tag", line=lineno)
         token, tag_text = line.split("\t", 1)
-        if not token or not tag_text or _SPACE(tag_text):
+        if not token or not tag_text or _SPACE(tag_text):  # all ExtendedTag.parse rejects
             raise TreebankFormatError(
                 f"malformed tagged line {line!r}", line=lineno)
-        try:
-            tag = ExtendedTag.parse(tag_text, sep)
-        except ValueError as exc:
-            raise TreebankFormatError(str(exc), line=lineno) from exc
-        tokens.append(token)
-        tags.append(tag)
+        tokens.append(atoms.setdefault(token, token))
+        tags.append(parsed[tag_text])
     flush()
     return sentences
 

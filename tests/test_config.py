@@ -1,6 +1,7 @@
 import configparser
 import functools
 import json
+import re
 from dataclasses import asdict, fields
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from delexparse import cli
 from delexparse.config import _MODE_KEYS, PATH_KEYS, load_pipeline_config, write_example_config
 from delexparse.evalb import EvalConfig
-from delexparse.model import ModelConfig
-from delexparse.trainer import TrainConfig
+from delexparse.model import PAPER_MODEL, ModelConfig
+from delexparse.trainer import PAPER_TRAIN, TrainConfig
 from delexparse.transform import TransformConfig
 
 
@@ -150,12 +151,18 @@ def test_example_config_loads(tmp_path):
     assert cfg.train.epochs == 200
 
 
+def _uncommented(text: str) -> str:
+    """A template with its commented-out ``key = value`` lines made live."""
+    return re.sub(r"^# (\w+ =)", r"\1", text, flags=re.MULTILINE)
+
+
 def test_example_config_lists_every_key_and_loads_to_the_defaults(tmp_path):
     path = tmp_path / "example.ini"
     write_example_config(path)
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    parser.read(path, encoding="utf-8")
+    # [model] and [train] are written commented out: the preset governs them
+    parser.read_string(_uncommented(path.read_text(encoding="utf-8")))
     components = {"model": ModelConfig, "train": TrainConfig, "transform": TransformConfig,
                   "eval": EvalConfig}
     # keep_morphology, a key of [mode] and [transform], is written once
@@ -163,9 +170,22 @@ def test_example_config_lists_every_key_and_loads_to_the_defaults(tmp_path):
         "paths": PATH_KEYS, "mode": set(_MODE_KEYS) - {"keep_morphology"},
         "tagger": {"epochs", "seed"},
         **{name: {f.name for f in fields(cls)} for name, cls in components.items()}}
+    live = tmp_path / "live.ini"
+    live.write_text(_uncommented(path.read_text(encoding="utf-8")), encoding="utf-8")
+    for template in (path, live):
+        cfg = load_pipeline_config(str(template))
+        assert asdict(cfg) == asdict(load_pipeline_config()) | {"paths": cfg.paths}
+        assert sum(map(bool, cfg.paths.values())) == 9
+
+
+def test_example_config_with_the_paper_preset_loads_the_paper_preset(tmp_path):
+    path = tmp_path / "example.ini"
+    write_example_config(path)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\npreset = desk\n") == 1
+    path.write_text(text.replace("\npreset = desk\n", "\npreset = paper\n"), encoding="utf-8")
     cfg = load_pipeline_config(str(path))
-    assert asdict(cfg) == asdict(load_pipeline_config()) | {"paths": cfg.paths}
-    assert sum(map(bool, cfg.paths.values())) == 9
+    assert (cfg.preset, cfg.model, cfg.train) == ("paper", PAPER_MODEL, PAPER_TRAIN)
 
 
 @pytest.mark.parametrize("kind", ["directory", "non-utf8", "missing"])

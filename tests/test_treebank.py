@@ -1,10 +1,13 @@
+import gc
 import re
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 import oracles
-from delexparse import data, synthetic, treebank
+from delexparse import data, evalb, synthetic, transform, treebank
 from delexparse.treebank import (_SPACE, _TOKEN_RE, ExtendedTag, TaggedSentence, Tree,
                                  TreebankFormatError, parse_bracketed,
                                  read_tag_map, read_tagged_corpus, serialize_tree,
@@ -271,3 +274,71 @@ def test_split_counts_match_corpus_scale():
     trees = list(range(50474))  # split_treebank only slices
     train, dev = trees[:47474], trees[47474:]
     assert len(dev) == 3000
+
+
+@pytest.mark.parametrize("record, field", [
+    (Tree.leaf("a"), "label"),
+    (ExtendedTag("NN", ("Nom",)), "pos"),
+    (TaggedSentence(("a",), (ExtendedTag("NN"),)), "tags"),
+    (evalb.SentenceScore(0, 1, 1, 1, True), "matched"),
+], ids=["Tree", "ExtendedTag", "TaggedSentence", "SentenceScore"])
+def test_records_are_frozen_and_slotted(record, field):
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
+    assert not hasattr(record, "__dict__")
+
+
+def test_a_read_treebank_holds_at_most_100_bytes_per_node():
+    rng = np.random.default_rng(0)
+    text = "\n".join(serialize_tree(synthetic.random_annotated_tree(rng, 16))
+                     for _ in range(1500))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trees = parse_bracketed(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = sum(1 for tree in trees for _ in tree.subtrees())
+    assert nodes > 40_000
+    assert held / nodes <= 100, f"{held / nodes:.1f} bytes per node"
+
+
+# "NN" is a label and a token, "-LRB-" a label and a token written escaped
+# beside the plain "LRB", and "1." a leading filler token that repeats
+SHARED_ATOMS = ("(S (NN NN) (-LRB- -LRB-) (NP (NN NN) (NE LRB)) (NN x-LRB-y))\n"
+                "(S (CARD 1.) (NN 1.) (VP (VVFIN 1.) (-LRB- -LRB-)) (NN NN))\n")
+
+
+def test_shared_atoms_and_leaves_are_invisible():
+    first, second = parse_bracketed(SHARED_ATOMS), parse_bracketed(SHARED_ATOMS)
+    # the reader does share: the two "NN" leaves of tree 0 are one object
+    assert first[0].children[0].children[0] is first[0].children[2].children[0].children[0]
+    assert "".join(serialize_tree(t) + "\n" for t in first) == SHARED_ATOMS
+    unshared = oracles.recursive_scan_bracketed(SHARED_ATOMS)
+    for trees in (second, unshared):
+        assert trees == first
+        assert list(map(hash, trees)) == list(map(hash, first))
+    assert first[0].leaf_tokens() == ["NN", "(", "NN", "LRB", "x(y"]
+
+    kept, report = transform.filter_target_treebank(first, set())
+    assert report == ["tree 1: removed leading token '1.'"]
+    assert list(map(serialize_tree, kept)) == [
+        SHARED_ATOMS.split("\n")[0], "(S (NN 1.) (VP (VVFIN 1.) (-LRB- -LRB-)) (NN NN))"]
+
+    cfg = evalb.EvalConfig(include_root=False)
+    for tree in first:
+        assert evalb.extract_eval_spans(tree, cfg) == \
+            oracles.recursive_spans_and_length(tree, cfg)[0]
+        assert transform.delexicalize_tree(tree) == oracles.recursive_delexicalize_tree(tree)
+    assert evalb.score_corpus(first, unshared, cfg).fscore == 100.0
+
+
+def test_a_tagged_corpus_shares_its_tags_invisibly():
+    text = "NN\tNN.Nom\nx\tNN.Nom\n\nNN\t$.\nx\tNN.Nom\n\n"
+    first, second = read_tagged_corpus(text), read_tagged_corpus(text)
+    assert first == second
+    assert first[0].tags[0] is first[1].tags[1]
+    assert [s.tags for s in first] == [
+        (ExtendedTag("NN", ("Nom",)), ExtendedTag("NN", ("Nom",))),
+        (ExtendedTag("$.", ()), ExtendedTag("NN", ("Nom",)))]
