@@ -9,6 +9,7 @@ compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -388,6 +389,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: stage=load: {exc}", file=sys.stderr)
         return 2
     run = _Run(cfg)
+    # every record a command builds is acyclic and freed by reference
+    # counting, so the cyclic collector's passes would only rescan them
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _COMMANDS[command](run)
         _write_manifest(command, run)
@@ -397,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # every writer names its path in the error
         print(f"error: stage=write: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -243,13 +243,15 @@ def _encode_forward(params: ModelParams, x: np.ndarray, spans: list[slice],
             n = rows.stop - rows.start
             q, k, v = (m[rows].reshape(n, heads, dk).transpose(1, 0, 2)
                        for m in (q_rows, k_rows, v_rows))
-            logits = q @ k.transpose(0, 2, 1) * scale
+            logits = q @ k.transpose(0, 2, 1)
+            logits *= scale
             logits -= logits.max(axis=-1, keepdims=True)
             weights = np.exp(logits, out=logits)
             weights /= weights.sum(axis=-1, keepdims=True)
             att_in[rows] = (weights @ v).transpose(1, 0, 2).reshape(n, heads * dk)
             if keep_caches:
                 attention.append((q, k, v, weights))
+            del logits, weights
         a = h + att_in @ t[p + "wo"]
         v2, (xhat2, inv2) = _ln_forward(a, t[p + "ln2_gain"], t[p + "ln2_bias"])
         r = v2 @ t[p + "ff_w1"] + t[p + "ff_b1"]

@@ -370,7 +370,6 @@ def read_tagged_corpus(text: str, sep: str = TAG_SEPARATOR) -> list[TaggedSenten
             tokens, tags = [], []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
         if not line.strip():
             if prev_blank:
                 log.warning("skipping empty sentence at line %d", lineno)

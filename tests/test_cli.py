@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import warnings
@@ -883,3 +884,98 @@ def test_failed_write_exits_2_at_write_naming_its_path_once(tmp_path, capsys, ca
     path = failed.format(**slots)
     assert err.splitlines()[-1] == f"error: stage=write: {path}: {os.strerror(code)}", err
     assert err.count(path) == 1 and "Traceback" not in err, err
+
+
+# the ways ``main`` ends, with the exit code of each ("raises" propagates
+# the command's exception): each pauses the collector only while the
+# command runs and leaves it as the caller had it
+GC_EXITS = {
+    "exit-0": 0,
+    "load-config": 2,
+    "load-input": 2,
+    "write": 2,
+    "raises": None,
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", GC_EXITS)
+def test_main_pauses_the_collector_and_restores_its_state_on_every_exit(
+        tmp_path, capsys, monkeypatch, case, enabled):
+    toy = str(data.toy_treebank_path())
+    during = []
+    score = evalb.score_corpus_detailed
+
+    def scoring(*args):
+        during.append(gc.isenabled())
+        return score(*args)
+
+    def unexpected(run):
+        during.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    def full(result, rows, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(evalb, "score_corpus_detailed", scoring)
+    if case == "write":
+        monkeypatch.setattr(evalb, "write_report", full)
+    if case == "raises":
+        monkeypatch.setitem(cli._COMMANDS, "eval", unexpected)
+    argv = ["eval", "--gold-treebank", toy, "--report", f"{tmp_path}/r.report",
+            "--pred-treebank", f"{tmp_path}/missing" if case == "load-input" else toy]
+    if case == "load-config":
+        argv += ["--config", f"{tmp_path}/missing.ini"]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "raises":
+            with pytest.raises(RuntimeError, match="unexpected"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == GC_EXITS[case]
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert during == ([] if case.startswith("load") else [False])
+    if GC_EXITS[case] == 2:
+        assert f"error: stage={case.split('-')[0]}: " in capsys.readouterr().err
+
+
+def cyclic_garbage(argv) -> int:
+    """How many objects a full collection frees after ``main(argv)`` runs
+    with the collector off: the reference cycles the command left behind."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_input(tmp_path):
+    toy = data.toy_treebank_path()
+    toy8 = tmp_path / "toy8.brackets"
+    toy8.write_text(toy.read_text(encoding="utf-8") * 8, encoding="utf-8")
+    ini = tmp_path / "run.ini"
+
+    def commands(treebank):
+        return [["delex", "--treebank", str(treebank), "--delex-output", f"{tmp_path}/d"],
+                ["eval", "--gold-treebank", str(treebank), "--pred-treebank", str(treebank),
+                 "--report", f"{tmp_path}/r"]]
+
+    def train(epochs):
+        ini.write_text(f"[paths]\ntrain_treebank = {toy}\n[train]\nepochs = {epochs}\n",
+                       encoding="utf-8")
+        return cyclic_garbage(["train", "--config", str(ini), "--checkpoint", f"{tmp_path}/p"])
+
+    for argv in commands(toy):  # first runs, which may fill caches
+        cyclic_garbage(argv)
+    small, large = ([cyclic_garbage(argv) for argv in commands(treebank)]
+                    for treebank in (toy, toy8))
+    assert small == large
+    assert train(1) == train(3)
