@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evalb import EvalConfig, _spans_and_length
 from .transform import EMPTY_LABEL
 from .treebank import ExtendedTag, Tree
 
@@ -117,26 +118,17 @@ def cky_decode(tables: SpanTables, label_inventory: list[str],
     return done[0]
 
 
+# evalb's span walk with every leaf kept and every label as it is
+_ALL_SPANS = EvalConfig(punctuation_tags=frozenset())
+
+
 def tree_spans(tree: Tree) -> tuple[list[tuple[int, int, str]], int]:
-    """Labeled spans of a binarized tree (leaf count as second value).
+    """Labeled spans of a binarized tree, children before their parent
+    (leaf count as second value).
 
     Preterminals contribute no span; intermediate empty-label nodes do.
     """
-    spans: list[tuple[int, int, str]] = []
-    end = 0  # leaves seen so far: the end of the node being folded
-
-    def leaf(t: Tree) -> int:
-        nonlocal end
-        end += 1
-        return end - 1
-
-    def node(t: Tree, starts: list[int]) -> int:
-        if not t.is_preterminal:
-            spans.append((starts[0], end, t.label))
-        return starts[0]
-
-    tree.fold(leaf, node)
-    return spans, end
+    return _spans_and_length(tree, _ALL_SPANS)
 
 
 def hamming_augment(rows: np.ndarray, gold: list[tuple[int, int]]) -> np.ndarray:

@@ -269,9 +269,15 @@ def cmd_eval(run: _Run) -> None:
 def cmd_tag(run: _Run) -> None:
     cfg = run.cfg
     sep = cfg.transform.morph_separator
+    training, tagging = cfg.paths.get("train_corpus"), cfg.paths.get("tokens")
+    if not (training or tagging):
+        raise CliError("load", "tag needs train_corpus and/or tokens input")
+    if training:
+        model_out = run.output("tagger_model", anchor=not tagging)
+    if tagging:
+        output = run.output("tagged_output")
     tag_model = None
-    if cfg.paths.get("train_corpus"):
-        model_out = run.output("tagger_model", anchor=not cfg.paths.get("tokens"))
+    if training:
         corpus = run.read("train_corpus", read_tagged_corpus_file, sep)
         try:
             tag_model = tagger.train_tagger(corpus, cfg.tagger_epochs, cfg.tagger_seed, sep)
@@ -279,16 +285,13 @@ def cmd_tag(run: _Run) -> None:
             raise CliError("train", str(exc)) from exc
         tagger.save_tagger(tag_model, model_out)
         print(f"tagger model written to {model_out}")
-    if cfg.paths.get("tokens"):
-        output = run.output("tagged_output")
+    if tagging:
         if tag_model is None:
             tag_model = run.read("tagger_model", tagger.load_tagger, sep)
         tagged = [tagger.tag_sentence(tag_model, tokens)
                   for tokens in run.read("tokens", _token_lines)]
         write_tagged_corpus(tagged, output, sep)
         print(f"tagged {len(tagged)} sentences -> {output}")
-    if not run.outputs:
-        raise CliError("load", "tag needs train_corpus and/or tokens input")
 
 
 def cmd_map_tags(run: _Run) -> None:

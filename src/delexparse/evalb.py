@@ -55,8 +55,10 @@ class SentenceScore:
     skipped: bool = False
 
 
-def _spans_and_length(tree: Tree, cfg: EvalConfig) -> tuple[Counter, int]:
-    spans: Counter = Counter()
+def _spans_and_length(tree: Tree, cfg: EvalConfig) -> tuple[list[LabeledSpan], int]:
+    """The tree's scoring spans in fold order, children before their
+    parent, and its leaf count after punctuation removal."""
+    spans: list[LabeledSpan] = []
     end = 0  # leaves kept so far: the end of the node being folded
 
     def leaf(t: Tree) -> int:
@@ -72,7 +74,7 @@ def _spans_and_length(tree: Tree, cfg: EvalConfig) -> tuple[Counter, int]:
         elif end > starts[0] and (cfg.include_root or t is not tree):
             label = cfg.label_equivalences.get(t.label, t.label)
             if label not in cfg.ignore_labels:
-                spans[LabeledSpan(starts[0], end, label)] += 1
+                spans.append(LabeledSpan(starts[0], end, label))
         return starts[0]
 
     tree.fold(leaf, node)
@@ -81,8 +83,7 @@ def _spans_and_length(tree: Tree, cfg: EvalConfig) -> tuple[Counter, int]:
 
 def extract_eval_spans(tree: Tree, cfg: EvalConfig = EvalConfig()) -> Counter:
     """Multiset of scoring spans after punctuation removal and reindexing."""
-    spans, _ = _spans_and_length(tree, cfg)
-    return spans
+    return Counter(_spans_and_length(tree, cfg)[0])
 
 
 def _percent(numerator: float, denominator: float) -> float:
@@ -105,11 +106,12 @@ def score_corpus_detailed(gold: list[Tree], pred: list[Tree],
     rows: list[SentenceScore] = []
     matched = gold_total = pred_total = exact = scored = 0
     for index, (g, p) in enumerate(zip(gold, pred)):
-        g_spans, g_len = _spans_and_length(g, cfg)
-        p_spans, p_len = _spans_and_length(p, cfg)
+        g_list, g_len = _spans_and_length(g, cfg)
+        p_list, p_len = _spans_and_length(p, cfg)
         if g_len != p_len:
             rows.append(SentenceScore(index, 0, 0, 0, False, skipped=True))
             continue
+        g_spans, p_spans = Counter(g_list), Counter(p_list)
         hits = sum((g_spans & p_spans).values())
         is_exact = g_spans == p_spans
         rows.append(SentenceScore(index, sum(g_spans.values()),

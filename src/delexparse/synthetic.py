@@ -131,6 +131,6 @@ def random_annotated_tree(rng: np.random.Generator, max_leaves: int = 8) -> Tree
             trace = _pret("-NONE-", ("*T*1", "*", "*T*2")[rng.integers(3)])
             where = int(rng.integers(len(children) + 1))
             children.insert(where, trace)
-        return Tree(label, tuple(children), None)
+        return Tree(label, tuple(children))
 
     return tree.fold(lambda t: t, decorate)

@@ -27,13 +27,14 @@ def map_extended_tag(tag: ExtendedTag, table: TagMapTable,
     """Map one extended tag onto the target inventory.
 
     Composite tags such as ``APPR|NA`` keep only the part before the first
-    separator.  When a POS maps to a target that itself carries features
-    (e.g. ``VAPS`` to ``ADJD.Pos``), those features are prepended to the
-    mapped source features.
+    separator; a POS with nothing before it, such as ``|NA``, stays whole.
+    When a POS maps to a target that itself carries features (e.g. ``VAPS``
+    to ``ADJD.Pos``), those features are prepended to the mapped source
+    features.
     """
     pos = tag.pos
     if composite_separator in pos:
-        pos = pos.split(composite_separator, 1)[0]
+        pos = pos.split(composite_separator, 1)[0] or pos
     target = table.pos_map.get(pos)
     if target is not None:
         out_pos = target.pos

@@ -52,7 +52,7 @@ def _is_trace(node: Tree, cfg: TransformConfig) -> bool:
     if node.label == cfg.trace_label:
         return True
     if len(node.children) == 1:
-        token = node.children[0].token
+        token = node.children[0].label
         return any(token.startswith(p) for p in cfg.trace_token_patterns)
     return False
 
@@ -83,9 +83,15 @@ def delexicalize_tree(tree: Tree, cfg: TransformConfig = TransformConfig()) -> T
 
     The preterminal keeps only the POS part of its label; the leaf token
     becomes the full serialized tag, or just the POS when morphology is
-    dropped.  Tree shape is unchanged.  The first problem in document order
-    raises ValueError.  Preterminals of one label share one new subtree.
+    dropped.  Tree shape is unchanged.  An ill-formed tree raises
+    ValueError with the first of its :func:`well_formedness_problems`;
+    otherwise the first preterminal label in document order that is not an
+    extended tag does.  Preterminals of one label share one new subtree.
     """
+    problems = well_formedness_problems(tree)
+    if problems:
+        raise ValueError(problems[0])
+
     def delexed(label: str) -> Tree:
         try:
             tag = ExtendedTag.parse(label, cfg.morph_separator)
@@ -96,22 +102,8 @@ def delexicalize_tree(tree: Tree, cfg: TransformConfig = TransformConfig()) -> T
         return Tree.node(tag.pos, [Tree.leaf(token)])
 
     by_label = _Memo(delexed)
-    preterminals: list[Tree] = []
-    under_preterminal = False  # preorder puts a preterminal's leaf right after it
-    for node in tree.subtrees():
-        if node.is_leaf:
-            if not under_preterminal:
-                raise ValueError(f"leaf {node.token!r} has no preterminal parent")
-            under_preterminal = False
-        elif node.is_preterminal:
-            if len(node.children) != 1:
-                raise ValueError(
-                    f"preterminal {node.label!r} has {len(node.children)} children")
-            preterminals.append(by_label[node.label])
-            under_preterminal = True
-    preterminals.reverse()
     return tree.fold(lambda t: t, lambda t, done: (
-        preterminals.pop() if t.is_preterminal else Tree.node(t.label, done)))
+        by_label[t.label] if t.is_preterminal else Tree.node(t.label, done)))
 
 
 def delexicalize_sentence(sentence: TaggedSentence,

@@ -78,27 +78,31 @@ class _Memo(dict):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Tree:
-    """Rooted ordered tree; internal nodes carry labels, leaves carry tokens.
+    """Rooted ordered tree; a leaf is a node without children, and its
+    label is its token.
 
-    A node is a leaf iff ``children`` is empty iff ``token`` is present.  For
-    leaves, ``label`` equals the token.  A preterminal is an internal node
-    all of whose children are leaves.  Every walk over a tree goes through
-    :meth:`subtrees` or :meth:`fold`, which keep their own stack, so trees
-    may nest to any depth.  Trees are immutable, so one node may sit at
-    several places; nothing tells a shared node from a copy but ``is``.
+    A preterminal is an internal node all of whose children are leaves.
+    Every walk over a tree goes through :meth:`subtrees` or :meth:`fold`,
+    which keep their own stack, so trees may nest to any depth.  Trees are
+    immutable, so one node may sit at several places; nothing tells a
+    shared node from a copy but ``is``.
     """
 
     label: str
     children: tuple["Tree", ...] = ()
-    token: str | None = None
 
     @staticmethod
     def leaf(token: str) -> "Tree":
-        return Tree(token, (), token)
+        return Tree(token)
 
     @staticmethod
     def node(label: str, children: Iterable["Tree"]) -> "Tree":
-        return Tree(label, tuple(children), None)
+        return Tree(label, tuple(children))
+
+    @property
+    def token(self) -> str | None:
+        """A leaf's token, its label; ``None`` on an internal node."""
+        return None if self.children else self.label
 
     @property
     def is_leaf(self) -> bool:
@@ -141,7 +145,7 @@ class Tree:
         return values[0]
 
     def leaf_tokens(self) -> list[str]:
-        return [t.token for t in self.subtrees() if not t.children]
+        return [t.label for t in self.subtrees() if not t.children]
 
     def preterminals(self) -> list["Tree"]:
         return [t for t in self.subtrees() if t.is_preterminal]
@@ -149,16 +153,15 @@ class Tree:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Tree:
             return NotImplemented
-        return all(a.label == b.label and a.token == b.token
-                   and len(a.children) == len(b.children)
+        return all(a.label == b.label and len(a.children) == len(b.children)
                    for a, b in zip(self.subtrees(), other.subtrees()))
 
     def __hash__(self) -> int:
-        return self.fold(lambda t: hash((t.label, t.token)),
+        return self.fold(lambda t: hash(t.label),
                          lambda t, hashes: hash((t.label, *hashes)))
 
     def __repr__(self) -> str:  # compact form, easier to read in test output
-        return self.fold(lambda t: t.token,
+        return self.fold(lambda t: t.label,
                          lambda t, parts: f"({t.label} {' '.join(parts)})")
 
 
@@ -180,7 +183,7 @@ def well_formedness_problems(tree: Tree) -> list[str]:
         problems: list[str] = []
         for child, below in zip(t.children, found):  # a leaf's is None
             problems += below if below is not None else [
-                f"leaf {child.token!r} has non-preterminal parent {t.label!r}"]
+                f"leaf {child.label!r} has non-preterminal parent {t.label!r}"]
         return problems
 
     return tree.fold(lambda t: None, node)
@@ -233,7 +236,7 @@ def parse_bracketed(text: str) -> list[Tree]:
                 if not children:
                     raise TreebankFormatError(
                         f"constituent {label!r} has no children", offset=offset(start))
-                node = Tree(label, tuple(children), None)
+                node = Tree(label, tuple(children))
                 if stack:
                     label, start, children = stack.pop()
                     children.append(node)
@@ -249,12 +252,12 @@ def parse_bracketed(text: str) -> list[Tree]:
 
 def serialize_tree(tree: Tree) -> str:
     """Render a tree as a single bracketed line; inverse of parse_bracketed."""
-    return tree.fold(lambda t: escape_atom(_checked_atom(t.token, "token")),
+    return tree.fold(lambda t: escape_atom(_checked_atom(t.label, "token")),
                      lambda t, parts: "({} {})".format(
                          escape_atom(_checked_atom(t.label, "label")), " ".join(parts)))
 
 
-def _checked_atom(text: str | None, kind: str) -> str:
+def _checked_atom(text: str, kind: str) -> str:
     if not text:
         raise ValueError(f"empty {kind} is not serializable")
     if _SPACE(text):

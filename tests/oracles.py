@@ -556,13 +556,12 @@ def recursive_strip_annotations(tree: Tree, cfg: TransformConfig = TransformConf
 
 def recursive_delexicalize_tree(tree: Tree,
                                 cfg: TransformConfig = TransformConfig()) -> Tree:
+    problems = recursive_well_formedness_problems(tree)
+    if problems:
+        raise ValueError(problems[0])
+
     def walk(node: Tree) -> Tree:
-        if node.is_leaf:
-            raise ValueError(f"leaf {node.token!r} has no preterminal parent")
         if node.is_preterminal:
-            if len(node.children) != 1:
-                raise ValueError(
-                    f"preterminal {node.label!r} has {len(node.children)} children")
             try:
                 tag = ExtendedTag.parse(node.label, cfg.morph_separator)
             except ValueError as exc:

@@ -306,6 +306,64 @@ def test_gold_tags_from_an_ill_formed_tree_exit_2_at_transform(tmp_path, capsys)
             "preterminal 'NN' has 2 leaves") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,problem", [
+    ("(S (NN a) (NN b c))", "preterminal 'NN' has 2 leaves"),
+    ("(S w (NN c))", "leaf 'w' has non-preterminal parent 'S'"),
+], ids=["flat-preterminal", "bare-leaf"])
+def test_an_ill_formed_tree_gets_one_diagnosis_from_every_command(tmp_path, capsys, text,
+                                                                   problem):
+    source = tmp_path / "in.brackets"
+    source.write_text("(S (NN a) (NN b))\n" + text + "\n", encoding="utf-8")
+    assert cli.main(["filter", "--treebank", str(source),
+                     "--filtered-treebank", f"{tmp_path}/kept.brackets",
+                     "--filter-report", f"{tmp_path}/filter.report"]) == 0
+    assert (tmp_path / "filter.report").read_text().splitlines() == [
+        f"tree 1: dropped (ill-formed: {problem})"]
+    checkpoint = tiny_checkpoint(tmp_path / "ok.ckpt")
+    for argv in (["parse", "--use-gold-tags", "--gold-treebank", str(source),
+                  "--checkpoint", str(checkpoint), "--parse-output", f"{tmp_path}/pred"],
+                 ["delex", "--treebank", str(source), "--delex-output", f"{tmp_path}/delexed"],
+                 ["train", "--train-treebank", str(source),
+                  "--checkpoint", f"{tmp_path}/parser.ckpt"]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("error: stage=transform: tree 1: "), error
+        assert error.rsplit(": ", 1)[1] == problem, error
+
+
+def test_a_composite_tag_with_an_empty_first_part_is_mapped_and_parsed_whole(tmp_path):
+    corpus = tmp_path / "in.tags"
+    corpus.write_text("der\t|NA\nMann\tNA.Nom\n\n", encoding="utf-8")
+    mapped = tmp_path / "mapped.tags"
+    assert cli.main(["map-tags", "--tagged-corpus", str(corpus),
+                     "--tagged-output", str(mapped)]) == 0
+    assert mapped.read_text(encoding="utf-8") == "der\t|NA\nMann\tNN.Nom\n\n"
+    assert read_tagged_corpus_file(mapped)[0].tags[0] == ExtendedTag("|NA")
+    checkpoint = str(tiny_checkpoint(tmp_path / "ok.ckpt"))
+    for flags, pred in (([], tmp_path / "pred"), (["--no-mapping"], tmp_path / "unmapped")):
+        assert cli.main(["parse", *flags, "--tagged-corpus", str(corpus),
+                         "--checkpoint", checkpoint, "--parse-output", str(pred)]) == 0
+    tree, unmapped = read_treebank(tmp_path / "pred")[0], read_treebank(tmp_path / "unmapped")[0]
+    assert [p.label for p in tree.preterminals()] == ["|NA", "NN"]
+    assert [p.label for p in unmapped.preterminals()] == ["|NA", "NA"]
+    assert tree.leaf_tokens() == unmapped.leaf_tokens() == ["der", "Mann"]
+
+
+def test_tag_checks_both_outputs_before_it_trains(tmp_path, capsys):
+    corpus = tmp_path / "train.tags"
+    corpus.write_text("der\tART.Nom\nMann\tNN.Nom\n\n", encoding="utf-8")
+    tokens = tmp_path / "raw.txt"
+    tokens.write_text("der Mann\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    assert cli.main(["tag", "--train-corpus", str(corpus), "--tagger-model",
+                     f"{tmp_path}/m.txt", "--tokens", str(tokens),
+                     "--tagged-output", f"{tmp_path}/adir"]) == 2
+    assert f"error: stage=load: {tmp_path}/adir: is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+    assert list(tmp_path.glob("*.manifest")) == []
+
+
 def test_manifest_contents(tmp_path):
     config = write_config(tmp_path)
     assert cli.main(["train", "--config", str(config)]) == 0

@@ -27,6 +27,14 @@ def test_composite_tag_keeps_first_part():
     assert map_extended_tag(ExtendedTag("NA|APPR"), table) == tag("NN")
 
 
+def test_composite_tag_with_an_empty_first_part_stays_whole():
+    table = default_table()
+    assert map_extended_tag(ExtendedTag("|NA"), table) == ExtendedTag("|NA")
+    assert map_extended_tag(tag("|NA.Nom.Sing"), TagMapTable({}, {"Sing": "Sg"})) == \
+        tag("|NA.Nom.Sg")
+    assert map_extended_tag(ExtendedTag("|"), table) == ExtendedTag("|")
+
+
 def test_unknown_tags_pass_through():
     table = default_table()
     assert map_extended_tag(tag("NN.Gen"), table) == tag("NN.Gen")

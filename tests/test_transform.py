@@ -86,7 +86,7 @@ def test_delexicalize_shape_preserved():
 
 
 def test_delexicalize_rejects_flat_preterminal():
-    with pytest.raises(ValueError, match="children"):
+    with pytest.raises(ValueError, match="leaves"):
         delexicalize_tree(t("(S (NN a b) (NN c))"), CFG)
 
 

@@ -288,6 +288,16 @@ def test_records_are_frozen_and_slotted(record, field):
     assert not hasattr(record, "__dict__")
 
 
+def test_a_tree_holds_a_label_and_children_and_a_leafs_token_is_its_label():
+    assert Tree.__slots__ == ("label", "children")
+    leaf = Tree("x")
+    assert leaf == Tree.leaf("x") and hash(leaf) == hash(Tree.leaf("x"))
+    assert leaf.is_leaf and leaf.token == "x" and leaf.label == "x"
+    node = Tree.node("NN", [leaf])
+    assert node.token is None and node != Tree("NN")
+    assert node.leaf_tokens() == ["x"] and repr(node) == "(NN x)"
+
+
 def test_a_read_treebank_holds_at_most_100_bytes_per_node():
     rng = np.random.default_rng(0)
     text = "\n".join(serialize_tree(synthetic.random_annotated_tree(rng, 16))
