@@ -19,10 +19,10 @@ from pathlib import Path
 
 from . import evalb, model, tagger, tagmap, trainer, transform
 from .config import COMMAND_PATHS, PipelineConfig, load_pipeline_config
-from .treebank import (ExtendedTag, TreebankFormatError, _read_utf8, read_tag_map_file,
-                       read_tagged_corpus_file, read_treebank, serialize_tree,
-                       well_formedness_problems, write_lines, write_tagged_corpus,
-                       write_treebank)
+from .treebank import (ExtendedTag, TaggedSentence, TreebankFormatError, _read_utf8,
+                       read_tag_map_file, read_tagged_corpus_file, read_treebank,
+                       serialize_tree, well_formedness_problems, write_lines,
+                       write_tagged_corpus, write_treebank)
 
 
 class CliError(Exception):
@@ -178,35 +178,31 @@ def cmd_train(run: _Run) -> None:
     print(f"checkpoint written to {checkpoint}")
 
 
-def _gather_sentences(run: _Run, need_tags: bool = True):
-    """Input sentences as (tokens, tags) pairs per the configured source.
-
-    With ``need_tags`` false (lexicalized mode), a raw tokens file needs no
-    tagger and yields ``tags=None``.
-    """
+def _gather_sentences(run: _Run) -> list[TaggedSentence]:
+    """The input sentences from the configured source.  In lexicalized
+    mode a tokens file needs no tagger: each word is its own tag."""
     cfg = run.cfg
     tcfg = cfg.transform
     if cfg.use_gold_tags:
-        def gold_pair(tree):
+        def gold_sentence(tree):
             stripped = transform.strip_annotations(tree, tcfg)
             problems = well_formedness_problems(stripped)
             if problems:
                 raise ValueError(f"gold tags need one preterminal per leaf: {problems[0]}")
-            return (stripped.leaf_tokens(),
-                    [ExtendedTag.parse(p.label, tcfg.morph_separator)
-                     for p in stripped.preterminals()])
+            return TaggedSentence(tuple(stripped.leaf_tokens()),
+                                  tuple(ExtendedTag.parse(p.label, tcfg.morph_separator)
+                                        for p in stripped.preterminals()))
 
-        return _each_tree(run.read("gold_treebank", read_treebank), gold_pair)
+        return _each_tree(run.read("gold_treebank", read_treebank), gold_sentence)
     if cfg.paths.get("tagged_corpus"):
-        corpus = run.read("tagged_corpus", read_tagged_corpus_file, tcfg.morph_separator)
-        return [(list(sentence.tokens), list(sentence.tags)) for sentence in corpus]
+        return run.read("tagged_corpus", read_tagged_corpus_file, tcfg.morph_separator)
     if cfg.paths.get("tokens"):
         lines = run.read("tokens", _token_lines)
-        if not need_tags:
-            return [(tokens, None) for tokens in lines]
+        if cfg.mode == "lexicalized":
+            return [TaggedSentence(tuple(tokens), tuple(map(ExtendedTag, tokens)))
+                    for tokens in lines]
         tag_model = run.read("tagger_model", tagger.load_tagger, tcfg.morph_separator)
-        return [(tokens, list(tagger.tag_sentence(tag_model, tokens).tags))
-                for tokens in lines]
+        return [tagger.tag_sentence(tag_model, tokens) for tokens in lines]
     raise CliError("load", "no input: set gold_treebank with use_gold_tags, "
                            "tagged_corpus, or tokens plus tagger_model")
 
@@ -216,37 +212,27 @@ def cmd_parse(run: _Run) -> None:
     output = run.output("parse_output")
     params = run.read("checkpoint", model.load_checkpoint)
     lexicalized = cfg.mode == "lexicalized"
-    sentences = _gather_sentences(run, need_tags=not lexicalized)
-
-    if lexicalized:
-        tag_lists = [[ExtendedTag(tok) for tok in tokens]
-                     for tokens, _ in sentences]
-    else:
-        if cfg.apply_mapping:
-            table = _tag_map(run)
-            sentences = [
-                (tokens,
-                 [tagmap.map_extended_tag(t, table, cfg.composite_separator)
-                  for t in tags])
-                for tokens, tags in sentences]
-        if cfg.transform.keep_morphology:
-            tag_lists = [tags for _, tags in sentences]
-        else:
-            tag_lists = [[ExtendedTag(t.pos) for t in tags]
-                         for _, tags in sentences]
-
+    sentences = _gather_sentences(run)
+    if cfg.apply_mapping and not lexicalized:
+        table = _tag_map(run)
+        sentences = [tagmap.map_sentence(s, table, cfg.composite_separator)
+                     for s in sentences]
+    # the model reads the words in lexicalized mode, else the (mapped) tags
+    tag_lists = [[ExtendedTag(token) for token in s.tokens] if lexicalized
+                 else list(s.tags) if cfg.transform.keep_morphology
+                 else [ExtendedTag(t.pos) for t in s.tags]
+                 for s in sentences]
     results = trainer.parse_corpus(params, tag_lists)
     failures = sum(tree is None for tree in results)
 
     def render(item) -> str:
-        (tokens, tags), tag_list, tree = item
+        sentence, tag_list, tree = item
         if tree is None:
             tree = trainer.fallback_tree(tag_list)
-        if lexicalized and tags is not None:
-            # restore real tag labels at the preterminals, which carry
-            # embedded word types in lexicalized mode
-            tree = transform.relabel_preterminals(tree, [t.pos for t in tags])
-        return serialize_tree(transform.relexicalize_tree(tree, tokens))
+        if lexicalized:
+            # the preterminals carry the words the model read; restore the tags
+            tree = transform.relabel_preterminals(tree, [t.pos for t in sentence.tags])
+        return serialize_tree(transform.relexicalize_tree(tree, sentence.tokens))
 
     lines = _each_tree(zip(sentences, tag_lists, results), render)
     write_lines(output, lines)

@@ -772,6 +772,9 @@ def load_checkpoint(path) -> ModelParams:
         if not (isinstance(header[key], list) and header[key]
                 and all(isinstance(item, str) for item in header[key])):
             raise ModelError(f"checkpoint header {key} is not a list of strings")
+    bad = [label for label in header["labels"] if label.split() != [label]]
+    if bad:  # a tree could not be written with it
+        raise ModelError(f"checkpoint label {bad[0]!r} is empty or holds whitespace")
     fields = header["config"]
     if not (isinstance(fields, dict) and all(type(v) is int for v in fields.values())):
         raise ModelError("checkpoint config is not a map of integers")

@@ -357,10 +357,11 @@ class TagMapTable:
 
 def read_tagged_corpus(text: str, sep: str = TAG_SEPARATOR) -> list[TaggedSentence]:
     """Read a tab-separated tagged corpus; blank lines separate sentences.
-    The sentences share one ``str`` per distinct token and one
+    A token or tag that is empty or holds whitespace is malformed.  The
+    sentences share one ``str`` per distinct token and one
     :class:`ExtendedTag` per distinct tag text."""
     sentences: list[TaggedSentence] = []
-    atoms: dict[str, str] = {}
+    atoms = _Memo(lambda token: _checked_atom(token, "token"))
     parsed = _Memo(lambda text: ExtendedTag.parse(text, sep))
     tokens: list[str] = []
     tags: list[ExtendedTag] = []
@@ -383,11 +384,11 @@ def read_tagged_corpus(text: str, sep: str = TAG_SEPARATOR) -> list[TaggedSenten
         if "\t" not in line:
             raise TreebankFormatError("expected token<TAB>tag", line=lineno)
         token, tag_text = line.split("\t", 1)
-        if not token or not tag_text or _SPACE(tag_text):  # all ExtendedTag.parse rejects
-            raise TreebankFormatError(
-                f"malformed tagged line {line!r}", line=lineno)
-        tokens.append(atoms.setdefault(token, token))
-        tags.append(parsed[tag_text])
+        try:
+            tokens.append(atoms[token])
+            tags.append(parsed[tag_text])
+        except ValueError:
+            raise TreebankFormatError(f"malformed tagged line {line!r}", line=lineno) from None
     flush()
     return sentences
 
@@ -411,8 +412,9 @@ _SECTIONS = ("pos", "features")
 
 def read_tag_map(text: str, sep: str = TAG_SEPARATOR,
                  composite: str = COMPOSITE_SEPARATOR) -> TagMapTable:
-    """Read a sectioned ``[pos]`` / ``[features]`` tag map table; no part of
-    a target may hold the ``composite`` separator, so none reads as a composite."""
+    """Read a sectioned ``[pos]`` / ``[features]`` tag map table.  No part of
+    a target, POS or feature, may be empty or hold whitespace or the
+    ``composite`` separator, so none reads as a composite."""
     pos_map: dict[str, ExtendedTag] = {}
     feature_map: dict[str, str] = {}
     section: str | None = None
@@ -449,7 +451,7 @@ def read_tag_map(text: str, sep: str = TAG_SEPARATOR,
             if source in feature_map:
                 raise TreebankFormatError(
                     f"duplicate source feature {source!r}", line=lineno)
-            if sep in target or composite in target:
+            if sep in target or composite in target or _SPACE(target):
                 raise TreebankFormatError(
                     f"invalid target feature {target!r}", line=lineno)
             feature_map[source] = target

@@ -140,6 +140,51 @@ def test_lexicalized_end_to_end_quality(tmp_path, capsys):
             [ExtendedTag.parse(q.label).pos for q in g.preterminals()]
 
 
+@pytest.fixture(scope="module")
+def lexicalized_checkpoint(tmp_path_factory):
+    """A tiny lexicalized checkpoint trained on the toy treebank, beside the
+    treebank's sentences as a tagged corpus and as a tokens file."""
+    root = tmp_path_factory.mktemp("lexicalized")
+    config = root / "run.ini"
+    config.write_text(FAST_TRAIN + TINY_MODEL, encoding="utf-8")
+    toy = data.toy_treebank_path()
+    assert cli.main(["train", "--config", str(config), "--mode", "lexicalized",
+                     "--train-treebank", str(toy), "--checkpoint", f"{root}/parser.ckpt"]) == 0
+    gold = read_treebank(toy)
+    (root / "in.tags").write_text("".join(
+        "".join(f"{p.children[0].label}\t{p.label}\n" for p in tree.preterminals()) + "\n"
+        for tree in gold), encoding="utf-8")
+    (root / "in.txt").write_text("".join(" ".join(tree.leaf_tokens()) + "\n"
+                                         for tree in gold), encoding="utf-8")
+    return root
+
+
+LEXICALIZED_SOURCES = {
+    "gold-tags": ["--use-gold-tags", "--gold-treebank", str(data.toy_treebank_path())],
+    "tagged-corpus": ["--tagged-corpus", "{root}/in.tags"],
+    "tokens": ["--tokens", "{root}/in.txt"],  # no tagger_model: the words are read
+}
+
+
+@pytest.mark.parametrize("source", LEXICALIZED_SOURCES)
+def test_lexicalized_parse_keeps_each_sources_tokens_and_tags(lexicalized_checkpoint,
+                                                              source):
+    root = lexicalized_checkpoint
+    output = root / f"{source}.brackets"
+    assert cli.main(["parse", "--config", f"{root}/run.ini", "--mode", "lexicalized",
+                     "--checkpoint", f"{root}/parser.ckpt", "--parse-output", str(output)]
+                    + [arg.format(root=root) for arg in LEXICALIZED_SOURCES[source]]) == 0
+    gold = read_treebank(data.toy_treebank_path())
+    predictions = read_treebank(output)
+    assert len(predictions) == len(gold)
+    for g, p in zip(gold, predictions):
+        assert p.leaf_tokens() == g.leaf_tokens()
+        # the preterminals carry the source's POS tags; a tokens file has only words
+        expected = (g.leaf_tokens() if source == "tokens"
+                    else [ExtendedTag.parse(q.label).pos for q in g.preterminals()])
+        assert [q.label for q in p.preterminals()] == expected
+
+
 def test_no_morph_flag_changes_parser_input(tmp_path):
     config = write_config(tmp_path)
     assert cli.main(["train", "--config", str(config), "--no-morph"]) == 0
@@ -824,6 +869,59 @@ def test_malformed_input_names_its_file_once_at_load(tmp_path, capsys, case):
     assert code == 2, err
     assert f"error: stage=load: {bad}: " in err and err.count(str(bad)) == 1, err
     assert "Traceback" not in err
+
+
+# every command that reads a tagged corpus; {tags} is the corpus
+TAGS_READS = {
+    "map-tags": ["map-tags", "--tagged-corpus", "{tags}", "--tagged-output", "{out}/m"],
+    "delex": ["delex", "--tagged-corpus", "{tags}", "--delex-output", "{out}/d"],
+    "tag": ["tag", "--train-corpus", "{tags}", "--tagger-model", "{out}/t"],
+    "parse": ["parse", "--tagged-corpus", "{tags}", "--checkpoint", "{ckpt}",
+              "--parse-output", "{out}/p"],
+}
+
+
+@pytest.mark.parametrize("command", TAGS_READS)
+def test_a_tagged_token_holding_whitespace_exits_2_at_load_naming_its_line(tmp_path, capsys,
+                                                                            command):
+    tags = tmp_path / "hist.tags"
+    tags.write_text("diu\tDDART.Nom\na b\tNN\n\n", encoding="utf-8")
+    slots = {"tags": tags, "out": tmp_path / "out",
+             "ckpt": tiny_checkpoint(tmp_path / "ok.ckpt")}
+    code = cli.main([arg.format(**slots) for arg in TAGS_READS[command]])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: stage=load: {tags}: malformed tagged line 'a b\\tNN' (line 2)\n")
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_a_tag_map_feature_target_holding_whitespace_exits_2_at_load(tmp_path, capsys):
+    corpus = tmp_path / "hist.tags"
+    corpus.write_text("diu\tDDART.Nom\n\n", encoding="utf-8")
+    table = tmp_path / "hist.tagmap"
+    table.write_text("[features]\nNom\tA B\n", encoding="utf-8")
+    output = tmp_path / "mapped.tags"
+    code = cli.main(["map-tags", "--tagged-corpus", str(corpus), "--tag-map", str(table),
+                     "--tagged-output", str(output)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: stage=load: {table}: invalid target feature 'A B' (line 2)\n")
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("label", ["A B", "", "A\u3000B"])
+def test_a_checkpoint_label_that_cannot_be_written_exits_2_at_load(tmp_path, capsys, label):
+    params = model.load_checkpoint(tiny_checkpoint(tmp_path / "ok.ckpt"))
+    params.labels = [EMPTY_LABEL, label]
+    bad = tmp_path / "bad.ckpt"
+    model.save_checkpoint(params, bad)
+    code = cli.main(["parse", "--use-gold-tags", "--checkpoint", str(bad),
+                     "--gold-treebank", str(data.toy_treebank_path()),
+                     "--parse-output", f"{tmp_path}/pred.brackets"])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: stage=load: {bad}: checkpoint label "
+                                       f"{label!r} is empty or holds whitespace\n")
+    assert not (tmp_path / "pred.brackets").exists()
 
 
 def test_gold_tree_of_traces_exits_2_at_transform(tmp_path, capsys):

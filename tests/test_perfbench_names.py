@@ -5,7 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from delexparse import cli, data
+from delexparse import cli, data, model
+from delexparse.transform import EMPTY_LABEL
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -63,3 +64,40 @@ def test_traced_train_and_parse_time_the_scorer_cky_and_augmentation(tmp_path):
     # the training counters read loss_and_gradients' result, once per sentence
     assert tracer.counts["trainer.updates"] == epochs * sentences
     assert 0.0 <= metrics["trainer.zero_loss_share"] <= 1.0
+
+
+def test_every_timed_and_counted_function_is_traced():
+    # a metric over a function the tracer does not wrap reads 0 without an error
+    tracing = load_tracing()
+    named = {name for functions in tracing.TIMED.values() for name in functions}
+    named |= set(tracing.COUNTERS)
+    traced = {f"{layer}.{name}" for layer, functions in tracing.TRACED.items()
+              for name in functions}
+    assert named - traced == set()
+
+
+def test_traced_parse_counts_every_mapped_tag(tmp_path):
+    corpus = tmp_path / "hist.tags"
+    sentences = [[("diu", "DDART.Nom"), ("frouwe", "NA.Nom")],
+                 [("der", "DDART.Nom"), ("man", "NA.Nom"), ("sach", "VVFIN")]]
+    corpus.write_text("".join("".join(f"{token}\t{tag}\n" for token, tag in sentence) + "\n"
+                              for sentence in sentences), encoding="utf-8")
+    tag_map = tmp_path / "hist.tagmap"
+    tag_map.write_text("[pos]\nDDART\tART\nNA\tNN\n", encoding="utf-8")
+    checkpoint = tmp_path / "parser.ckpt"
+    cfg = model.ModelConfig(model_dim=8, num_layers=1, num_heads=2, head_dim=3, ff_dim=8,
+                            label_hidden_dim=6, max_len=32, seed=1)
+    model.save_checkpoint(model.init_params(cfg, [model.UNK, "ART", "NN"], [model.UNK, "Nom"],
+                                            [EMPTY_LABEL, "S"]), checkpoint)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["parse", "--tagged-corpus", str(corpus), "--tag-map", str(tag_map),
+                         "--checkpoint", str(checkpoint),
+                         "--parse-output", str(tmp_path / "pred.brackets")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1)
+    assert metrics["tagmap.tags"] == sum(map(len, sentences))
+    assert metrics["tagmap.map_s"] > 0.0
+    assert metrics["tagmap.changed_share"] == 4 / 5
