@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import chart as _chart
-from .transform import EMPTY_LABEL
+from .transform import CHAIN_SEPARATOR, EMPTY_LABEL
 from .treebank import ExtendedTag, Tree
 
 UNK = "<UNK>"
@@ -221,10 +221,12 @@ def _encode_forward(params: ModelParams, x: np.ndarray, spans: list[slice],
     Returns the encoded rows, per layer the mask of rows finite after it,
     and with ``keep_caches`` per layer the row-wise arrays the backward
     cannot rebuild, ``(xhat1, inv1, att_in, xhat2, inv2, r)``, and each
-    sentence's attention ``(q, k, v, weights)``; the layer norms' outputs
-    are rebuilt from ``xhat`` and the ReLU's mask from ``r``.  Rows of
-    different sentences never mix, and a non-finite residual row stays
-    non-finite, so one sentence's failure leaves the others' bits.
+    sentence's attention ``(q, k, v, row_max, row_sum)``, the softmax's
+    ``(heads, n, 1)`` row max and sum standing in for its weights; the
+    layer norms' outputs are rebuilt from ``xhat`` and the ReLU's mask
+    from ``r``.  Rows of different sentences never mix, and a non-finite
+    residual row stays non-finite, so one sentence's failure leaves the
+    others' bits.
     """
     cfg = params.config
     t = params.tensors
@@ -245,12 +247,14 @@ def _encode_forward(params: ModelParams, x: np.ndarray, spans: list[slice],
                        for m in (q_rows, k_rows, v_rows))
             logits = q @ k.transpose(0, 2, 1)
             logits *= scale
-            logits -= logits.max(axis=-1, keepdims=True)
+            row_max = logits.max(axis=-1, keepdims=True)
+            logits -= row_max
             weights = np.exp(logits, out=logits)
-            weights /= weights.sum(axis=-1, keepdims=True)
+            row_sum = weights.sum(axis=-1, keepdims=True)
+            weights /= row_sum
             att_in[rows] = (weights @ v).transpose(1, 0, 2).reshape(n, heads * dk)
             if keep_caches:
-                attention.append((q, k, v, weights))
+                attention.append((q, k, v, row_max, row_sum))
             del logits, weights
         a = h + att_in @ t[p + "wo"]
         v2, (xhat2, inv2) = _ln_forward(a, t[p + "ln2_gain"], t[p + "ln2_bias"])
@@ -296,15 +300,11 @@ def _layer_backward(params, grads, p, cache, dh):
     """One encoder layer's backward from the gradient ``dh`` on its output.
 
     The layer norms' outputs are rebuilt from ``xhat`` as
-    :func:`_ln_forward` made them, ``r > 0`` is the forward's ``z > 0``
-    (also for NaN and -0.0), and the softmax backward runs in place on one
-    ``(heads, n, n)`` array: the same arithmetic as building it from
-    ``weights * (dweights - rowsum)``, so the same bits.
+    :func:`_ln_forward` made them, and ``r > 0`` is the forward's
+    ``z > 0`` (also for NaN and -0.0).
     """
     t = params.tensors
-    heads, dk = params.config.num_heads, params.config.head_dim
-    n = len(dh)
-    xhat1, inv1, att_in, xhat2, inv2, r, q, k, v, weights = cache
+    xhat1, inv1, att_in, xhat2, inv2, r, q, k, v, row_max, row_sum = cache
     # feedforward branch
     dz = dh @ t[p + "ff_w2"].T
     grads[p + "ff_w2"] += r.T @ dh
@@ -320,29 +320,51 @@ def _layer_backward(params, grads, p, cache, dh):
     # attention branch
     datt = da @ t[p + "wo"].T
     grads[p + "wo"] += att_in.T @ da
-    dheads = datt.reshape(n, heads, dk).transpose(1, 0, 2)
-    dv = weights.transpose(0, 2, 1) @ dheads
-    dlogits = dheads @ v.transpose(0, 2, 1)
-    del datt, dheads
-    for head in range(heads):
-        dlogits[head] -= (dlogits[head] * weights[head]).sum(axis=-1, keepdims=True)
-    dlogits *= weights
-    dlogits *= 1.0 / np.sqrt(dk)
-    dq = dlogits @ k
-    dk_ = dlogits.transpose(0, 2, 1) @ q
-    del dlogits
-    dq_flat = dq.transpose(1, 0, 2).reshape(n, heads * dk)
-    dk_flat = dk_.transpose(1, 0, 2).reshape(n, heads * dk)
-    dv_flat = dv.transpose(1, 0, 2).reshape(n, heads * dk)
-    du = dq_flat @ t[p + "wq"].T + dk_flat @ t[p + "wk"].T + dv_flat @ t[p + "wv"].T
+    dq, dk, dv = _attention_backward(q, k, v, row_max, row_sum, datt)
+    del datt
+    du = dq @ t[p + "wq"].T + dk @ t[p + "wk"].T + dv @ t[p + "wv"].T
     u = t[p + "ln1_gain"] * xhat1 + t[p + "ln1_bias"]
-    grads[p + "wq"] += u.T @ dq_flat
-    grads[p + "wk"] += u.T @ dk_flat
-    grads[p + "wv"] += u.T @ dv_flat
+    grads[p + "wq"] += u.T @ dq
+    grads[p + "wk"] += u.T @ dk
+    grads[p + "wv"] += u.T @ dv
     dh_prev, dg1, db1 = _ln_backward(du, (xhat1, inv1), t[p + "ln1_gain"])
     grads[p + "ln1_gain"] += dg1
     grads[p + "ln1_bias"] += db1
     return da + dh_prev
+
+
+def _attention_backward(q, k, v, row_max, row_sum, datt):
+    """The gradients on one sentence's ``(n, heads * dk)`` query, key and
+    value rows from ``datt`` on its attention output, one head at a time.
+
+    Each head's softmax weights are rebuilt from the forward's row max and
+    sum by the forward's own operations, so they are its bits, and its
+    softmax backward runs in place, the same arithmetic as building it
+    from ``weights * (dweights - rowsum)``.  At most one head's ``(n, n)``
+    weights and gradient are held.
+    """
+    heads, n, dk = q.shape
+    scale = 1.0 / np.sqrt(dk)
+    dheads = datt.reshape(n, heads, dk).transpose(1, 0, 2)
+    grads = tuple(np.empty((n, heads * dk)) for _ in range(3))
+    # each head writes its own columns of the three gradients
+    dq, dk_, dv = (m.reshape(n, heads, dk).transpose(1, 0, 2) for m in grads)
+    for head in range(heads):
+        weights = q[head] @ k[head].T
+        weights *= scale
+        weights -= row_max[head]
+        np.exp(weights, out=weights)
+        weights /= row_sum[head]
+        np.matmul(weights.T, dheads[head], out=dv[head])
+        dlogits = dheads[head] @ v[head].T
+        dlogits -= (dlogits * weights).sum(axis=-1, keepdims=True)
+        dlogits *= weights
+        del weights
+        dlogits *= scale
+        np.matmul(dlogits, k[head], out=dq[head])
+        np.matmul(dlogits.T, q[head], out=dk_[head])
+        del dlogits
+    return grads
 
 
 # Span rows per block of the scorer's hidden layer: about 1 MB at h = 250,
@@ -775,6 +797,10 @@ def load_checkpoint(path) -> ModelParams:
     bad = [label for label in header["labels"] if label.split() != [label]]
     if bad:  # a tree could not be written with it
         raise ModelError(f"checkpoint label {bad[0]!r} is empty or holds whitespace")
+    bad = [label for label in header["labels"] if "" in label.split(CHAIN_SEPARATOR)]
+    if bad:  # debinarizing would make an empty label of it
+        raise ModelError(f"checkpoint label {bad[0]!r} has an empty "
+                         f"{CHAIN_SEPARATOR!r} part")
     fields = header["config"]
     if not (isinstance(fields, dict) and all(type(v) is int for v in fields.values())):
         raise ModelError("checkpoint config is not a map of integers")

@@ -1,5 +1,5 @@
-"""Synthetic treebanks for demos and verification: a morphology-dependent
-corpus and random trees.
+"""A synthetic treebank for demos and verification: a morphology-dependent
+corpus.
 
 Everything here is generated from small word lists with seeded RNGs, so
 corpora are reproducible byte for byte.  The 50-tree toy treebank is the
@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .treebank import Tree
-
-PHRASE_LABELS = ("S", "NP", "VP", "PP", "AP", "ADVP")
-TAG_LABELS = ("NN", "ART", "VVFIN", "ADJA", "ADV", "APPR")
-TOKENS = ("der", "die", "das", "Haus", "Mann", "Frau", "kommt", "sieht",
-          "alte", "gern", "mit", "auf", "heute", "Kind", "(", ")", "a(b")
 
 _GENDERS = ("Masc", "Fem", "Neut")
 _ART = {
@@ -86,51 +81,3 @@ def morph_structure_treebank(count: int, seed: int = 7) -> list[Tree]:
                 _noun_phrase(rng, "Nom")])
         trees.append(tree)
     return trees
-
-
-def random_tree(rng: np.random.Generator, max_leaves: int = 8,
-                unary_prob: float = 0.2) -> Tree:
-    """A random well-formed tree for round-trip property tests."""
-    n_leaves = int(rng.integers(1, max_leaves + 1))
-
-    def wrap_unary(node: Tree) -> Tree:
-        while rng.random() < unary_prob:
-            node = Tree.node(PHRASE_LABELS[rng.integers(len(PHRASE_LABELS))], [node])
-        return node
-
-    def build(n: int) -> Tree:
-        if n == 1:
-            tag = TAG_LABELS[rng.integers(len(TAG_LABELS))]
-            token = TOKENS[rng.integers(len(TOKENS))]
-            return wrap_unary(_pret(tag, token))
-        parts = min(n, 2 + int(rng.integers(3)))
-        cuts = sorted(rng.choice(np.arange(1, n), size=parts - 1, replace=False))
-        sizes = np.diff([0, *cuts, n])
-        label = PHRASE_LABELS[rng.integers(len(PHRASE_LABELS))]
-        return wrap_unary(Tree.node(label, [build(int(s)) for s in sizes]))
-
-    node = build(n_leaves)
-    if node.is_preterminal:  # keep a phrase above the tags
-        node = Tree.node(PHRASE_LABELS[rng.integers(len(PHRASE_LABELS))], [node])
-    return node
-
-
-def random_annotated_tree(rng: np.random.Generator, max_leaves: int = 8) -> Tree:
-    """A random tree decorated with edge labels, coindexation, and traces."""
-    tree = random_tree(rng, max_leaves)
-
-    def decorate(node: Tree, children: list[Tree]) -> Tree:
-        if node.is_preterminal:
-            return node
-        label = node.label
-        if rng.random() < 0.4:
-            label += "-" + ("SB", "OA", "HD", "MO")[rng.integers(4)]
-        if rng.random() < 0.2:
-            label += f"={int(rng.integers(1, 4))}"
-        if rng.random() < 0.25:
-            trace = _pret("-NONE-", ("*T*1", "*", "*T*2")[rng.integers(3)])
-            where = int(rng.integers(len(children) + 1))
-            children.insert(where, trace)
-        return Tree(label, tuple(children))
-
-    return tree.fold(lambda t: t, decorate)

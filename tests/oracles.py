@@ -14,6 +14,7 @@ Viterbi decoding for the tagger.  None of it shares code paths with the
 implementations under test, except the one-sentence forward and loss
 helpers and the training loop built on them, which take each sentence's
 forward, loss and gradients from the library, one sentence at a time.
+It also holds the seeded random trees of the property tests.
 """
 
 from __future__ import annotations
@@ -170,6 +171,25 @@ def sentence_loss(params, tags: list[ExtendedTag], gold_tree: Tree):
     gold = model.gold_indices(params, tags, gold_tree)
     return model.loss_and_gradients(params, sentence_forward(params, tags, gold), gold,
                                     params.zero_grads())
+
+
+def batched_attention_backward(q, k, v, row_max, row_sum, datt):
+    """:func:`model._attention_backward` on the forward's batched
+    ``(heads, n, n)`` softmax weights, rebuilt from ``q`` and ``k`` as the
+    forward makes them; the row max and sum go unused."""
+    heads, n, dk = q.shape
+    logits = q @ k.transpose(0, 2, 1)
+    logits *= 1.0 / np.sqrt(dk)
+    logits -= logits.max(axis=-1, keepdims=True)
+    weights = np.exp(logits)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    dheads = datt.reshape(n, heads, dk).transpose(1, 0, 2)
+    dv = weights.transpose(0, 2, 1) @ dheads
+    dlogits = dheads @ v.transpose(0, 2, 1)
+    dlogits = weights * (dlogits - (dlogits * weights).sum(axis=-1, keepdims=True))
+    dlogits *= 1.0 / np.sqrt(dk)
+    return tuple(m.transpose(1, 0, 2).reshape(n, heads * dk)
+                 for m in (dlogits @ k, dlogits.transpose(0, 2, 1) @ q, dv))
 
 
 def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, tconfig):
@@ -741,6 +761,62 @@ def recursive_label_inventory(trees: list[Tree]) -> list[str]:
     for tree in trees:
         walk(tree)
     return [EMPTY_LABEL] + sorted(labels)
+
+
+# ------------------------------------------------------------- random trees
+
+PHRASE_LABELS = ("S", "NP", "VP", "PP", "AP", "ADVP")
+TAG_LABELS = ("NN", "ART", "VVFIN", "ADJA", "ADV", "APPR")
+TOKENS = ("der", "die", "das", "Haus", "Mann", "Frau", "kommt", "sieht",
+          "alte", "gern", "mit", "auf", "heute", "Kind", "(", ")", "a(b")
+
+
+def random_tree(rng: np.random.Generator, max_leaves: int = 8,
+                unary_prob: float = 0.2) -> Tree:
+    """A random well-formed tree for round-trip property tests."""
+    n_leaves = int(rng.integers(1, max_leaves + 1))
+
+    def wrap_unary(node: Tree) -> Tree:
+        while rng.random() < unary_prob:
+            node = Tree.node(PHRASE_LABELS[rng.integers(len(PHRASE_LABELS))], [node])
+        return node
+
+    def build(n: int) -> Tree:
+        if n == 1:
+            tag = TAG_LABELS[rng.integers(len(TAG_LABELS))]
+            token = TOKENS[rng.integers(len(TOKENS))]
+            return wrap_unary(Tree.node(tag, [Tree.leaf(token)]))
+        parts = min(n, 2 + int(rng.integers(3)))
+        cuts = sorted(rng.choice(np.arange(1, n), size=parts - 1, replace=False))
+        sizes = np.diff([0, *cuts, n])
+        label = PHRASE_LABELS[rng.integers(len(PHRASE_LABELS))]
+        return wrap_unary(Tree.node(label, [build(int(s)) for s in sizes]))
+
+    node = build(n_leaves)
+    if node.is_preterminal:  # keep a phrase above the tags
+        node = Tree.node(PHRASE_LABELS[rng.integers(len(PHRASE_LABELS))], [node])
+    return node
+
+
+def random_annotated_tree(rng: np.random.Generator, max_leaves: int = 8) -> Tree:
+    """A random tree decorated with edge labels, coindexation, and traces."""
+    tree = random_tree(rng, max_leaves)
+
+    def decorate(node: Tree, children: list[Tree]) -> Tree:
+        if node.is_preterminal:
+            return node
+        label = node.label
+        if rng.random() < 0.4:
+            label += "-" + ("SB", "OA", "HD", "MO")[rng.integers(4)]
+        if rng.random() < 0.2:
+            label += f"={int(rng.integers(1, 4))}"
+        if rng.random() < 0.25:
+            trace = Tree.node("-NONE-", [Tree.leaf(("*T*1", "*", "*T*2")[rng.integers(3)])])
+            where = int(rng.integers(len(children) + 1))
+            children.insert(where, trace)
+        return Tree(label, tuple(children))
+
+    return tree.fold(lambda t: t, decorate)
 
 
 # ---------------------------------------------------------------- HMM oracle

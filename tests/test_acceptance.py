@@ -223,11 +223,11 @@ def test_04_evalb_differential():
     rng = np.random.default_rng(4004)
     gold, pred = [], []
     for _ in range(50):
-        base = synthetic.random_tree(rng)
+        base = oracles.random_tree(rng)
         n = len(base.leaf_tokens())
-        other = synthetic.random_tree(rng)
+        other = oracles.random_tree(rng)
         while len(other.leaf_tokens()) != n:
-            other = synthetic.random_tree(rng)
+            other = oracles.random_tree(rng)
         gold.append(base)
         pred.append(other)
 
@@ -341,14 +341,14 @@ def test_06_ablation_mechanics(tmp_path):
 def test_07_round_trips():
     rng = np.random.default_rng(7007)
     for _ in range(1000):
-        tree = synthetic.random_tree(rng)
+        tree = oracles.random_tree(rng)
         assert parse_bracketed(serialize_tree(tree)) == [tree]
     for _ in range(1000):
-        tree = synthetic.random_tree(rng)
+        tree = oracles.random_tree(rng)
         assert debinarize(binarize(tree)) == tree
     checked = 0
     while checked < 500:
-        tree = synthetic.random_annotated_tree(rng)
+        tree = oracles.random_annotated_tree(rng)
         try:
             once = strip_annotations(tree)
         except ValueError:

@@ -909,8 +909,9 @@ def test_a_tag_map_feature_target_holding_whitespace_exits_2_at_load(tmp_path, c
     assert not output.exists()
 
 
-@pytest.mark.parametrize("label", ["A B", "", "A\u3000B"])
+@pytest.mark.parametrize("label", ["A B", "", "A\u3000B", "S+", "+S", "A++B"])
 def test_a_checkpoint_label_that_cannot_be_written_exits_2_at_load(tmp_path, capsys, label):
+    # a label with an empty chain part debinarizes into an empty label
     params = model.load_checkpoint(tiny_checkpoint(tmp_path / "ok.ckpt"))
     params.labels = [EMPTY_LABEL, label]
     bad = tmp_path / "bad.ckpt"
@@ -919,8 +920,10 @@ def test_a_checkpoint_label_that_cannot_be_written_exits_2_at_load(tmp_path, cap
                      "--gold-treebank", str(data.toy_treebank_path()),
                      "--parse-output", f"{tmp_path}/pred.brackets"])
     assert code == 2
+    reason = ("has an empty '+' part" if label.split() == [label]
+              else "is empty or holds whitespace")
     assert capsys.readouterr().err == (f"error: stage=load: {bad}: checkpoint label "
-                                       f"{label!r} is empty or holds whitespace\n")
+                                       f"{label!r} {reason}\n")
     assert not (tmp_path / "pred.brackets").exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from delexparse import data, synthetic
+from delexparse import data
 from delexparse.evalb import (EvalConfig, LabeledSpan, extract_eval_spans,
                               format_summary, score_corpus, score_corpus_detailed,
                               write_report)
@@ -78,8 +78,8 @@ def test_hand_counted_pair():
 
 def test_swap_symmetry():
     rng = np.random.default_rng(31)
-    gold = [synthetic.random_tree(rng) for _ in range(20)]
-    pred = [synthetic.random_tree(rng) for _ in range(20)]
+    gold = [oracles.random_tree(rng) for _ in range(20)]
+    pred = [oracles.random_tree(rng) for _ in range(20)]
     forward = score_corpus(gold, pred)
     backward = score_corpus(pred, gold)
     assert forward.precision == backward.recall
@@ -90,8 +90,8 @@ def test_swap_symmetry():
 
 def test_pos_relabeling_never_changes_scores():
     rng = np.random.default_rng(7)
-    gold = [synthetic.random_tree(rng) for _ in range(10)]
-    pred = [synthetic.random_tree(rng) for _ in range(10)]
+    gold = [oracles.random_tree(rng) for _ in range(10)]
+    pred = [oracles.random_tree(rng) for _ in range(10)]
 
     def relabel(node):
         if node.is_preterminal and node.label not in ("$,", "$.", "$("):
@@ -122,11 +122,11 @@ def test_differential_against_naive_scorer():
     rng = np.random.default_rng(53)
     gold, pred = [], []
     for _ in range(50):
-        base = synthetic.random_tree(rng)
+        base = oracles.random_tree(rng)
         n = len(base.leaf_tokens())
-        other = synthetic.random_tree(rng)
+        other = oracles.random_tree(rng)
         while len(other.leaf_tokens()) != n:
-            other = synthetic.random_tree(rng)
+            other = oracles.random_tree(rng)
         gold.append(base)
         pred.append(other)
     result = score_corpus(gold, pred)

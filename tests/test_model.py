@@ -213,11 +213,13 @@ def test_scores_cache_holds_no_span_sized_array():
             [a.shape for a in arrays]
 
 
-def desk_scorer_params(num_labels, rng, max_len=model.DESK_MODEL.max_len):
-    """Desk-preset parameters for ``num_labels`` labels and ``max_len``
-    tokens, every label tensor moved off its initial value."""
+def desk_scorer_params(num_labels, rng, max_len=model.DESK_MODEL.max_len, **config):
+    """Desk-preset parameters, with the ``config`` fields given, for
+    ``num_labels`` labels and ``max_len`` tokens, every label tensor moved
+    off its initial value."""
     labels = [EMPTY_LABEL] + [f"L{k}" for k in range(1, num_labels)]
-    params = model.init_params(model.ModelConfig(max_len=max_len), POS, FEATS, labels)
+    params = model.init_params(model.ModelConfig(max_len=max_len, **config), POS, FEATS,
+                               labels)
     for name in ("label_b1", "label_ln_gain", "label_ln_bias", "label_b2"):
         params.tensors[name] += rng.standard_normal(params.tensors[name].shape)
     return params
@@ -376,8 +378,10 @@ def test_loss_peak_memory_is_independent_of_the_label_count():
 
 def test_training_step_peak_memory_is_its_caches_and_one_attention_array():
     # the working set is the gradient buffer, the forward's result (its
-    # backward caches and span tables) and one (heads, n, n) array of the
-    # attention backward; the peak stays within 1.25 times that
+    # backward caches and span tables) and the attention backward's one
+    # head's (n, n) weights, their gradient and their product, counted
+    # below as the (heads, n, n) bytes of the desk preset's 4 heads; the
+    # peak stays within 1.25 times that
     n = 256
     sentence = random_tags(np.random.default_rng(5), n)
     rng = np.random.default_rng(7)
@@ -399,6 +403,49 @@ def test_training_step_peak_memory_is_its_caches_and_one_attention_array():
     attention = params.config.num_heads * n * n * 8
     working = grads + result + attention
     assert peak <= 1.25 * working, (peak, grads, result, attention)
+
+
+def training_step_peak(heads, head_dim, n=256):
+    """The traced peak of one training step on an n-token sentence at the
+    desk preset with the attention split into ``heads`` of ``head_dim``."""
+    sentence = random_tags(np.random.default_rng(5), n)
+    rng = np.random.default_rng(7)
+    params = desk_scorer_params(100, rng, n, num_heads=heads, head_dim=head_dim)
+    gold = balanced_tree(rng, sentence, params.labels)
+    oracles.sentence_loss(params, sentence, gold)  # warm-up
+    tracemalloc.start()
+    try:
+        loss, _ = oracles.sentence_loss(params, sentence, gold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loss > 0.0
+    return peak
+
+
+def test_training_step_peak_memory_is_independent_of_the_head_count():
+    # the forward caches each head's softmax row max and sum, not its
+    # weights, and the backward rebuilds one head's weights at a time, so
+    # 8 heads of 16 hold what 4 heads of 32 do
+    n = 256
+    peaks = [training_step_peak(4, 32, n), training_step_peak(8, 16, n)]
+    attention = 8 * n * n * 8
+    assert abs(peaks[1] - peaks[0]) < 0.1 * attention, (peaks, attention)
+
+
+def test_attention_backward_is_the_batched_weights_backward_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(13)
+    params = desk_scorer_params(30, rng)
+    for n in (1, 2, 40, 128):
+        sentence = random_tags(rng, n)
+        gold = balanced_tree(rng, sentence, params.labels)
+        loss, grads = oracles.sentence_loss(params, sentence, gold)
+        assert loss > 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_attention_backward", oracles.batched_attention_backward)
+            _, expected = oracles.sentence_loss(params, sentence, gold)
+        for name, grad in grads.items():
+            assert grad.tobytes() == expected[name].tobytes(), (n, name)
 
 
 def assert_greedy_runs(runs, sizes, budget):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delexparse import synthetic
+import oracles
 from delexparse.transform import (CHAIN_SEPARATOR, EMPTY_LABEL, TransformConfig,
                                   binarize, debinarize, delexicalize_sentence,
                                   delexicalize_tree, filter_target_treebank,
@@ -47,7 +47,7 @@ def test_strip_keeps_preterminal_labels():
 def test_strip_idempotent_on_random_annotated_trees():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        tree = synthetic.random_annotated_tree(rng)
+        tree = oracles.random_annotated_tree(rng)
         try:
             once = strip_annotations(tree, CFG)
         except ValueError:
@@ -71,7 +71,7 @@ def test_delexicalize_without_morphology():
 def test_delexicalize_shape_preserved():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        tree = synthetic.random_tree(rng)
+        tree = oracles.random_tree(rng)
 
         def shape(node):
             if node.is_leaf:
@@ -154,7 +154,7 @@ def test_debinarize_rejects_empty_root():
 def test_binarize_round_trip_random():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        tree = synthetic.random_tree(rng)
+        tree = oracles.random_tree(rng)
         binary = binarize(tree)
 
         def max_arity(node):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from delexparse import data, evalb, synthetic, transform, treebank
+from delexparse import data, evalb, transform, treebank
 from delexparse.treebank import (_SPACE, _TOKEN_RE, ExtendedTag, TaggedSentence, Tree,
                                  TreebankFormatError, parse_bracketed,
                                  read_tag_map, read_tagged_corpus, serialize_tree,
@@ -104,7 +104,7 @@ def test_paren_escaping_round_trip():
 def test_round_trip_random_trees():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        tree = synthetic.random_tree(rng)
+        tree = oracles.random_tree(rng)
         assert parse_bracketed(serialize_tree(tree)) == [tree]
 
 
@@ -300,7 +300,7 @@ def test_a_tree_holds_a_label_and_children_and_a_leafs_token_is_its_label():
 
 def test_a_read_treebank_holds_at_most_100_bytes_per_node():
     rng = np.random.default_rng(0)
-    text = "\n".join(serialize_tree(synthetic.random_annotated_tree(rng, 16))
+    text = "\n".join(serialize_tree(oracles.random_annotated_tree(rng, 16))
                      for _ in range(1500))
     gc.collect()
     tracemalloc.start()
