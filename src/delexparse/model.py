@@ -11,6 +11,7 @@ are recombined across adjacent positions into fencepost vectors; a span
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zlib
@@ -97,9 +98,6 @@ class ModelParams:
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(value) for name, value in self.tensors.items()}
-
-    def copy_tensors(self) -> dict[str, np.ndarray]:
-        return {name: value.copy() for name, value in self.tensors.items()}
 
 
 def _tensor_shapes(config: ModelConfig, num_pos: int, num_features: int,
@@ -320,7 +318,8 @@ def _layer_backward(params, grads, p, cache, dh):
     # attention branch
     datt = da @ t[p + "wo"].T
     grads[p + "wo"] += att_in.T @ da
-    dq, dk, dv = _attention_backward(q, k, v, row_max, row_sum, datt)
+    dq, dk, dv = _attention_backward(q, k, v, row_max, row_sum, datt,
+                                     params.config.max_len)
     del datt
     du = dq @ t[p + "wq"].T + dk @ t[p + "wk"].T + dv @ t[p + "wv"].T
     u = t[p + "ln1_gain"] * xhat1 + t[p + "ln1_bias"]
@@ -333,36 +332,41 @@ def _layer_backward(params, grads, p, cache, dh):
     return da + dh_prev
 
 
-def _attention_backward(q, k, v, row_max, row_sum, datt):
+def _attention_backward(q, k, v, row_max, row_sum, datt, max_len):
     """The gradients on one sentence's ``(n, heads * dk)`` query, key and
-    value rows from ``datt`` on its attention output, one head at a time.
+    value rows from ``datt`` on its attention output, a group of heads at
+    a time.
 
-    Each head's softmax weights are rebuilt from the forward's row max and
-    sum by the forward's own operations, so they are its bits, and its
-    softmax backward runs in place, the same arithmetic as building it
-    from ``weights * (dweights - rowsum)``.  At most one head's ``(n, n)``
-    weights and gradient are held.
+    A group has ``min(heads, (max_len // n) ** 2)`` heads, so its
+    ``(group, n, n)`` arrays are never larger than one head's at
+    ``max_len``: a short sentence runs every head at once, a long one one
+    head at a time.  Each group's softmax weights are rebuilt from the
+    forward's row max and sum by the forward's own operations, so they
+    are its bits, and its softmax backward runs in place, the same
+    arithmetic as building it from ``weights * (dweights - rowsum)``.
     """
     heads, n, dk = q.shape
     scale = 1.0 / np.sqrt(dk)
+    group = min(heads, (max_len // n) ** 2)
     dheads = datt.reshape(n, heads, dk).transpose(1, 0, 2)
     grads = tuple(np.empty((n, heads * dk)) for _ in range(3))
-    # each head writes its own columns of the three gradients
+    # each group writes its own heads' columns of the three gradients
     dq, dk_, dv = (m.reshape(n, heads, dk).transpose(1, 0, 2) for m in grads)
-    for head in range(heads):
-        weights = q[head] @ k[head].T
+    for first in range(0, heads, group):
+        g = slice(first, first + group)
+        weights = q[g] @ k[g].transpose(0, 2, 1)
         weights *= scale
-        weights -= row_max[head]
+        weights -= row_max[g]
         np.exp(weights, out=weights)
-        weights /= row_sum[head]
-        np.matmul(weights.T, dheads[head], out=dv[head])
-        dlogits = dheads[head] @ v[head].T
+        weights /= row_sum[g]
+        np.matmul(weights.transpose(0, 2, 1), dheads[g], out=dv[g])
+        dlogits = dheads[g] @ v[g].transpose(0, 2, 1)
         dlogits -= (dlogits * weights).sum(axis=-1, keepdims=True)
         dlogits *= weights
         del weights
         dlogits *= scale
-        np.matmul(dlogits, k[head], out=dq[head])
-        np.matmul(dlogits.T, q[head], out=dk_[head])
+        np.matmul(dlogits, k[g], out=dq[g])
+        np.matmul(dlogits.transpose(0, 2, 1), q[g], out=dk_[g])
         del dlogits
     return grads
 
@@ -709,8 +713,18 @@ def build_vocabularies(sentences: list[list[ExtendedTag]]) -> tuple[list[str], l
     return [UNK] + sorted(pos), [UNK] + sorted(features)
 
 
+def _opened(path, mode: str):
+    """``path`` opened in ``mode``, or, if it is an open binary file
+    already, that file, left open."""
+    if isinstance(path, (str, bytes, os.PathLike)):
+        return open(path, mode)
+    return contextlib.nullcontext(path)
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Single-file checkpoint: magic, version, JSON header, raw tensors.
+    """Single-file checkpoint: magic, version, JSON header, raw tensors,
+    written to the file ``path`` names or, from its current position, to
+    an open binary file.
 
     The header records the config, label inventory, vocabularies, and a
     tensor directory with name, shape, byte offset, and CRC32; tensor data
@@ -742,7 +756,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("ascii")
     try:
-        with open(path, "wb") as fh:
+        with _opened(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
             fh.write(len(header_bytes).to_bytes(8, "little"))
@@ -760,10 +774,11 @@ _ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes", "crc32")
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a :func:`save_checkpoint` file; a malformed or truncated one
-    raises :class:`ModelError`.  The tensors are writable views of one
-    buffer holding everything after the header."""
-    with open(path, "rb") as fh:
+    """Read a :func:`save_checkpoint` file, named by ``path`` or open and
+    read from its current position; a malformed or truncated one raises
+    :class:`ModelError`.  The tensors are writable views of one buffer
+    holding everything after the header."""
+    with _opened(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(16)
         magic = prefix[:4]

@@ -7,7 +7,9 @@ bracket scorer, and the checkpoint with the highest dev F1 is returned.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,6 +123,9 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
     Vocabularies and the label inventory come from the training trees only.
     The training log gets one ``epoch<TAB>train_loss<TAB>dev_F1`` line per
     epoch.  Dev labels unseen in training simply can never be predicted.
+    The dev-best params wait in an anonymous file in the standard
+    temporary directory (``TMPDIR``), and an ``OSError`` there names that
+    directory.
     """
     if not train_trees:
         raise ValueError("empty training set")
@@ -144,39 +149,63 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
 
     best_f1 = -1.0
     best_epoch = 0
-    best_tensors = params.copy_tensors()
     grads = params.zero_grads()
     log_lines: list[str] = []
     order = np.arange(len(train_trees))
-    for epoch in range(1, tconfig.epochs + 1):
-        if tconfig.shuffle:
-            order = rng.permutation(len(train_trees))
-        losses: list[float] = []
-        for minibatch, start in enumerate(range(0, len(order), tconfig.batch_size), 1):
-            batch = order[start:start + tconfig.batch_size].tolist()
-            try:
-                _batch_gradients(params, grads, train_tags, golds, batch, losses)
-            except model.ModelError as exc:
-                raise model.ModelError(f"epoch {epoch}, minibatch {minibatch}, {exc}") from None
-            optimizer.step(params, grads)
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        dev_f1 = _dev_fscore(params, dev_tags, dev_gold)
-        log_lines.append(f"{epoch}\t{mean_loss:.6f}\t{dev_f1:.4f}")
-        log.info("epoch %d: train_loss %.6f dev_F1 %.4f", epoch, mean_loss, dev_f1)
-        if dev_f1 > best_f1:
-            best_f1 = dev_f1
-            best_epoch = epoch
-            for name, tensor in params.tensors.items():
-                np.copyto(best_tensors[name], tensor)
-        if (checkpoint_dir is not None and tconfig.checkpoint_every
-                and epoch % tconfig.checkpoint_every == 0):
-            model.save_checkpoint(params, Path(checkpoint_dir) / f"epoch_{epoch:04d}.ckpt")
+    # a file of this call's own, so training holds no fifth
+    # parameter-sized array
+    with _in_temp_dir():
+        best_file = tempfile.TemporaryFile()
+    try:
+        for epoch in range(1, tconfig.epochs + 1):
+            if tconfig.shuffle:
+                order = rng.permutation(len(train_trees))
+            losses: list[float] = []
+            for minibatch, start in enumerate(range(0, len(order), tconfig.batch_size), 1):
+                batch = order[start:start + tconfig.batch_size].tolist()
+                try:
+                    _batch_gradients(params, grads, train_tags, golds, batch, losses)
+                except model.ModelError as exc:
+                    raise model.ModelError(
+                        f"epoch {epoch}, minibatch {minibatch}, {exc}") from None
+                optimizer.step(params, grads)
+            mean_loss = float(np.mean(losses)) if losses else 0.0
+            dev_f1 = _dev_fscore(params, dev_tags, dev_gold)
+            log_lines.append(f"{epoch}\t{mean_loss:.6f}\t{dev_f1:.4f}")
+            log.info("epoch %d: train_loss %.6f dev_F1 %.4f", epoch, mean_loss, dev_f1)
+            if dev_f1 > best_f1:
+                best_f1 = dev_f1
+                best_epoch = epoch
+                with _in_temp_dir():
+                    best_file.seek(0)
+                    best_file.truncate()
+                    model.save_checkpoint(params, best_file)
+            if (checkpoint_dir is not None and tconfig.checkpoint_every
+                    and epoch % tconfig.checkpoint_every == 0):
+                model.save_checkpoint(params, Path(checkpoint_dir) / f"epoch_{epoch:04d}.ckpt")
 
-    if log_path is not None:
-        write_lines(log_path, log_lines)
-    log.info("best dev F1 %.4f at epoch %d", best_f1, best_epoch)
-    return model.ModelParams(mconfig, params.pos_names, params.feature_names,
-                             params.labels, best_tensors)
+        if log_path is not None:
+            write_lines(log_path, log_lines)
+        log.info("best dev F1 %.4f at epoch %d", best_f1, best_epoch)
+        # read back once params, the gradient and Adam's moments are freed
+        del params, grads, optimizer
+        with _in_temp_dir():
+            best_file.seek(0)
+            return model.load_checkpoint(best_file)
+    finally:  # a write that failed leaves bytes that closing tries again
+        with _in_temp_dir():
+            best_file.close()
+
+
+@contextlib.contextmanager
+def _in_temp_dir():
+    """An ``OSError`` raised inside names the temporary directory, since
+    the dev-best file in it has no name of its own."""
+    try:
+        yield
+    except OSError as exc:
+        exc.filename = tempfile.gettempdir()
+        raise
 
 
 def _batch_gradients(params: model.ModelParams, grads: dict[str, np.ndarray],

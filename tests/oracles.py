@@ -173,10 +173,10 @@ def sentence_loss(params, tags: list[ExtendedTag], gold_tree: Tree):
                                     params.zero_grads())
 
 
-def batched_attention_backward(q, k, v, row_max, row_sum, datt):
+def batched_attention_backward(q, k, v, row_max, row_sum, datt, max_len):
     """:func:`model._attention_backward` on the forward's batched
     ``(heads, n, n)`` softmax weights, rebuilt from ``q`` and ``k`` as the
-    forward makes them; the row max and sum go unused."""
+    forward makes them; the row max and sum and ``max_len`` go unused."""
     heads, n, dk = q.shape
     logits = q @ k.transpose(0, 2, 1)
     logits *= 1.0 / np.sqrt(dk)
@@ -190,6 +190,11 @@ def batched_attention_backward(q, k, v, row_max, row_sum, datt):
     dlogits *= 1.0 / np.sqrt(dk)
     return tuple(m.transpose(1, 0, 2).reshape(n, heads * dk)
                  for m in (dlogits @ k, dlogits.transpose(0, 2, 1) @ q, dv))
+
+
+def copy_tensors(params) -> dict[str, np.ndarray]:
+    """A copy of each of ``params``' tensors, by name."""
+    return {name: value.copy() for name, value in params.tensors.items()}
 
 
 def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, tconfig):
@@ -207,7 +212,7 @@ def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, 
     optimizer = trainer._Optimizer(params, tconfig)
     rng = np.random.default_rng(tconfig.seed)
     dev_gold = [debinarize(t) for t in dev_trees]
-    best_f1, best_tensors, log_lines = -1.0, params.copy_tensors(), []
+    best_f1, best_tensors, log_lines = -1.0, copy_tensors(params), []
     order = np.arange(len(train_trees))
     for epoch in range(1, tconfig.epochs + 1):
         if tconfig.shuffle:
@@ -233,7 +238,7 @@ def per_sentence_train(train_trees: list[Tree], dev_trees: list[Tree], mconfig, 
         dev_f1 = evalb.score_corpus(dev_gold, predictions).fscore
         log_lines.append(f"{epoch}\t{float(np.mean(losses)):.6f}\t{dev_f1:.4f}")
         if dev_f1 > best_f1:
-            best_f1, best_tensors = dev_f1, params.copy_tensors()
+            best_f1, best_tensors = dev_f1, copy_tensors(params)
     return model.ModelParams(mconfig, params.pos_names, params.feature_names,
                              params.labels, best_tensors), log_lines
 

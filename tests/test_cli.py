@@ -1,7 +1,9 @@
 import errno
 import gc
+import io
 import json
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -534,6 +536,47 @@ def test_train_makes_no_checkpoint_dir_without_checkpoint_every(tmp_path):
     assert cli.main(["train", "--config", str(config), "--checkpoint-dir", str(checkpoints),
                      "--dev-treebank", str(empty)]) == 2
     assert not checkpoints.exists()
+
+
+class DevFull(io.BufferedRandom):
+    """A file on ``/dev/full``, where every write that reaches the device
+    fails for want of space; it keeps no length, so truncating does nothing."""
+
+    def __init__(self):
+        super().__init__(io.FileIO("/dev/full", "r+"))
+
+    def truncate(self, size=None):
+        return 0
+
+
+def run_outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case", ["missing-dir", "failed-write"])
+def test_a_failed_dev_best_write_exits_2_at_write_naming_the_temp_dir(tmp_path, capsys,
+                                                                       monkeypatch, case):
+    # train keeps the dev-best params in an anonymous file in the standard
+    # temporary directory; a failure there leaves the last run's outputs
+    config = write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == 0
+    before = run_outputs(tmp_path / "out")
+    assert {"parser.ckpt", "parser.ckpt.manifest", "train.log"} <= set(before)
+    temp = tmp_path / "temp"
+    if case == "missing-dir":
+        reason = os.strerror(errno.ENOENT)
+    else:
+        if not Path("/dev/full").exists():
+            pytest.skip("needs /dev/full")
+        temp.mkdir()
+        reason = os.strerror(errno.ENOSPC)
+        monkeypatch.setattr(tempfile, "TemporaryFile", DevFull)
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: stage=write: {temp}: {reason}\n", err
+    assert run_outputs(tmp_path / "out") == before
 
 
 def test_empty_dev_treebank_exits_2_at_train(tmp_path, capsys):

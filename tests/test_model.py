@@ -434,18 +434,26 @@ def test_training_step_peak_memory_is_independent_of_the_head_count():
 
 
 def test_attention_backward_is_the_batched_weights_backward_bit_for_bit(monkeypatch):
+    # the backward runs min(heads, (max_len // n) ** 2) heads at a time: at
+    # max_len 128, 4 heads run together up to n = 64 and one at a time
+    # above; 6 heads run together up to n = 42, as a group of 4 and one of
+    # 2 from 43 to 64, and one at a time above
     rng = np.random.default_rng(13)
-    params = desk_scorer_params(30, rng)
-    for n in (1, 2, 40, 128):
-        sentence = random_tags(rng, n)
-        gold = balanced_tree(rng, sentence, params.labels)
-        loss, grads = oracles.sentence_loss(params, sentence, gold)
-        assert loss > 0.0
-        with monkeypatch.context() as patch:
-            patch.setattr(model, "_attention_backward", oracles.batched_attention_backward)
-            _, expected = oracles.sentence_loss(params, sentence, gold)
-        for name, grad in grads.items():
-            assert grad.tobytes() == expected[name].tobytes(), (n, name)
+    for heads, head_dim, lengths in ((4, 32, (1, 2, 40, 128)),
+                                     (6, 16, (1, 3, 41, 43, 63, 65, 127))):
+        params = desk_scorer_params(30, rng, num_heads=heads, head_dim=head_dim)
+        groups = {min(heads, (params.config.max_len // n) ** 2) for n in lengths}
+        assert groups == ({1, 4} if heads == 4 else {1, 4, 6})
+        for n in lengths:
+            sentence = random_tags(rng, n)
+            gold = balanced_tree(rng, sentence, params.labels)
+            loss, grads = oracles.sentence_loss(params, sentence, gold)
+            assert loss > 0.0
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "_attention_backward", oracles.batched_attention_backward)
+                _, expected = oracles.sentence_loss(params, sentence, gold)
+            for name, grad in grads.items():
+                assert grad.tobytes() == expected[name].tobytes(), (heads, n, name)
 
 
 def assert_greedy_runs(runs, sizes, budget):

@@ -1,4 +1,5 @@
 import logging
+import tempfile
 import tracemalloc
 import weakref
 
@@ -143,16 +144,83 @@ def test_checkpoint_every_writes_intermediates(tmp_path):
 
 
 def test_train_allocates_its_gradient_and_dev_best_buffers_once(monkeypatch):
-    calls = {"zero_grads": 0, "copy_tensors": 0}
-    for name in calls:
-        def counted(self, original=getattr(model.ModelParams, name), name=name):
+    # the dev-best params go to one anonymous temporary file per call
+    calls = {"zero_grads": 0, "TemporaryFile": 0}
+
+    def counted(original, name):
+        def call(*args, **kwargs):
             calls[name] += 1
-            return original(self)
-        monkeypatch.setattr(model.ModelParams, name, counted)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(model.ModelParams, "zero_grads",
+                        counted(model.ModelParams.zero_grads, "zero_grads"))
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        counted(tempfile.TemporaryFile, "TemporaryFile"))
     trees = prepared_toy(6)
     tcfg = trainer.TrainConfig(epochs=4, batch_size=2, optimizer="sgd", learning_rate=3e-3)
     trainer.train(trees, trees, SMALL, tcfg)
-    assert calls == {"zero_grads": 1, "copy_tensors": 1}
+    assert calls == {"zero_grads": 1, "TemporaryFile": 1}
+
+
+def test_train_holds_four_parameter_sized_arrays_not_five():
+    # params, Adam's m and v and the gradient; the dev-best params wait on
+    # disk and are read back once the other four are freed.  Wide layers and
+    # two short sentences per minibatch make the parameters dominate: the
+    # rest is Adam's two largest-tensor scratch rows and one run's caches
+    cfg = model.ModelConfig(model_dim=256, num_layers=4, num_heads=2, head_dim=128,
+                            ff_dim=256, label_hidden_dim=32, max_len=32, seed=10)
+    trees = prepared_toy(6)
+    tcfg = trainer.TrainConfig(epochs=2, batch_size=2)
+    trainer.train(trees[:2], trees[:2], cfg, trainer.TrainConfig(epochs=1))  # warm-up
+    tracemalloc.start()
+    try:
+        params = trainer.train(trees, trees, cfg, tcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(tensor.nbytes for tensor in params.tensors.values())
+    assert peak < 4.5 * nbytes, peak / nbytes
+
+
+def test_train_returns_the_dev_best_epochs_params_bit_for_bit(tmp_path):
+    # dev F1 peaks at epoch 2 of 5 here, so the last epoch's params differ
+    trees = prepared_toy(20)
+    tcfg = trainer.TrainConfig(epochs=5, batch_size=4, learning_rate=1e-2, seed=2,
+                               checkpoint_every=1)
+    params = trainer.train(trees[:10], trees[10:], SMALL, tcfg,
+                           log_path=tmp_path / "train.log", checkpoint_dir=tmp_path)
+    f1 = [float(line.split("\t")[2])
+          for line in (tmp_path / "train.log").read_text().splitlines()]
+    best = f1.index(max(f1)) + 1
+    assert best < len(f1) == 5
+    model.save_checkpoint(params, tmp_path / "returned.ckpt")
+    returned = (tmp_path / "returned.ckpt").read_bytes()
+    assert returned == (tmp_path / f"epoch_{best:04d}.ckpt").read_bytes()
+    assert returned != (tmp_path / "epoch_0005.ckpt").read_bytes()
+
+
+def test_train_leaves_no_file_in_the_temporary_directory(tmp_path, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    trees = prepared_toy(6)
+    tcfg = trainer.TrainConfig(epochs=3, batch_size=2)
+    trainer.train(trees, trees, SMALL, tcfg)
+    assert list(temp.iterdir()) == []
+
+    dev_fscore, calls = trainer._dev_fscore, []
+
+    def failing_second_epoch(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("stopped in epoch 2")
+        return dev_fscore(*args)
+
+    monkeypatch.setattr(trainer, "_dev_fscore", failing_second_epoch)
+    with pytest.raises(RuntimeError, match="epoch 2"):
+        trainer.train(trees, trees, SMALL, tcfg)
+    assert list(temp.iterdir()) == []
 
 
 @pytest.mark.parametrize("optimizer, batch_size, pack_tokens", [
@@ -308,7 +376,7 @@ def test_optimizer_steps_are_the_plain_formula_bit_for_bit(optimizer):
     params = model.init_params(SMALL, [model.UNK, "NN"], [model.UNK, "Sg"], labels)
     config = trainer.TrainConfig(optimizer=optimizer, learning_rate=3e-3)
     optimizer_state = trainer._Optimizer(params, config)
-    expected = params.copy_tensors()
+    expected = oracles.copy_tensors(params)
     m = {name: np.zeros_like(value) for name, value in expected.items()}
     v = {name: np.zeros_like(value) for name, value in expected.items()}
     b1, b2, lr = config.beta1, config.beta2, config.learning_rate
