@@ -152,6 +152,14 @@ def _prepare_trees(trees, cfg: PipelineConfig):
     return _each_tree(trees, prepare)
 
 
+def _reads(cfg: PipelineConfig) -> str:
+    """What a model trained or run under ``cfg`` reads of each token; a
+    lexicalized model reads the words, whatever ``keep_morphology`` says."""
+    if cfg.mode == "lexicalized":
+        return "words"
+    return "tags" if cfg.transform.keep_morphology else "pos"
+
+
 def cmd_train(run: _Run) -> None:
     cfg = run.cfg
     checkpoint_dir = cfg.paths.get("checkpoint_dir")
@@ -170,7 +178,7 @@ def cmd_train(run: _Run) -> None:
     try:
         params = trainer.train(train_trees, dev_trees, cfg.model, cfg.train,
                                log_path=log_path, checkpoint_dir=checkpoint_dir,
-                               atomic_tags=(cfg.mode == "lexicalized"),
+                               reads=_reads(cfg),
                                morph_separator=cfg.transform.morph_separator)
     except ValueError as exc:
         raise CliError("train", str(exc)) from exc
@@ -178,9 +186,9 @@ def cmd_train(run: _Run) -> None:
     print(f"checkpoint written to {checkpoint}")
 
 
-def _gather_sentences(run: _Run) -> list[TaggedSentence]:
-    """The input sentences from the configured source.  In lexicalized
-    mode a tokens file needs no tagger: each word is its own tag."""
+def _gather_sentences(run: _Run, reads: str) -> list[TaggedSentence]:
+    """The input sentences from the configured source.  For a model that
+    reads words a tokens file needs no tagger: each word is its own tag."""
     cfg = run.cfg
     tcfg = cfg.transform
     if cfg.use_gold_tags:
@@ -198,7 +206,7 @@ def _gather_sentences(run: _Run) -> list[TaggedSentence]:
         return run.read("tagged_corpus", read_tagged_corpus_file, tcfg.morph_separator)
     if cfg.paths.get("tokens"):
         lines = run.read("tokens", _token_lines)
-        if cfg.mode == "lexicalized":
+        if reads == "words":
             return [TaggedSentence(tuple(tokens), tuple(map(ExtendedTag, tokens)))
                     for tokens in lines]
         tag_model = run.read("tagger_model", tagger.load_tagger, tcfg.morph_separator)
@@ -211,15 +219,20 @@ def cmd_parse(run: _Run) -> None:
     cfg = run.cfg
     output = run.output("parse_output")
     params = run.read("checkpoint", model.load_checkpoint)
-    lexicalized = cfg.mode == "lexicalized"
-    sentences = _gather_sentences(run)
-    if cfg.apply_mapping and not lexicalized:
+    # the manifest records this run's config, so a checkpoint that reads
+    # something else is refused rather than followed
+    wanted = _reads(cfg)
+    if params.reads != wanted:
+        raise CliError("load", f"{run.inputs['checkpoint']['path']}: the model reads "
+                               f"{params.reads}, but this run's mode and morphology "
+                               f"settings read {wanted}")
+    sentences = _gather_sentences(run, params.reads)
+    if cfg.apply_mapping and params.reads != "words":
         table = _tag_map(run)
         sentences = [tagmap.map_sentence(s, table, cfg.composite_separator)
                      for s in sentences]
-    # the model reads the words in lexicalized mode, else the (mapped) tags
-    tag_lists = [[ExtendedTag(token) for token in s.tokens] if lexicalized
-                 else list(s.tags) if cfg.transform.keep_morphology
+    tag_lists = [[ExtendedTag(token) for token in s.tokens] if params.reads == "words"
+                 else list(s.tags) if params.reads == "tags"
                  else [ExtendedTag(t.pos) for t in s.tags]
                  for s in sentences]
     results = trainer.parse_corpus(params, tag_lists)
@@ -229,7 +242,7 @@ def cmd_parse(run: _Run) -> None:
         sentence, tag_list, tree = item
         if tree is None:
             tree = trainer.fallback_tree(tag_list)
-        if lexicalized:
+        if params.reads == "words":
             # the preterminals carry the words the model read; restore the tags
             tree = transform.relabel_preterminals(tree, [t.pos for t in sentence.tags])
         return serialize_tree(transform.relexicalize_tree(tree, sentence.tokens))

@@ -28,7 +28,11 @@ UNK = "<UNK>"
 LN_EPS = 1e-5
 
 CHECKPOINT_MAGIC = b"DPXM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# what a model reads of each token: its full extended tag, the POS part
+# alone, or the word itself (the lexicalized baseline)
+READS = ("tags", "pos", "words")
 
 
 class ModelError(ValueError):
@@ -77,18 +81,22 @@ class ModelParams:
     the same keys.  Index 0 of both vocabularies is the unknown symbol, and
     label index 0 is the reserved empty label whose score is fixed at zero
     (the label output matrix has one column per non-empty label).
+    ``reads`` is one of :data:`READS`: what the model reads of each token.
     """
 
     def __init__(self, config: ModelConfig, pos_names: list[str],
                  feature_names: list[str], labels: list[str],
-                 tensors: dict[str, np.ndarray]):
+                 tensors: dict[str, np.ndarray], reads: str = "tags"):
         if labels[0] != EMPTY_LABEL:
             raise ModelError("label inventory must start with the empty label")
         if len(labels) < 2:
             raise ModelError("label inventory has no phrase label")
         if pos_names[0] != UNK or feature_names[0] != UNK:
             raise ModelError("vocabularies must start with the unknown symbol")
+        if reads not in READS:
+            raise ModelError(f"model reads {reads!r}, not one of {', '.join(READS)}")
         self.config = config
+        self.reads = reads
         self.pos_names = list(pos_names)
         self.feature_names = list(feature_names)
         self.labels = list(labels)
@@ -128,7 +136,8 @@ _UNIFORM_INIT = ("pos_embedding", "feature_embedding", "position_encoding", "bou
 
 
 def init_params(config: ModelConfig, pos_names: list[str],
-                feature_names: list[str], labels: list[str]) -> ModelParams:
+                feature_names: list[str], labels: list[str],
+                reads: str = "tags") -> ModelParams:
     """Seeded initialization, drawn in checkpoint order: uniform(-0.1, 0.1)
     embeddings, position encodings and boundaries, fan-in scaled Gaussian
     weight matrices, unit gains and zero biases."""
@@ -144,7 +153,7 @@ def init_params(config: ModelConfig, pos_names: list[str],
             tensors[name] = np.ones(shape)
         else:
             tensors[name] = np.zeros(shape)
-    return ModelParams(config, pos_names, feature_names, labels, tensors)
+    return ModelParams(config, pos_names, feature_names, labels, tensors, reads)
 
 
 def _ln_forward(x, gain, bias):
@@ -726,9 +735,10 @@ def save_checkpoint(params: ModelParams, path) -> None:
     written to the file ``path`` names or, from its current position, to
     an open binary file.
 
-    The header records the config, label inventory, vocabularies, and a
-    tensor directory with name, shape, byte offset, and CRC32; tensor data
-    is little-endian float64 in directory order.
+    The header records the config, what the model reads, the label
+    inventory, vocabularies, and a tensor directory with name, shape, byte
+    offset, and CRC32; tensor data is little-endian float64, contiguous in
+    directory order from offset 0, with nothing after the last tensor.
     """
     blobs = []
     directory = []
@@ -749,6 +759,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
+        "reads": params.reads,
         "labels": params.labels,
         "pos_vocab": params.pos_names,
         "feature_vocab": params.feature_names,
@@ -768,8 +779,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
         raise
 
 
-_HEADER_KEYS = ("format_version", "config", "labels", "pos_vocab", "feature_vocab",
-                "tensors")
+_HEADER_KEYS = ("format_version", "config", "reads", "labels", "pos_vocab",
+                "feature_vocab", "tensors")
 _ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes", "crc32")
 
 
@@ -838,6 +849,7 @@ def load_checkpoint(path) -> ModelParams:
     if [entry["name"] for entry in entries] != list(expected):
         raise ModelError("checkpoint tensor names do not match its config")
     tensors: dict[str, np.ndarray] = {}
+    end = 0  # each tensor starts where the one before it ends, the first at 0
     for entry in entries:
         name, shape = entry["name"], expected[entry["name"]]
         if entry["dtype"] != "<f8":
@@ -846,14 +858,20 @@ def load_checkpoint(path) -> ModelParams:
             raise ModelError(f"tensor {name!r} has shape {entry['shape']}, "
                              f"expected {list(shape)} from the config and vocabularies")
         start, nbytes = entry["offset"], 8 * int(np.prod(shape))
-        if entry["nbytes"] != nbytes or not isinstance(start, int) or start < 0:
+        if entry["nbytes"] != nbytes or not isinstance(start, int):
             raise ModelError(f"bad offset or size for tensor {name!r}")
-        if start + nbytes > len(blob):
+        if start != end:
+            raise ModelError(f"tensor {name!r} is at offset {start}, not {end}")
+        end += nbytes
+        if end > len(blob):
             raise ModelError(f"checkpoint truncated: tensor {name!r} needs bytes "
-                             f"{start}..{start + nbytes} of a {len(blob)}-byte blob")
-        chunk = blob[start:start + nbytes]
+                             f"{start}..{end} of a {len(blob)}-byte blob")
+        chunk = blob[start:end]
         if zlib.crc32(chunk) != entry["crc32"]:
             raise ModelError(f"checksum mismatch for tensor {name!r}")
         tensors[name] = chunk.view("<f8").reshape(shape)
+    if end != len(blob):
+        raise ModelError(f"checkpoint has {len(blob) - end} trailing bytes "
+                         f"after its last tensor")
     return ModelParams(config, header["pos_vocab"], header["feature_vocab"],
-                       header["labels"], tensors)
+                       header["labels"], tensors, header["reads"])

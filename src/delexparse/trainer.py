@@ -56,10 +56,16 @@ DESK_TRAIN = TrainConfig()
 PAPER_TRAIN = TrainConfig(epochs=50, batch_size=32, learning_rate=5e-5)
 
 
+_STEP_BLOCK = 1 << 15  # elements in a row of Adam's scratch, unless a tensor row is wider
+
+
 class _Optimizer:
     """SGD, or Adam updating its moments and the parameters in place,
-    through per-tensor views of two scratch buffers allocated once, in the
-    order of ``tensor -= lr * (m / c1) / (sqrt(v / c2) + eps)``."""
+    through views of two scratch rows allocated once, in the order of
+    ``tensor -= lr * (m / c1) / (sqrt(v / c2) + eps)``.  A tensor larger
+    than a row is stepped in blocks of whole rows along axis 0 (views
+    whatever the layout), so one dominant tensor does not make the
+    scratch cost two more parameter-sized arrays."""
 
     def __init__(self, params: model.ModelParams, config: TrainConfig):
         self.config = config
@@ -67,9 +73,17 @@ class _Optimizer:
         if config.optimizer == "adam":
             self.m = params.zero_grads()
             self.v = params.zero_grads()
-            scratch = np.empty((2, max(t.size for t in params.tensors.values())))
-            self.scratch = {name: tuple(row[:t.size].reshape(t.shape) for row in scratch)
-                            for name, t in params.tensors.items()}
+            width = max([_STEP_BLOCK] + [t[:1].size for t in params.tensors.values()])
+            scratch = np.empty((2, width))
+            # each tensor's blocks: (its rows, or None when it is one block,
+            # then the update and denom views of the scratch)
+            self.blocks = {}
+            for name, t in params.tensors.items():
+                step = len(t) if t.size <= width else width // t[:1].size
+                self.blocks[name] = [
+                    (None if step == len(t) else slice(k, k + step),
+                     *(row[:block.size].reshape(block.shape) for row in scratch))
+                    for k in range(0, len(t), step) for block in [t[k:k + step]]]
 
     def step(self, params: model.ModelParams, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
@@ -81,32 +95,31 @@ class _Optimizer:
         b1, b2 = cfg.beta1, cfg.beta2
         correct1 = 1.0 - b1 ** self.step_count
         correct2 = 1.0 - b2 ** self.step_count
-        for name, tensor in params.tensors.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            update, denom = self.scratch[name]
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=update)
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=update)
-            v += np.multiply(update, g, out=update)
-            np.divide(m, correct1, out=update)
-            update *= cfg.learning_rate
-            np.divide(v, correct2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += cfg.eps
-            tensor -= np.divide(update, denom, out=update)
+        for name, whole in params.tensors.items():
+            arrays = whole, grads[name], self.m[name], self.v[name]
+            for rows, update, denom in self.blocks[name]:
+                tensor, g, m, v = arrays if rows is None else (a[rows] for a in arrays)
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=update)
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=update)
+                v += np.multiply(update, g, out=update)
+                np.divide(m, correct1, out=update)
+                update *= cfg.learning_rate
+                np.divide(v, correct2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += cfg.eps
+                tensor -= np.divide(update, denom, out=update)
 
 
 def tree_tag_sequence(tree: Tree, morph_separator: str = TAG_SEPARATOR,
-                      atomic: bool = False) -> list[ExtendedTag]:
+                      reads: str = "tags") -> list[ExtendedTag]:
     """Recover the tag sequence from a delexicalized tree's leaf tokens.
 
-    With ``atomic`` the tokens are kept whole (lexicalized baseline mode,
-    where the model embeds word types rather than factored tags).
+    A model that reads ``"words"`` keeps the tokens whole (the lexicalized
+    baseline, which embeds word types rather than factored tags).
     """
-    if atomic:
+    if reads == "words":
         return [ExtendedTag(token) for token in tree.leaf_tokens()]
     return [ExtendedTag.parse(token, morph_separator) for token in tree.leaf_tokens()]
 
@@ -115,11 +128,12 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
           mconfig: model.ModelConfig, tconfig: TrainConfig,
           log_path: str | Path | None = None,
           checkpoint_dir: str | Path | None = None,
-          atomic_tags: bool = False,
+          reads: str = "tags",
           morph_separator: str = TAG_SEPARATOR) -> model.ModelParams:
     """Train on binarized delexicalized trees; return the dev-best params.
 
-    Leaf tokens are the trees' tags, split on ``morph_separator``.
+    Leaf tokens are the trees' tags, split on ``morph_separator``, or whole
+    words for a model that ``reads`` them (one of :data:`model.READS`).
     Vocabularies and the label inventory come from the training trees only.
     The training log gets one ``epoch<TAB>train_loss<TAB>dev_F1`` line per
     epoch.  Dev labels unseen in training simply can never be predicted.
@@ -131,8 +145,8 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
         raise ValueError("empty training set")
     if not dev_trees:
         raise ValueError("empty dev set")
-    train_tags = [tree_tag_sequence(t, morph_separator, atomic_tags) for t in train_trees]
-    dev_tags = [tree_tag_sequence(t, morph_separator, atomic_tags) for t in dev_trees]
+    train_tags = [tree_tag_sequence(t, morph_separator, reads) for t in train_trees]
+    dev_tags = [tree_tag_sequence(t, morph_separator, reads) for t in dev_trees]
     longest = max(len(tags) for tags in train_tags)
     if longest > mconfig.max_len:
         raise ValueError(
@@ -141,7 +155,7 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
     labels = model.build_label_inventory(train_trees)
     if len(labels) < 2:
         raise ValueError("training trees contain no phrase labels")
-    params = model.init_params(mconfig, pos_names, feature_names, labels)
+    params = model.init_params(mconfig, pos_names, feature_names, labels, reads)
     golds = [model.gold_indices(params, tags, tree) for tags, tree in zip(train_tags, train_trees)]
     optimizer = _Optimizer(params, tconfig)
     rng = np.random.default_rng(tconfig.seed)

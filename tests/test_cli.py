@@ -198,6 +198,59 @@ def test_no_morph_flag_changes_parser_input(tmp_path):
     assert header["feature_vocab"] == ["<UNK>"]
 
 
+# the parse flags for each value of model.READS; a lexicalized model reads
+# the words with or without --no-morph
+READS_FLAGS = {"tags": [], "pos": ["--no-morph"], "words": ["--mode", "lexicalized"],
+               "words-no-morph": ["--mode", "lexicalized", "--no-morph"]}
+
+
+@pytest.fixture(scope="module")
+def checkpoints_by_reads(tmp_path_factory):
+    """A tiny checkpoint trained on the toy treebank for each of
+    ``model.READS``, named after it, and a gold-tags parse config."""
+    root = tmp_path_factory.mktemp("reads")
+    config = write_config(root)
+    for reads in model.READS:
+        assert cli.main(["train", "--config", str(config), "--checkpoint",
+                         f"{root}/{reads}.ckpt"] + READS_FLAGS[reads]) == 0
+    return root
+
+
+def parse_args(root, reads, output):
+    return ["parse", "--config", f"{root}/run.ini", "--checkpoint", f"{root}/{reads}.ckpt",
+            "--parse-output", str(output)]
+
+
+@pytest.mark.parametrize("flags", READS_FLAGS)
+def test_parse_runs_a_checkpoint_that_reads_what_its_flags_say(checkpoints_by_reads, flags):
+    root, reads = checkpoints_by_reads, flags.split("-")[0]
+    assert model.load_checkpoint(root / f"{reads}.ckpt").reads == reads
+    output = root / f"{flags}.brackets"
+    assert cli.main(parse_args(root, reads, output) + READS_FLAGS[flags]) == 0
+    assert len(read_treebank(output)) == 50
+    if flags == "words-no-morph":  # the same run as without --no-morph
+        assert cli.main(parse_args(root, reads, root / "words-again.brackets")
+                        + READS_FLAGS["words"]) == 0
+        assert output.read_bytes() == (root / "words-again.brackets").read_bytes()
+
+
+@pytest.mark.parametrize("reads, flags", [(reads, flags) for reads in model.READS
+                                          for flags in READS_FLAGS
+                                          if flags.split("-")[0] != reads])
+def test_parse_refuses_a_checkpoint_that_reads_something_else_at_load(
+        checkpoints_by_reads, capsys, reads, flags):
+    root = checkpoints_by_reads
+    output = root / f"{reads}-by-{flags}.brackets"
+    assert cli.main(parse_args(root, reads, output) + READS_FLAGS[reads]) == 0
+    before = output.read_bytes(), Path(f"{output}.manifest").read_bytes()
+    capsys.readouterr()
+    assert cli.main(parse_args(root, reads, output) + READS_FLAGS[flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: stage=load: {root}/{reads}.ckpt: the model reads {reads}, but this "
+        f"run's mode and morphology settings read {flags.split('-')[0]}\n")
+    assert (output.read_bytes(), Path(f"{output}.manifest").read_bytes()) == before
+
+
 def test_tag_train_and_apply(tmp_path):
     corpus = tmp_path / "train.tags"
     corpus.write_text("der\tART.Nom\nMann\tNN.Nom\nlacht\tVVFIN\n\n"
@@ -710,6 +763,19 @@ def test_truncated_checkpoint_exits_2_at_load(tmp_path, capsys):
                          "--parse-output", f"{tmp_path}/pred.brackets"])
         assert code == 2, offset
         assert "error: stage=load" in capsys.readouterr().err
+
+
+def test_a_checkpoint_with_bytes_after_its_last_tensor_exits_2_at_load(tmp_path, capsys):
+    checkpoint = tiny_checkpoint(tmp_path / "parser.ckpt")
+    checkpoint.write_bytes(checkpoint.read_bytes() + bytes(7))
+    code = cli.main(["parse", "--use-gold-tags", "--checkpoint", str(checkpoint),
+                     "--gold-treebank", str(data.toy_treebank_path()),
+                     "--parse-output", f"{tmp_path}/pred.brackets"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: stage=load: {checkpoint}: checkpoint has 7 trailing bytes "
+        f"after its last tensor\n")
+    assert not (tmp_path / "pred.brackets").exists()
 
 
 def non_utf8_copy(tmp_path, text, name):

@@ -287,5 +287,6 @@ def test_checkpoint_loader_loads_or_raises_model_error(tmp_path, data):
         return
     assert set(params.tensors) == set(model.tensor_names(params.config))
     header = json.loads(data[16:16 + int.from_bytes(data[8:16], "little")])
-    assert type(header["format_version"]) is int and header["format_version"] == 1
+    assert type(header["format_version"]) is int
+    assert header["format_version"] == model.CHECKPOINT_VERSION
     assert all(entry["dtype"] == "<f8" for entry in header["tensors"])

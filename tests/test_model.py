@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -817,6 +818,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("reads", model.READS)
+def test_checkpoint_records_what_the_model_reads(tmp_path, reads):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(model.init_params(TINY, POS, FEATS, LABELS, reads), path)
+    assert model.load_checkpoint(path).reads == reads
+
+
+def test_a_version_1_checkpoint_is_refused(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(tiny_params(), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(model.ModelError, match="unsupported checkpoint version 1$"):
+        model.load_checkpoint(path)
+
+
 def test_loaded_tensors_are_aligned_writable_views_of_one_buffer(tmp_path):
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(tiny_params(seed=21), path)
@@ -884,6 +901,35 @@ def test_checkpoint_truncated_anywhere_raises_model_error(tmp_path):
             model.load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("case", ["appended-byte", "gap", "overlap"])
+def test_checkpoint_tensors_lie_end_to_end_from_offset_0(tmp_path, case):
+    # every CRC still matches, so only the layout rule refuses these files
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(tiny_params(), path)
+    blob = path.read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    entries = json.loads(blob[16:header_end])["tensors"]
+    if case == "appended-byte":
+        path.write_bytes(blob + b"\0")
+        message = "checkpoint has 1 trailing bytes after its last tensor"
+    elif case == "gap":  # eight spare bytes after the first tensor
+        end = header_end + entries[0]["nbytes"]
+        path.write_bytes(blob[:end] + bytes(8) + blob[end:])
+        rewrite_header(path, lambda h: [entry.update(offset=entry["offset"] + 8)
+                                        for entry in h["tensors"][1:]])
+        message = (f"tensor 'feature_embedding' is at offset {entries[1]['offset'] + 8}, "
+                   f"not {entries[1]['offset']}")
+    else:  # a tensor aliasing the bytes of the one before it, of its size
+        k = next(k for k in range(1, len(entries))
+                 if entries[k]["nbytes"] == entries[k - 1]["nbytes"])
+        rewrite_header(path, lambda h: h["tensors"][k].update(
+            offset=entries[k - 1]["offset"], crc32=entries[k - 1]["crc32"]))
+        message = (f"tensor {entries[k]['name']!r} is at offset {entries[k - 1]['offset']}, "
+                   f"not {entries[k]['offset']}")
+    with pytest.raises(model.ModelError, match=re.escape(message)):
+        model.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda h: h.pop("labels"), "lacks labels"),
     (lambda h: h["tensors"][0].update(name="pos_embedding_x"), "names"),
@@ -891,13 +937,16 @@ def test_checkpoint_truncated_anywhere_raises_model_error(tmp_path):
     (lambda h: h["pos_vocab"].pop(), "shape"),
     (lambda h: h["config"].update(num_layers="1"), "integers"),
     (lambda h: h["config"].update(depth=1), "config"),
-    (lambda h: h.update(format_version=2), "format_version 2"),
+    (lambda h: h.update(format_version=1), "format_version 1"),
     (lambda h: h.update(format_version=True), "format_version True"),
     (lambda h: h["tensors"][-1].update(dtype="<f4"), "dtype '<f4'"),
     (lambda h: h["tensors"][0].pop("dtype"), "entries need .*dtype"),
+    (lambda h: h.pop("reads"), "lacks reads"),
+    (lambda h: h.update(reads="lemmas"), "reads 'lemmas', not one of tags, pos, words"),
+    (lambda h: h.update(reads=["tags"]), r"reads \['tags'\]"),
 ], ids=["missing-key", "renamed-tensor", "extra-label", "short-pos-vocab",
-        "string-config", "unknown-config-key", "format-version-2", "format-version-true",
-        "float32-dtype", "missing-dtype"])
+        "string-config", "unknown-config-key", "format-version-1", "format-version-true",
+        "float32-dtype", "missing-dtype", "missing-reads", "unknown-reads", "list-reads"])
 def test_checkpoint_header_disagreements_raise_model_error(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(tiny_params(), path)

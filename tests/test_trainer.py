@@ -183,6 +183,25 @@ def test_train_holds_four_parameter_sized_arrays_not_five():
     assert peak < 4.5 * nbytes, peak / nbytes
 
 
+def test_adams_scratch_is_bounded_by_a_block_not_by_the_largest_tensor():
+    # a 4096-row position table is 95% of the parameters; scratch rows the
+    # size of it would hold nearly two more parameter-sized arrays
+    cfg = model.ModelConfig(model_dim=64, num_layers=1, num_heads=2, head_dim=8,
+                            ff_dim=48, label_hidden_dim=24, max_len=4096, seed=10)
+    trees = prepared_toy(8)
+    tcfg = trainer.TrainConfig(epochs=2, batch_size=2)
+    trainer.train(trees[:2], trees[:2], cfg, trainer.TrainConfig(epochs=1))  # warm-up
+    tracemalloc.start()
+    try:
+        params = trainer.train(trees, trees, cfg, tcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(tensor.nbytes for tensor in params.tensors.values())
+    assert params.tensors["position_encoding"].nbytes > 0.9 * nbytes
+    assert peak < 5.5 * nbytes, peak / nbytes
+
+
 def test_train_returns_the_dev_best_epochs_params_bit_for_bit(tmp_path):
     # dev F1 peaks at epoch 2 of 5 here, so the last epoch's params differ
     trees = prepared_toy(20)
@@ -359,10 +378,10 @@ def test_dev_fscore_scores_a_tree_whose_preterminals_do_not_cover_its_leaves(tmp
     # tree gives no tag per token, and the parse is scored as it is
     tree = Tree.node("S", [Tree.node("NN", [Tree.leaf("NN"), Tree.leaf("NN")]),
                            Tree.node("VVFIN", [Tree.leaf("VVFIN")])])
-    tags = [trainer.tree_tag_sequence(tree, atomic=True)]
+    tags = [trainer.tree_tag_sequence(tree, reads="words")]
     log_path = tmp_path / "train.log"
     params = trainer.train([tree], [tree], SMALL, trainer.TrainConfig(epochs=1),
-                           log_path=log_path, atomic_tags=True)
+                           log_path=log_path, reads="words")
     predictions = trainer.parse_corpus(params, tags)
     expected = evalb.score_corpus([tree], predictions).fscore
     assert expected > 0.0
@@ -370,8 +389,14 @@ def test_dev_fscore_scores_a_tree_whose_preterminals_do_not_cover_its_leaves(tmp
     assert log_path.read_text().split("\t")[-1].strip() == f"{expected:.4f}"
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_optimizer_steps_are_the_plain_formula_bit_for_bit(optimizer):
+@pytest.mark.parametrize("optimizer, step_block", [
+    ("adam", None), ("sgd", None), ("adam", 100)], ids=["adam", "sgd", "adam-in-blocks"])
+def test_optimizer_steps_are_the_plain_formula_bit_for_bit(monkeypatch, optimizer,
+                                                           step_block):
+    if step_block:
+        # the 32-wide matrices are stepped three rows at a time, the last
+        # block shorter, and the vectors in blocks of 100 elements
+        monkeypatch.setattr(trainer, "_STEP_BLOCK", step_block)
     labels = [transform.EMPTY_LABEL, "NP", "S"]
     params = model.init_params(SMALL, [model.UNK, "NN"], [model.UNK, "Sg"], labels)
     config = trainer.TrainConfig(optimizer=optimizer, learning_rate=3e-3)
