@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import evalb, model, tagger, tagmap, trainer, transform
-from .config import COMMAND_PATHS, PipelineConfig, load_pipeline_config
+from .config import _MODES, _PRESETS, COMMAND_PATHS, PipelineConfig, load_pipeline_config
 from .treebank import (ExtendedTag, TaggedSentence, TreebankFormatError, _read_utf8,
                        read_tag_map_file, read_tagged_corpus_file, read_treebank,
                        serialize_tree, well_formedness_problems, write_lines,
@@ -50,8 +50,6 @@ class _Run:
             raise CliError("load", f"missing required path {key!r}")
         path = Path(value)
         try:
-            if not path.exists():
-                raise CliError("load", f"input {key}={value} does not exist")
             result = reader(path, *args)
             self.inputs[key] = {"path": str(path), "sha256": _sha256(path)}
         except (TreebankFormatError, model.ModelError) as exc:
@@ -231,10 +229,7 @@ def cmd_parse(run: _Run) -> None:
         table = _tag_map(run)
         sentences = [tagmap.map_sentence(s, table, cfg.composite_separator)
                      for s in sentences]
-    tag_lists = [[ExtendedTag(token) for token in s.tokens] if params.reads == "words"
-                 else list(s.tags) if params.reads == "tags"
-                 else [ExtendedTag(t.pos) for t in s.tags]
-                 for s in sentences]
+    tag_lists = [model.input_tags(params.reads, s) for s in sentences]
     results = trainer.parse_corpus(params, tag_lists)
     failures = sum(tree is None for tree in results)
 
@@ -359,14 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--mode", choices=("delexicalized", "lexicalized"))
+        p.add_argument("--mode", choices=_MODES)
         p.add_argument("--use-gold-tags", action="store_true", default=None)
         p.add_argument("--no-mapping", dest="apply_mapping", action="store_false",
                        default=None)
         p.add_argument("--no-morph", dest="keep_morphology", action="store_false",
                        default=None)
         p.add_argument("--seed", type=int)
-        p.add_argument("--preset", choices=("desk", "paper"))
+        p.add_argument("--preset", choices=_PRESETS)
         if command == "delex":
             p.add_argument("--strip-only", action="store_true", default=None)
         for key in COMMAND_PATHS[command]:

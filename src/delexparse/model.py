@@ -22,7 +22,7 @@ import numpy as np
 
 from . import chart as _chart
 from .transform import CHAIN_SEPARATOR, EMPTY_LABEL
-from .treebank import ExtendedTag, Tree
+from .treebank import ExtendedTag, TaggedSentence, Tree, naming_failures
 
 UNK = "<UNK>"
 LN_EPS = 1e-5
@@ -33,6 +33,15 @@ CHECKPOINT_VERSION = 2
 # what a model reads of each token: its full extended tag, the POS part
 # alone, or the word itself (the lexicalized baseline)
 READS = ("tags", "pos", "words")
+
+
+def input_tags(reads: str, sentence: TaggedSentence) -> list[ExtendedTag]:
+    """The tags that a model which ``reads`` (see :data:`READS`) takes of ``sentence``."""
+    if reads == "words":
+        return [ExtendedTag(token) for token in sentence.tokens]
+    if reads == "pos":
+        return [ExtendedTag(tag.pos) for tag in sentence.tags]
+    return list(sentence.tags)
 
 
 class ModelError(ValueError):
@@ -766,17 +775,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "tensors": directory,
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("ascii")
-    try:
-        with _opened(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
-            fh.write(len(header_bytes).to_bytes(8, "little"))
-            fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
-    except OSError as exc:
-        exc.filename = path  # named also when the write fails after the open
-        raise
+    with naming_failures(path), _opened(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
+        fh.write(len(header_bytes).to_bytes(8, "little"))
+        fh.write(header_bytes)
+        for blob in blobs:
+            fh.write(blob)
 
 
 _HEADER_KEYS = ("format_version", "config", "reads", "labels", "pos_vocab",

@@ -32,7 +32,6 @@ class TaggerModel:
 
     feature_weights: dict[str, dict[str, float]]
     tag_inventory: tuple[str, ...]
-    version: int = FORMAT_VERSION
     separator: str = TAG_SEPARATOR
 
     def score(self, features: list[str]) -> dict[str, float]:
@@ -160,7 +159,7 @@ def tagger_accuracy(gold: list[TaggedSentence], pred: list[TaggedSentence]) -> f
 
 def save_tagger(model: TaggerModel, path: str | Path) -> None:
     """Write the sorted-key text checkpoint (header, tags, weight triples)."""
-    lines = [f"{FORMAT_NAME}\t{model.version}"]
+    lines = [f"{FORMAT_NAME}\t{FORMAT_VERSION}"]
     for tag in model.tag_inventory:
         lines.append(f"tag\t{tag}")
     for feat in sorted(model.feature_weights):

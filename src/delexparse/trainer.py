@@ -7,7 +7,6 @@ bracket scorer, and the checkpoint with the highest dev F1 is returned.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import tempfile
 from dataclasses import dataclass
@@ -17,7 +16,8 @@ import numpy as np
 
 from . import chart, evalb, model
 from .transform import debinarize, relabel_preterminals
-from .treebank import TAG_SEPARATOR, ExtendedTag, Tree, write_lines
+from .treebank import (TAG_SEPARATOR, ExtendedTag, TaggedSentence, Tree, naming_failures,
+                       write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -114,14 +114,11 @@ class _Optimizer:
 
 def tree_tag_sequence(tree: Tree, morph_separator: str = TAG_SEPARATOR,
                       reads: str = "tags") -> list[ExtendedTag]:
-    """Recover the tag sequence from a delexicalized tree's leaf tokens.
-
-    A model that reads ``"words"`` keeps the tokens whole (the lexicalized
-    baseline, which embeds word types rather than factored tags).
-    """
-    if reads == "words":
-        return [ExtendedTag(token) for token in tree.leaf_tokens()]
-    return [ExtendedTag.parse(token, morph_separator) for token in tree.leaf_tokens()]
+    """What a model that ``reads`` takes of ``tree`` (:func:`model.input_tags`),
+    whose leaf tokens are tags split on ``morph_separator``, or words."""
+    tokens = tuple(tree.leaf_tokens())
+    tags = tuple(ExtendedTag.parse(token, morph_separator) for token in tokens)
+    return model.input_tags(reads, TaggedSentence(tokens, tags))
 
 
 def train(train_trees: list[Tree], dev_trees: list[Tree],
@@ -132,8 +129,8 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
           morph_separator: str = TAG_SEPARATOR) -> model.ModelParams:
     """Train on binarized delexicalized trees; return the dev-best params.
 
-    Leaf tokens are the trees' tags, split on ``morph_separator``, or whole
-    words for a model that ``reads`` them (one of :data:`model.READS`).
+    Leaf tokens are the trees' tags, split on ``morph_separator``, of which
+    the model takes what it ``reads`` (one of :data:`model.READS`).
     Vocabularies and the label inventory come from the training trees only.
     The training log gets one ``epoch<TAB>train_loss<TAB>dev_F1`` line per
     epoch.  Dev labels unseen in training simply can never be predicted.
@@ -168,7 +165,8 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
     order = np.arange(len(train_trees))
     # a file of this call's own, so training holds no fifth
     # parameter-sized array
-    with _in_temp_dir():
+    temp_dir = tempfile.gettempdir()
+    with naming_failures(temp_dir):
         best_file = tempfile.TemporaryFile()
     try:
         for epoch in range(1, tconfig.epochs + 1):
@@ -190,7 +188,7 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
             if dev_f1 > best_f1:
                 best_f1 = dev_f1
                 best_epoch = epoch
-                with _in_temp_dir():
+                with naming_failures(temp_dir):
                     best_file.seek(0)
                     best_file.truncate()
                     model.save_checkpoint(params, best_file)
@@ -203,23 +201,12 @@ def train(train_trees: list[Tree], dev_trees: list[Tree],
         log.info("best dev F1 %.4f at epoch %d", best_f1, best_epoch)
         # read back once params, the gradient and Adam's moments are freed
         del params, grads, optimizer
-        with _in_temp_dir():
+        with naming_failures(temp_dir):
             best_file.seek(0)
             return model.load_checkpoint(best_file)
     finally:  # a write that failed leaves bytes that closing tries again
-        with _in_temp_dir():
+        with naming_failures(temp_dir):
             best_file.close()
-
-
-@contextlib.contextmanager
-def _in_temp_dir():
-    """An ``OSError`` raised inside names the temporary directory, since
-    the dev-best file in it has no name of its own."""
-    try:
-        yield
-    except OSError as exc:
-        exc.filename = tempfile.gettempdir()
-        raise
 
 
 def _batch_gradients(params: model.ModelParams, grads: dict[str, np.ndarray],

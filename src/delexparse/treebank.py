@@ -13,6 +13,7 @@ File formats:
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import re
 from dataclasses import dataclass
@@ -282,15 +283,23 @@ def read_treebank(path: str | Path) -> list[Tree]:
     return parse_bracketed(_read_utf8(path))
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write ``lines`` as UTF-8 text, each ended by ``\\n``.  A failed
-    write raises ``OSError`` with ``path`` as its ``filename``, also when
-    it fails after the file opened (a full disk)."""
+@contextlib.contextmanager
+def naming_failures(path):
+    """An ``OSError`` raised inside gets ``path`` as its ``filename``, also
+    one raised after a file opened (a full disk) or by a file that has no
+    name of its own."""
     try:
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        yield
     except OSError as exc:
         exc.filename = path
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by ``\\n``; a failed
+    write names ``path`` (:func:`naming_failures`)."""
+    with naming_failures(path):
+        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def write_treebank(trees: Iterable[Tree], path: str | Path) -> None:

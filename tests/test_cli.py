@@ -902,6 +902,7 @@ MALFORMED = {
     "checkpoint": b"not a checkpoint",
     "lexicon": b"laud\xffamus\n",
     "directory": None,  # a directory where a file belongs
+    "missing": None,  # no file at all
 }
 
 # every command with each input kind it reads; {bad} is the malformed file
@@ -954,6 +955,19 @@ READS = {
                                                  "--gold-treebank", "{toy}",
                                                  "--checkpoint", "{bad}",
                                                  "--parse-output", "{out}/p"]),
+    "train-missing": ("missing", ["train", "--train-treebank", "{bad}",
+                                  "--checkpoint", "{out}/p.ckpt"]),
+    "parse-tokens-missing": ("missing", ["parse", "--tokens", "{bad}",
+                                         "--tagger-model", "{tagger}",
+                                         "--checkpoint", "{ckpt}",
+                                         "--parse-output", "{out}/p"]),
+    "parse-checkpoint-missing": ("missing", ["parse", "--use-gold-tags",
+                                             "--gold-treebank", "{toy}",
+                                             "--checkpoint", "{bad}",
+                                             "--parse-output", "{out}/p"]),
+    "tag-tagger-missing": ("missing", ["tag", "--tagger-model", "{bad}",
+                                       "--tokens", "{tokens}",
+                                       "--tagged-output", "{out}/o"]),
 }
 
 
@@ -961,9 +975,9 @@ READS = {
 def test_malformed_input_names_its_file_once_at_load(tmp_path, capsys, case):
     kind, argv = READS[case]
     bad = tmp_path / f"bad.{kind}"
-    if MALFORMED[kind] is None:
+    if kind == "directory":
         bad.mkdir()
-    else:
+    elif kind != "missing":
         bad.write_bytes(MALFORMED[kind])
     tags = tmp_path / "ok.tags"
     tags.write_text("diu\tDDART.Nom\nfrouwe\tNA.Nom\n\n", encoding="utf-8")
@@ -978,6 +992,8 @@ def test_malformed_input_names_its_file_once_at_load(tmp_path, capsys, case):
     assert code == 2, err
     assert f"error: stage=load: {bad}: " in err and err.count(str(bad)) == 1, err
     assert "Traceback" not in err
+    if kind == "missing":
+        assert err == f"error: stage=load: {bad}: {os.strerror(errno.ENOENT)}\n", err
 
 
 # every command that reads a tagged corpus; {tags} is the corpus

@@ -15,8 +15,8 @@ SMALL = model.ModelConfig(model_dim=32, num_layers=1, num_heads=2, head_dim=8,
                           ff_dim=48, label_hidden_dim=24, max_len=32, seed=10)
 
 
-def prepared_toy(count=12):
-    cfg = transform.TransformConfig()
+def prepared_toy(count=12, keep_morphology=True):
+    cfg = transform.TransformConfig(keep_morphology=keep_morphology)
     trees = read_treebank(data.toy_treebank_path())[:count]
     return [binarize(delexicalize_tree(strip_annotations(t, cfg), cfg))
             for t in trees]
@@ -387,6 +387,23 @@ def test_dev_fscore_scores_a_tree_whose_preterminals_do_not_cover_its_leaves(tmp
     assert expected > 0.0
     assert trainer._dev_fscore(params, tags, [tree]) == expected
     assert log_path.read_text().split("\t")[-1].strip() == f"{expected:.4f}"
+
+
+def test_a_model_that_reads_pos_embeds_no_features_whatever_its_trees_hold(tmp_path):
+    # trees delexicalized with morphology give a model that reads the POS
+    # alone the same tags, and so the same checkpoint, as trees without it
+    config = trainer.TrainConfig(epochs=2)
+    checkpoints = []
+    for keep_morphology in (True, False):
+        trees = prepared_toy(6, keep_morphology)
+        assert any(tag.features for tree in trees
+                   for tag in trainer.tree_tag_sequence(tree)) == keep_morphology
+        params = trainer.train(trees, trees, SMALL, config, reads="pos")
+        assert params.feature_names == [model.UNK]
+        path = tmp_path / f"morph-{keep_morphology}.ckpt"
+        model.save_checkpoint(params, path)
+        checkpoints.append(path.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 @pytest.mark.parametrize("optimizer, step_block", [
